@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ from .covers import (
     RefinementWitness,
     common_multiplicity,
     lebesgue_number,
+    member_depths,
+    member_stats,
     mesh,
     multiplicity,
     mult_witness,
@@ -87,8 +90,8 @@ def build_alpha(
     uniform when the betas' meshes near the boundary decay jointly.
     """
     n_ann = len(ladder) - 2
-    if _beta_len(betas) < n_ann:
-        raise LadderExhausted(f"need {n_ann} beta families, have {_beta_len(betas)}")
+    if len(betas) < n_ann:
+        raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
     all_pts = frozenset(pack.points)
     b0_union = frozenset().union(*betas[0]) if len(betas[0]) else frozenset()
     if b0_union != all_pts:
@@ -107,13 +110,6 @@ def build_alpha(
             if m:
                 members.append(m)
     return Cover.make(pack, members, target="interior", drop_empty=True)
-
-
-def _beta_len(betas) -> int:
-    try:
-        return len(betas)
-    except TypeError:
-        return 1 << 30
 
 
 def _annotated_build(pack, ladder, betas):
@@ -137,13 +133,6 @@ def _annotated_build(pack, ladder, betas):
 # -- the refinement subsequence recursion ---------------------------------------------
 
 
-def _member_stats(pack: DiscretePack, members):
-    bd = pack.boundary_dist
-    maxdepth = np.array([max(bd[p] for p in m) for m in members])
-    diams = np.array([pack.diam(m) for m in members])
-    return maxdepth, diams
-
-
 def subsequence_indices(
     pack: DiscretePack,
     ladder: ScaleLadder,
@@ -164,20 +153,27 @@ def subsequence_indices(
     """
     ladder.validate_for(pack)
     bd = pack.boundary_dist
-    all_pts = list(pack.points)
-    radii = np.array(ladder.radii)
+    all_pts = range(pack.n_points)
+    radii = ladder.array
     m_top = len(ladder) - 1
 
-    g_members = list(gamma.members)
-    maxdepth, diams = _member_stats(pack, g_members)
+    members = gamma.members
+    mindepth, maxdepth, reach = member_depths(pack, members)
     order = np.argsort(maxdepth, kind="stable")
-    md_sorted = maxdepth[order]
-    diam_prefix = np.maximum.accumulate(diams[order]) if len(order) else np.array([])
+    # the gamma members inside W_n (maxdepth < r_n) are a prefix of `order`: its length per rung
+    inside = np.searchsorted(maxdepth[order], radii, side="left")
+    diams = np.zeros(0)  # exact diameters along `order`, computed only as far as needed
 
-    def l_value(n: int) -> float:
-        # largest diameter among gamma members inside W_n (maxdepth < r_n)
-        cnt = int(np.searchsorted(md_sorted, radii[n], side="left"))
-        return float(diam_prefix[cnt - 1]) if cnt else 0.0
+    def first_wide(width: float) -> int:
+        """Position along `order` of the first member of diameter >= width."""
+        nonlocal diams
+        known = np.flatnonzero(reach[order] >= width)  # reach <= diameter
+        stop = int(known[0]) if known.size else len(order)
+        if stop > len(diams):
+            more = member_stats(pack, [members[i] for i in order[len(diams) : stop]])[2]
+            diams = np.concatenate([diams, more])
+        wide = np.flatnonzero(diams[:stop] >= width)
+        return int(wide[0]) if wide.size else stop
 
     def first_rung_below(limit: float, start: int = 0) -> int | None:
         idx = np.nonzero(radii < limit)[0]
@@ -187,28 +183,28 @@ def subsequence_indices(
     indices = [0]
     k = 1
     while True:
-        if k >= _beta_len(betas):
+        if k >= len(betas):
             raise LadderExhausted(f"beta sequence exhausted at step {k}")
         beta_k = betas[k]
-        union_k = frozenset().union(*beta_k) if len(beta_k) else frozenset()
-        outside = [p for p in all_pts if p not in union_k]
-        lim = min((bd[p] for p in outside), default=np.inf)
+        covered = np.zeros(pack.n_points, dtype=bool)
+        covered[np.fromiter(chain.from_iterable(beta_k), dtype=np.intp)] = True
+        lim = bd[~covered].min(initial=np.inf)
         m = first_rung_below(lim)
         if m is None:
             raise LadderExhausted(f"no rung with closed neighborhood inside beta {k}")
-        extra = frozenset(p for p in all_pts if bd[p] > radii[m])
+        extra = frozenset(np.flatnonzero(bd > radii[m]).tolist())
         helper = list(beta_k) + [extra]
         big_l = lebesgue_number(pack, helper, all_pts, skip_uncovered=True)
-        m_prime = None
-        for n in range(m_top + 1):
-            if l_value(n) < big_l:
-                m_prime = n
-                break
-        if m_prime is None:
+        # m': the first rung where every gamma member inside W_n is narrower
+        # than L (with L <= 0 not even an empty W_n, valued 0, qualifies)
+        shrunk = np.flatnonzero(inside <= first_wide(big_l))
+        if big_l <= 0 or not shrunk.size:
             raise LadderExhausted("no rung shrinks gamma below the Lebesgue number")
+        m_prime = int(shrunk[0])
         prev = indices[-1]
-        tail = star(gamma, frozenset(p for p in pack.interior if bd[p] >= radii[prev]))
-        star_depth = min((bd[p] for p in tail), default=np.inf)
+        # the star of the previous tail {p : d(p, X) >= r_prev} is the union
+        # of the members reaching that deep; its depth is their least depth
+        star_depth = mindepth[maxdepth >= radii[prev]].min(initial=np.inf)
         m_dprime = first_rung_below(star_depth)
         if m_dprime is None:
             raise LadderExhausted("ladder cannot clear the star of the previous tail")

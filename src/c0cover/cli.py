@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .canonical import minimal_canonical, provider_for
 from .covers import cover_from_json, cover_to_json
-from .errors import C0CoverError
+from .errors import BadParams, C0CoverError
 from .experiment import ExperimentConfig, report_to_json, run_experiment
 from .packs import (
     PackKind,
@@ -71,9 +71,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def _read_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"{source} is not valid JSON: {exc}") from None
+
+
 def _dispatch(args) -> int:
     if args.command == "pack":
-        pack = generate_pack(PackKind(args.kind, json.loads(args.params)))
+        pack = generate_pack(PackKind(args.kind, _read_json(args.params, "--params")))
         Path(args.out).write_text(pack_to_json(pack))
         print(f"wrote {args.out}: {pack.n_points} points, k_sup={pack.k_sup:g}")
         return 0
@@ -99,20 +106,11 @@ def _dispatch(args) -> int:
         return 0 if summary.ok else 1
 
     if args.command == "experiment":
-        config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-        report = run_experiment(config)
+        config = ExperimentConfig.from_dict(_read_json(Path(args.config).read_text(), args.config))
+        report, alpha = run_experiment(config, with_alpha=True)
         Path(args.out).write_text(report_to_json(report))
         if args.svg:
-            pack = generate_pack(PackKind(config.kind, dict(config.params)))
-            ladder = default_ladder(pack)
-            gamma = ball_cover(controlled_E(pack, ladder, LambdaSpec.identity(ladder)))
-            if config.kind == "countable_example":
-                from .covers import singleton_cover
-
-                cov = singleton_cover(pack)
-            else:
-                cov, _ = minimal_canonical(pack, gamma, provider_for(pack), ladder)
-            Path(args.svg).write_text(emit_svg(pack, cov))
+            Path(args.svg).write_text(emit_svg(alpha.pack, alpha))
         ok = report["summary"]["all_pass"]
         print(f"wrote {args.out}: {'all stages pass' if ok else 'STAGE FAILURES'}")
         return 0 if ok else 1

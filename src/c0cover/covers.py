@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +22,8 @@ from .packs import DiscretePack, ScaleLadder
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _scale_curve_verdict
 
 Family = Sequence[frozenset]
+
+_GATHER_LIMIT = 1 << 22  # distances gathered at once by member_stats
 
 
 class Cover:
@@ -202,6 +205,51 @@ def common_multiplicity(*families) -> int:
     return max(counts.values(), default=0)
 
 
+def _flatten(members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members as one index array, with each member's size and start in it."""
+    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=int(sizes.sum()))
+    return flat, sizes, np.cumsum(sizes) - sizes
+
+
+def member_depths(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member: min and max boundary distance, and its reach.
+
+    The reach is the largest distance from the member's first point (0 for
+    a singleton), a lower bound on its diameter.  Linear in the members'
+    total size; members are nonempty point sets.
+    """
+    if not len(members):
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    flat, sizes, starts = _flatten(members)
+    depth = pack.boundary_dist[flat]
+    reach = np.maximum.reduceat(pack.dist[np.repeat(flat[starts], sizes), flat], starts)
+    reach[sizes == 1] = 0.0
+    return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), reach
+
+
+def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member: min and max boundary distance, and diameter.
+
+    Members are nonempty point sets.  Diameters come from one gathered block
+    per member size (chunked to bound memory); singletons read 0 with no
+    distance lookup.
+    """
+    if not len(members):
+        return np.zeros(0), np.zeros(0), np.zeros(0)
+    flat, sizes, starts = _flatten(members)
+    depth = pack.boundary_dist[flat]
+    diam = np.zeros(len(members))
+    for s in np.unique(sizes[sizes > 1]).tolist():
+        which = np.flatnonzero(sizes == s)
+        idx = flat[starts[which, None] + np.arange(s)]  # (members of size s, s)
+        step = max(1, _GATHER_LIMIT // (s * s))
+        for c in range(0, len(which), step):
+            block = idx[c : c + step]
+            diam[which[c : c + step]] = pack.dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
+    return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), diam
+
+
 # -- mesh, star, diagonal ----------------------------------------------------------
 
 
@@ -299,26 +347,23 @@ def lebesgue_number(
     diameter < L embeds in some member.  With skip_uncovered the minimum runs
     over covered points only (used where ties may puncture a cover).
     """
-    tgt = sorted(frozenset(target))
-    members = [m & frozenset(tgt) for m in _members_of(beta)]
-    members = [m for m in members if m]
-    cap = pack.diam(tgt)
-    best = np.inf
-    tset = frozenset(tgt)
-    for p in tgt:
-        here = -np.inf
-        for m in members:
-            if p in m:
-                rest = tset - m
-                here = max(here, pack.set_dist(p, rest))
-        if here == -np.inf:
-            if skip_uncovered:
-                continue
-            raise NotACover(f"point {p} lies in no member")
-        best = min(best, here)
-    if best == np.inf:
-        best = cap
-    return float(min(best, cap))
+    tgt = np.array(sorted(frozenset(target)), dtype=np.intp)
+    in_tgt = np.zeros(pack.n_points, dtype=bool)
+    in_tgt[tgt] = True
+    here = np.full(pack.n_points, -np.inf)  # max over members U holding p of d(p, target \ U)
+    for m in _members_of(beta):
+        pts = np.fromiter(m, dtype=np.intp, count=len(m))
+        outside = in_tgt.copy()
+        outside[pts] = False
+        here[pts] = np.maximum(here[pts], pack.set_dist(pts, np.flatnonzero(outside)))
+    here = here[tgt]
+    covered = here > -np.inf
+    if not skip_uncovered and not covered.all():
+        raise NotACover(f"point {int(tgt[np.argmin(covered)])} lies in no member")
+    best = float(here[covered].min(initial=np.inf))
+    # a finite d(p, target \ U) is at most the target diameter, so the cap
+    # only binds when every covered point sits in a member holding the target
+    return best if best < np.inf else pack.diam(tgt)
 
 
 # -- uniformity -----------------------------------------------------------------------
@@ -340,9 +385,7 @@ def uniformity_verdict(
     members = _members_of(alpha)
     if not members:
         raise NotACover("empty family has no verdict")
-    bd = pack.boundary_dist
-    cond = np.array([min(bd[p] for p in m) for m in members])
-    size = np.array([pack.diam(m) for m in members])
+    cond, _, size = member_stats(pack, members)
     return _scale_curve_verdict(ladder, cond, size, unif_tol * pack.k_sup, effective_floor=True)
 
 

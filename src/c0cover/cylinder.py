@@ -363,14 +363,11 @@ def choose_slab(
     eps: float,
 ) -> tuple[float, float]:
     """(delta1, delta2) from the uniformity curve and the star containment rule."""
-    verdict = uniformity_verdict(pack, ladder, alpha)
-    d1 = None
-    for t, v in verdict.curve.samples:  # t descending
-        if v < eps and t <= pack.k_sup:
-            d1 = float(t)
-            break
-    if d1 is None:
+    curve = uniformity_verdict(pack, ladder, alpha).curve
+    fine = np.flatnonzero((curve.values < eps) & (curve.ts <= pack.k_sup))
+    if not fine.size:
         raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
+    d1 = float(curve.ts[fine[0]])  # the largest such scale: t descends along the curve
     levels = sorted({float(t) for t in pack.boundary_dist if t > 0})
     slice_levels = [t for t in levels if t <= d1]
     if not slice_levels:

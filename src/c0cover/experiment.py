@@ -9,7 +9,8 @@ tolerance lands in the report so runs are auditable and reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .covers import (
     whole_space_cover,
 )
 from .cylinder import lower_bound_check, random_uniform_candidates
-from .errors import C0CoverError, NonCylindricalPack
+from .errors import BadParams, NonCylindricalPack
 from .packs import DiscretePack, PackKind, ScaleLadder, default_ladder, generate_pack
 from .relations import (
     DEFAULT_LIMIT_TOL,
@@ -48,24 +49,70 @@ class ExperimentConfig:
     c0_tol: float = DEFAULT_LIMIT_TOL
     unif_tol: float = DEFAULT_LIMIT_TOL
 
+    def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise BadParams("kind must be a string")
+        if not isinstance(self.params, dict):
+            raise BadParams("params must be an object")
+        if self.ladder is not None and not (
+            isinstance(self.ladder, (list, tuple)) and all(_is_number(r) for r in self.ladder)
+        ):
+            raise BadParams("ladder must be a list of numbers")
+        if not isinstance(self.lambda_kind, str):
+            raise BadParams("lambda_kind must be a string")
+        if self.provider != "auto":
+            raise BadParams(f"unknown provider {self.provider!r}; only 'auto' is shipped")
+        for name in ("candidates", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+                raise BadParams(f"{name} must be a nonnegative integer")
+        for name in ("c0_tol", "unif_tol"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise BadParams(f"{name} must be positive and finite")
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise BadParams("an experiment config must be a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise BadParams(f"unknown config keys {unknown}")
+        if "kind" not in obj:
+            raise BadParams("config needs a kind")
         return cls(**obj)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _lambda_for(config: ExperimentConfig, ladder: ScaleLadder) -> LambdaSpec:
     if config.lambda_kind == "identity":
         return LambdaSpec.identity(ladder)
     if config.lambda_kind.startswith("constant:"):
-        return LambdaSpec.constant(ladder, float(config.lambda_kind.split(":", 1)[1]))
-    raise C0CoverError(f"unknown lambda kind {config.lambda_kind!r}")
+        try:
+            c = float(config.lambda_kind.split(":", 1)[1])
+        except ValueError:
+            raise BadParams(f"bad constant in lambda kind {config.lambda_kind!r}") from None
+        return LambdaSpec.constant(ladder, c)
+    raise BadParams(f"unknown lambda kind {config.lambda_kind!r}")
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute the full pipeline for a config; returns the report dict."""
+def run_experiment(config: ExperimentConfig, with_alpha: bool = False):
+    """Execute the full pipeline for a config; returns the report dict.
+
+    With ``with_alpha`` it returns (report, alpha) instead, alpha being the
+    cover the report describes (the singleton cover for the countable pack).
+    """
+    report, alpha = _experiment(config)
+    return (report, alpha) if with_alpha else report
+
+
+def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
     stages = []
     ok = True
 
@@ -118,15 +165,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 "lower_bound": "NonCylindricalPack",
             },
         )
-        report = _final_report(config, stages, ok, mult=smult, dim=pack.known_dim)
-        return report
+        return _final_report(config, stages, ok, mult=smult, dim=pack.known_dim), singles
 
     gamma = ball_cover(e)
     gv = uniformity_verdict(pack, ladder, gamma, config.unif_tol)
     stage("ball_cover", gv.accept, {"members": len(gamma), "uniformity": gv.to_dict()})
 
-    provider = provider_for(pack) if config.provider == "auto" else provider_for(pack)
-    alpha, pipeline = minimal_canonical(pack, gamma, provider, ladder, config.unif_tol)
+    alpha, pipeline = minimal_canonical(pack, gamma, provider_for(pack), ladder, config.unif_tol)
     bound_ok = pipeline.multiplicity <= pipeline.bound_dim_plus_2
     stage("minimal_canonical", pipeline.witness_ok and bound_ok, pipeline.to_dict())
 
@@ -171,7 +216,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         dim=pack.known_dim,
         naive=pipeline.naive_bound_2dim_plus_2,
     )
-    return report
+    return report, alpha
 
 
 def _deep_witness_resolved(pack: DiscretePack, unif_tol: float) -> bool:

@@ -42,39 +42,67 @@ KNOWN_DIMS = {
 CYLINDRICAL_KINDS = {"finite_cylinder", "interval_cylinder", "circle_in_disk", "cube_face"}
 
 
-@dataclass(frozen=True)
 class ModulusCurve:
     """Sampled scale -> value function, t strictly decreasing, values >= 0.
 
+    Built from a sequence of (t, value) pairs or an (m, 2) array and held as
+    one read-only (m, 2) float array; equality and hashing go by value.
     Evaluation is by conservative step interpolation: the value at the
     smallest sample t' >= t, clamped to the end samples outside the range.
     """
 
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ("array", "_asc")
 
-    def __post_init__(self):
-        ts = [t for t, _ in self.samples]
-        if not ts:
+    def __init__(self, samples):
+        try:
+            # a fresh float copy; adding 0.0 turns -0.0 into 0.0 so equal curves hash equal
+            data = np.array(samples, dtype=float) + 0.0
+        except (TypeError, ValueError):
+            raise BadParams("curve samples must be (t, value) pairs") from None
+        if data.size == 0:
             raise BadParams("empty modulus curve")
-        if any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise BadParams("curve samples must be (t, value) pairs")
+        ts, vs = data[:, 0], data[:, 1]
+        if not (np.all(ts > 0) and np.all(ts[1:] < ts[:-1])):
             raise BadParams("curve abscissae must be positive and strictly decreasing")
-        if any(v < 0 for _, v in self.samples):
+        if not np.all(vs >= 0):
             raise BadParams("curve values must be nonnegative")
+        data.setflags(write=False)
+        object.__setattr__(self, "array", data)
+        object.__setattr__(self, "_asc", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModulusCurve is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, ModulusCurve) and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self.array.tobytes())
+
+    def __repr__(self):
+        return f"ModulusCurve(<{len(self.array)} samples>)"
+
+    def __reduce__(self):
+        return (ModulusCurve, (np.array(self.array),))
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def ts(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        return self.array[:, 0]
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples])
+        return self.array[:, 1]
 
     def _ascending(self):
-        cached = getattr(self, "_asc", None)
-        if cached is None:
-            cached = (self.ts[::-1].copy(), self.values[::-1].copy())
-            object.__setattr__(self, "_asc", cached)
-        return cached
+        if self._asc is None:
+            object.__setattr__(self, "_asc", (self.ts[::-1].copy(), self.values[::-1].copy()))
+        return self._asc
 
     def value_at(self, t: float) -> float:
         """Value at the smallest sampled scale >= t (clamped at both ends)."""
@@ -94,7 +122,7 @@ class ModulusCurve:
 
     def to_csv(self) -> str:
         lines = ["t,value"]
-        lines += [f"{t!r},{v!r}" for t, v in self.samples]
+        lines += [f"{t!r},{v!r}" for t, v in self.array.tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -153,10 +181,18 @@ class DiscretePack:
     def d(self, p: int, q: int) -> float:
         return float(self.dist[p, q])
 
-    def set_dist(self, p: int, targets: Iterable[int]) -> float:
-        """min over q in targets of d(p, q); +inf for an empty target set."""
-        idx = list(targets)
-        if not idx:
+    def set_dist(self, p: int | np.ndarray, targets: Iterable[int]) -> float | np.ndarray:
+        """min over q in targets of d(p, q); +inf for an empty target set.
+
+        ``p`` is a point id (returns a float) or an index array of points
+        (returns one distance per point, in one reduction).
+        """
+        idx = np.fromiter(targets, dtype=np.intp) if not isinstance(targets, np.ndarray) else targets
+        if np.ndim(p):
+            if not idx.size:
+                return np.full(len(p), np.inf)
+            return self.dist[np.ix_(p, idx)].min(axis=1)
+        if not idx.size:
             return float("inf")
         return float(self.dist[p, idx].min())
 
@@ -303,16 +339,24 @@ def boundary_distance(pack: DiscretePack, p: int) -> float:
 
 @dataclass(frozen=True)
 class ScaleLadder:
-    """Strictly decreasing radii r_0 > r_1 > ... > r_m realizing W_n = B(X, r_n)."""
+    """Strictly decreasing radii r_0 > r_1 > ... > r_m realizing W_n = B(X, r_n).
+
+    ``array`` holds the same radii as a read-only float array.
+    """
 
     radii: tuple[float, ...]
 
     def __post_init__(self):
-        r = self.radii
-        if len(r) < 3:
+        try:
+            r = np.array(self.radii, dtype=float)
+        except (TypeError, ValueError):
+            raise BadLadder("radii must be numbers") from None
+        if r.ndim != 1 or len(r) < 3:
             raise BadLadder("ladder needs at least three rungs")
-        if any(x <= 0 for x in r) or any(b >= a for a, b in zip(r, r[1:])):
+        if not (np.all(r > 0) and np.all(r[1:] < r[:-1])):
             raise BadLadder("radii must be positive and strictly decreasing")
+        r.setflags(write=False)
+        object.__setattr__(self, "array", r)
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -332,6 +376,20 @@ class ScaleLadder:
         return [float(r) for r in self.radii]
 
 
+def _thin_rungs(cand: np.ndarray) -> np.ndarray:
+    """Keep each candidate rung only if it lies below the last kept one by a 1e-12 margin."""
+    if np.all(cand[1:] < cand[:-1] * (1 - 1e-12)):  # the harmonic pattern: all are kept
+        return cand
+    # past n ~ 5e5 harmonic rungs sit closer than the 1e-12 * k_sup collision
+    # tolerance, so two can be nudged onto one value; each drop moves the
+    # reference rung, so decide one candidate at a time
+    kept = [cand[0]]
+    for x in cand[1:].tolist():
+        if x < kept[-1] * (1 - 1e-12):
+            kept.append(x)
+    return np.array(kept)
+
+
 def default_ladder(pack: DiscretePack, top_factor: float = 2.0) -> ScaleLadder:
     """Ladder with the harmonic pattern r_n = k_sup / (2n), nudged off sample values.
 
@@ -342,30 +400,27 @@ def default_ladder(pack: DiscretePack, top_factor: float = 2.0) -> ScaleLadder:
     k = pack.k_sup
     values = np.unique(pack.boundary_dist[pack.boundary_dist > 0])
     floor = float(values.min())
-    radii = [top_factor * k]
-    n = 1
-    while True:
-        r = k / (2.0 * n)
-        j = np.searchsorted(values, r)
-        hit = None
-        if j < len(values) and abs(values[j] - r) <= 1e-12 * k:
-            hit = j
-        elif j > 0 and abs(values[j - 1] - r) <= 1e-12 * k:
-            hit = j - 1
-        if hit is not None:
-            # nudge just below the colliding value: midpoint with the closer
-            # of the next sample value down and the next harmonic rung
-            v = float(values[hit])
-            below = float(values[hit - 1]) if hit > 0 else 0.0
-            below = max(below, k / (2.0 * (n + 1)))
-            r = (v + below) / 2.0
-        if r < radii[-1] * (1 - 1e-12):
-            radii.append(float(r))
-            if r < floor:
-                break
-        n += 1
-        if n > 10_000_000:
-            raise BadLadder("runaway ladder construction")
+    # k / (2n) is below the floor from n = k / (2 floor) + 1 on, and nudges only lower a rung
+    n_max = int(k / (2.0 * floor)) + 2
+    if n_max > 10_000_000:
+        raise BadLadder("runaway ladder construction")
+    n = np.arange(1, n_max + 1, dtype=float)
+    r = k / (2.0 * n)
+    j = np.searchsorted(values, r)
+    up, down = np.minimum(j, len(values) - 1), np.maximum(j - 1, 0)
+    hit_up = (j < len(values)) & (np.abs(values[up] - r) <= 1e-12 * k)
+    hit_down = ~hit_up & (j > 0) & (np.abs(values[down] - r) <= 1e-12 * k)
+    hit = np.where(hit_up, up, down)
+    # nudge just below the colliding value: midpoint with the closer of the
+    # next sample value down and the next harmonic rung
+    below = np.where(hit > 0, values[np.maximum(hit - 1, 0)], 0.0)
+    below = np.maximum(below, k / (2.0 * (n + 1)))
+    r = np.where(hit_up | hit_down, (values[hit] + below) / 2.0, r)
+    kept = _thin_rungs(np.concatenate(([top_factor * k], r)))
+    below_floor = np.flatnonzero(kept < floor)
+    if not below_floor.size:
+        raise BadLadder("runaway ladder construction")
+    radii = kept[: below_floor[0] + 1].tolist()
     # margin below the sample floor so refinement recursions can take a final step
     radii.append(radii[-1] / 2.0)
     radii.append(radii[-1] / 2.0)
@@ -399,22 +454,17 @@ def h_profile(pack: DiscretePack, ladder: ScaleLadder) -> ModulusCurve:
     bidx = sorted(pack.boundary)
     bd = pack.boundary_dist
     order = np.argsort(-bd, kind="stable")  # deepest-from-boundary first
-    depths = bd[order]
-    dmin = np.full(len(bidx), np.inf)
-    taken = 0
-    samples = []
-    for t in ladder.radii:  # descending: the far set only grows
-        if t >= pack.k_sup:
-            samples.append((float(t), float(pack.k_sup)))
-            continue
-        while taken < len(order) and depths[taken] >= t:
-            p = order[taken]
-            np.minimum(dmin, pack.dist[bidx, p], out=dmin)
-            taken += 1
-        if taken == 0:
-            raise EmptyComplement(f"no point at boundary distance >= {t} < k_sup")
-        samples.append((float(t), float(dmin.max())))
-    return ModulusCurve(tuple(samples))
+    # far[j]: h over the j + 1 deepest points, a running minimum over X then a max
+    far = np.minimum.accumulate(pack.dist[np.ix_(bidx, order)], axis=1).max(axis=0)
+    radii = ladder.array
+    taken = np.searchsorted(-bd[order], -radii, side="right")  # points with d(p, X) >= t
+    inside = radii < pack.k_sup
+    empty = inside & (taken == 0)
+    if empty.any():
+        t = float(radii[np.argmax(empty)])
+        raise EmptyComplement(f"no point at boundary distance >= {t} < k_sup")
+    values = np.where(inside, far[np.maximum(taken - 1, 0)], float(pack.k_sup))
+    return ModulusCurve(np.column_stack([radii, values]))
 
 
 # -- generators ----------------------------------------------------------------

@@ -9,6 +9,7 @@ hold on the nose, e.g. (E o F)_x = E(F_x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -175,7 +176,7 @@ class CurveVerdict:
             "floor_value": self.floor_value,
             "threshold": self.threshold,
             "monotone": self.monotone,
-            "curve": [[t, v] for t, v in self.curve.samples],
+            "curve": self.curve.array.tolist(),
         }
 
 
@@ -193,20 +194,17 @@ def _scale_curve_verdict(
     whose item set is nonempty (rungs below witness nothing); otherwise at
     the bottom rung.
     """
+    radii = ladder.array
     order = np.argsort(cond, kind="stable")
-    cond_sorted = cond[order]
-    prefix = np.maximum.accumulate(size[order]) if len(order) else np.array([])
-    samples = []
-    floor_t = None
-    floor_value = 0.0
-    for t in ladder.radii:
-        cnt = int(np.searchsorted(cond_sorted, t, side="right"))
-        v = float(prefix[cnt - 1]) if cnt > 0 else 0.0
-        samples.append((float(t), v))
-        if cnt > 0 or not effective_floor:
-            floor_t = float(t)
-            floor_value = v
-    curve = ModulusCurve(tuple(samples))
+    prefix = np.concatenate(([0.0], np.maximum.accumulate(size[order])))
+    cnt = np.searchsorted(cond[order], radii, side="right")  # items active at each rung
+    values = prefix[cnt]
+    floor = len(radii) - 1
+    if effective_floor:  # cnt shrinks down the ladder: the last rung with an item
+        floor = int(np.count_nonzero(cnt)) - 1
+    floor_t = float(radii[floor]) if floor >= 0 else None
+    floor_value = float(values[floor]) if floor >= 0 else 0.0
+    curve = ModulusCurve(np.column_stack([radii, values]))
     monotone = curve.is_nondecreasing(tol=1e-12)
     accept = monotone and floor_value <= threshold
     return CurveVerdict(curve, accept, floor_t, floor_value, threshold, monotone)
@@ -230,11 +228,11 @@ def c0_modulus(
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
     if not e.pairs:
-        empty = ModulusCurve(tuple((float(t), 0.0) for t in ladder.radii))
+        empty = ModulusCurve(np.column_stack([ladder.array, np.zeros(len(ladder))]))
         return CurveVerdict(empty, True, float(ladder.radii[-1]), 0.0, c0_tol * pack.k_sup, True)
-    pairs = sorted(e.pairs)
-    ps = np.array([p for p, _ in pairs])
-    qs = np.array([q for _, q in pairs])
+    # the curve is a running max, so the pairs need no order
+    pairs = np.fromiter(chain.from_iterable(e.pairs), dtype=np.intp, count=2 * len(e.pairs))
+    ps, qs = pairs[0::2], pairs[1::2]
     bd = pack.boundary_dist
     cond = np.minimum(bd[ps], bd[qs])
     size = pack.dist[ps, qs]
@@ -258,11 +256,11 @@ class LambdaSpec:
 
     @classmethod
     def identity(cls, ladder: ScaleLadder) -> "LambdaSpec":
-        return cls(ModulusCurve(tuple((float(t), float(t)) for t in ladder.radii)))
+        return cls(ModulusCurve(np.column_stack([ladder.array, ladder.array])))
 
     @classmethod
     def constant(cls, ladder: ScaleLadder, c: float) -> "LambdaSpec":
-        return cls(ModulusCurve(tuple((float(t), float(c)) for t in ladder.radii)))
+        return cls(ModulusCurve(np.column_stack([ladder.array, np.full(len(ladder), float(c))])))
 
     def at(self, t: float) -> float:
         return self.values.value_at(t)
@@ -284,11 +282,9 @@ def diag_nbhd_from_lambda(pack: DiscretePack, lam: LambdaSpec) -> Relation:
 def controlled_phi(pack: DiscretePack, ladder: ScaleLadder, lam: LambdaSpec) -> ModulusCurve:
     """The modulus phi(t) = h(t) + lambda(t) + h(t + lambda(t)), h capped at k_sup."""
     h = h_profile(pack, ladder)
-    samples = []
-    for t in ladder.radii:
-        lt = lam.at(t)
-        samples.append((float(t), h.value_at(t) + lt + h.value_at(t + lt)))
-    return ModulusCurve(tuple(samples))
+    t = ladder.array
+    lt = lam.at_many(t)
+    return ModulusCurve(np.column_stack([t, h.value_at_many(t) + lt + h.value_at_many(t + lt)]))
 
 
 def controlled_E(

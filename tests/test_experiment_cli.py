@@ -133,3 +133,64 @@ def test_verify_suite_small():
     summary = cc.verify_suite(seed=2, sizes={"identities": 80, "transfer": 50, "star": 40, "shrink": 40, "ext_random": 20})
     assert summary.ok
     assert len(summary.lines()) >= 10
+
+
+def test_cli_experiment_svg_draws_the_reported_alpha(tmp_path):
+    # every other rung of the default ladder: a config ladder that changes alpha
+    pack = cc.generate_pack("finite_cylinder", n_base=2, n_levels=12)
+    default = cc.default_ladder(pack)
+    ladder = cc.ScaleLadder(default.radii[::2] + default.radii[-1:])
+    cfg_file, out_file, svg_file = tmp_path / "exp.json", tmp_path / "report.json", tmp_path / "exp.svg"
+    cfg_file.write_text(json.dumps(SMALL_FINITE | {"ladder": list(ladder.radii)}))
+    rc = main(["experiment", "--config", str(cfg_file), "--out", str(out_file), "--svg", str(svg_file)])
+    assert rc == 0
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    alpha, report = cc.minimal_canonical(pack, gamma, cc.provider_for(pack), ladder)
+    stages = {s["name"]: s["data"] for s in json.loads(out_file.read_text())["stages"]}
+    assert stages["minimal_canonical"]["subsequence"] == list(report.subsequence)
+    assert svg_file.read_text() == emit_svg(pack, alpha)
+    default_gamma = cc.ball_cover(cc.controlled_E(pack, default, cc.LambdaSpec.identity(default)))
+    default_alpha, _ = cc.minimal_canonical(pack, default_gamma, cc.provider_for(pack), default)
+    assert svg_file.read_text() != emit_svg(pack, default_alpha)
+
+
+BAD_CONFIGS = {
+    "unknown_key": SMALL_FINITE | {"bogus": 1},
+    "not_an_object": [SMALL_FINITE],
+    "missing_kind": {"params": {}},
+    "candidates_negative": SMALL_FINITE | {"candidates": -1},
+    "candidates_float": SMALL_FINITE | {"candidates": 2.5},
+    "candidates_bool": SMALL_FINITE | {"candidates": True},
+    "seed_string": SMALL_FINITE | {"seed": "0"},
+    "seed_negative": SMALL_FINITE | {"seed": -3},
+    "c0_tol_zero": SMALL_FINITE | {"c0_tol": 0},
+    "unif_tol_negative": SMALL_FINITE | {"unif_tol": -0.05},
+    "unif_tol_infinite": SMALL_FINITE | {"unif_tol": float("inf")},
+    "c0_tol_nan": SMALL_FINITE | {"c0_tol": float("nan")},
+    "c0_tol_string": SMALL_FINITE | {"c0_tol": "0.05"},
+    "params_list": SMALL_FINITE | {"params": [2, 12]},
+    "ladder_string": SMALL_FINITE | {"ladder": "2.0, 1.0, 0.5"},
+    "ladder_non_numbers": SMALL_FINITE | {"ladder": [2.0, "1.0", 0.5]},
+    "provider_unknown": SMALL_FINITE | {"provider": "interval_dim1"},
+    "lambda_constant_garbled": SMALL_FINITE | {"lambda_kind": "constant:abc"},
+}
+
+
+@pytest.mark.parametrize("config", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_cli_experiment_bad_config_exits_2(tmp_path, config):
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_experiment_config_not_json_exits_2(tmp_path):
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text("{kind: finite_cylinder")
+    assert main(["experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_cli_pack_gen_params_not_json_exits_2(tmp_path):
+    rc = main(["pack", "gen", "--kind", "finite_cylinder", "--params", "{n_base: 2}",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2

@@ -1,0 +1,501 @@
+"""Differential tests: the array kernels against the loops they replaced.
+
+Each oracle below is the per-rung or per-point loop the library used before
+its kernel, kept verbatim in spirit and independent of the kernel code.  The
+kernels must agree with them exactly (``==``, no tolerance).
+"""
+
+import hashlib
+import pickle
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import c0cover as cc
+from c0cover import covers
+from c0cover.covers import _members_of, member_depths, member_stats
+from c0cover.canonical import ExtBallBetas, beta_length_for, subsequence_indices
+from c0cover.errors import BadLadder, BadParams, EmptyComplement, LadderExhausted, NotACover
+from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
+from c0cover.packs import _finish_pack, _thin_rungs
+from c0cover.relations import _scale_curve_verdict, controlled_phi
+from c0cover.verify import random_family, random_pack
+
+# -- oracles -----------------------------------------------------------------------------
+
+
+def oracle_set_dist(pack, p, targets):
+    idx = list(targets)
+    return float(pack.dist[p, idx].min()) if idx else float("inf")
+
+
+def oracle_diam(pack, pts):
+    idx = sorted(pts)
+    return float(pack.dist[np.ix_(idx, idx)].max()) if len(idx) >= 2 else 0.0
+
+
+def oracle_curve_verdict(ladder, cond, size, threshold, effective_floor=False):
+    order = np.argsort(cond, kind="stable")
+    cond_sorted = cond[order]
+    prefix = np.maximum.accumulate(size[order]) if len(order) else np.array([])
+    samples, floor_t, floor_value = [], None, 0.0
+    for t in ladder.radii:
+        cnt = int(np.searchsorted(cond_sorted, t, side="right"))
+        v = float(prefix[cnt - 1]) if cnt > 0 else 0.0
+        samples.append((float(t), v))
+        if cnt > 0 or not effective_floor:
+            floor_t, floor_value = float(t), v
+    vs = [v for _, v in samples]
+    monotone = all(a >= b - 1e-12 for a, b in zip(vs, vs[1:]))
+    return tuple(samples), floor_t, floor_value, monotone and floor_value <= threshold, monotone
+
+
+def oracle_h_profile(pack, ladder):
+    bidx = sorted(pack.boundary)
+    bd = pack.boundary_dist
+    order = np.argsort(-bd, kind="stable")
+    depths = bd[order]
+    dmin = np.full(len(bidx), np.inf)
+    taken = 0
+    samples = []
+    for t in ladder.radii:
+        if t >= pack.k_sup:
+            samples.append((float(t), float(pack.k_sup)))
+            continue
+        while taken < len(order) and depths[taken] >= t:
+            np.minimum(dmin, pack.dist[bidx, order[taken]], out=dmin)
+            taken += 1
+        if taken == 0:
+            raise EmptyComplement(f"no point at boundary distance >= {t} < k_sup")
+        samples.append((float(t), float(dmin.max())))
+    return tuple(samples)
+
+
+def oracle_phi(pack, ladder, lam):
+    h = cc.ModulusCurve(oracle_h_profile(pack, ladder))
+    samples = []
+    for t in ladder.radii:
+        lt = lam.at(t)
+        samples.append((float(t), h.value_at(t) + lt + h.value_at(t + lt)))
+    return tuple(samples)
+
+
+def oracle_lebesgue(pack, beta, target, skip_uncovered=False):
+    tgt = sorted(frozenset(target))
+    tset = frozenset(tgt)
+    members = [m & tset for m in _members_of(beta)]
+    members = [m for m in members if m]
+    cap = oracle_diam(pack, tgt)
+    best = np.inf
+    for p in tgt:
+        here = -np.inf
+        for m in members:
+            if p in m:
+                here = max(here, oracle_set_dist(pack, p, tset - m))
+        if here == -np.inf:
+            if skip_uncovered:
+                continue
+            raise NotACover(f"point {p} lies in no member")
+        best = min(best, here)
+    if best == np.inf:
+        best = cap
+    return float(min(best, cap))
+
+
+def oracle_member_stats(pack, members):
+    bd = pack.boundary_dist
+    lo = [min(bd[p] for p in m) for m in members]
+    hi = [max(bd[p] for p in m) for m in members]
+    return lo, hi, [oracle_diam(pack, m) for m in members]
+
+
+def oracle_default_ladder(pack, top_factor=2.0):
+    k = pack.k_sup
+    values = np.unique(pack.boundary_dist[pack.boundary_dist > 0])
+    floor = float(values.min())
+    radii = [top_factor * k]
+    n = 1
+    while True:
+        r = k / (2.0 * n)
+        j = np.searchsorted(values, r)
+        hit = None
+        if j < len(values) and abs(values[j] - r) <= 1e-12 * k:
+            hit = j
+        elif j > 0 and abs(values[j - 1] - r) <= 1e-12 * k:
+            hit = j - 1
+        if hit is not None:
+            v = float(values[hit])
+            below = float(values[hit - 1]) if hit > 0 else 0.0
+            below = max(below, k / (2.0 * (n + 1)))
+            r = (v + below) / 2.0
+        if r < radii[-1] * (1 - 1e-12):
+            radii.append(float(r))
+            if r < floor:
+                break
+        n += 1
+    radii.append(radii[-1] / 2.0)
+    radii.append(radii[-1] / 2.0)
+    return tuple(radii)
+
+
+def oracle_subsequence(pack, ladder, betas, gamma):
+    ladder.validate_for(pack)
+    bd = pack.boundary_dist
+    all_pts = list(pack.points)
+    radii = np.array(ladder.radii)
+    m_top = len(ladder) - 1
+    members = list(gamma.members)
+    maxdepth = np.array([max(bd[p] for p in m) for m in members])
+    diams = np.array([oracle_diam(pack, m) for m in members])
+    order = np.argsort(maxdepth, kind="stable")
+    md_sorted = maxdepth[order]
+    diam_prefix = np.maximum.accumulate(diams[order])
+
+    def l_value(n):
+        cnt = int(np.searchsorted(md_sorted, radii[n], side="left"))
+        return float(diam_prefix[cnt - 1]) if cnt else 0.0
+
+    def first_rung_below(limit):
+        idx = np.nonzero(radii < limit)[0]
+        return int(idx[0]) if idx.size else None
+
+    indices = [0]
+    k = 1
+    while True:
+        if k >= len(betas):
+            raise LadderExhausted(f"beta sequence exhausted at step {k}")
+        union_k = frozenset().union(*betas[k])
+        lim = min((bd[p] for p in all_pts if p not in union_k), default=np.inf)
+        m = first_rung_below(lim)
+        if m is None:
+            raise LadderExhausted(f"no rung with closed neighborhood inside beta {k}")
+        helper = list(betas[k]) + [frozenset(p for p in all_pts if bd[p] > radii[m])]
+        big_l = oracle_lebesgue(pack, helper, all_pts, skip_uncovered=True)
+        m_prime = next((n for n in range(m_top + 1) if l_value(n) < big_l), None)
+        if m_prime is None:
+            raise LadderExhausted("no rung shrinks gamma below the Lebesgue number")
+        prev = indices[-1]
+        tail = cc.star(gamma, frozenset(p for p in pack.interior if bd[p] >= radii[prev]))
+        m_dprime = first_rung_below(min((bd[p] for p in tail), default=np.inf))
+        if m_dprime is None:
+            raise LadderExhausted("ladder cannot clear the star of the previous tail")
+        n_k = max(prev + 1, m + 1, m_prime, m_dprime)
+        paced = first_rung_below(radii[prev] / 1.5)
+        if paced is not None:
+            n_k = max(n_k, paced)
+        if n_k > m_top:
+            raise LadderExhausted(f"recursion wants rung {n_k} beyond the ladder")
+        indices.append(n_k)
+        if radii[prev] < pack.delta_res:
+            break
+        k += 1
+    return tuple(indices)
+
+
+def outcome(fn, *args, **kwargs):
+    """The value, or the (type, message) of the library error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except cc.C0CoverError as exc:
+        return type(exc), str(exc)
+
+
+# -- inputs --------------------------------------------------------------------------------
+
+GENERATED = {
+    "finite_cylinder": dict(n_base=2, n_levels=5),
+    "interval_cylinder": dict(n_base=5, n_levels=4),
+    "circle_in_disk": dict(n_angles=6, n_levels=4),
+    "cube_face": dict(n_side=3, n_levels=3),
+    "countable_example": dict(n_y=5),
+}
+_generated_cache = {}
+
+
+def generated(kind):
+    if kind not in _generated_cache:
+        _generated_cache[kind] = cc.generate_pack(kind, **GENERATED[kind])
+    return _generated_cache[kind]
+
+
+@st.composite
+def packs(draw):
+    """A random planar pack or a small generated one, with an rng for families."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 12))
+        return random_pack(rng, n, draw(st.integers(1, n - 1))), rng
+    return generated(draw(st.sampled_from(sorted(GENERATED)))), rng
+
+
+def families(rng, pack, pts=None):
+    """Random members plus one-point members, sometimes one holding every point."""
+    universe = sorted(pack.points if pts is None else pts)
+    fam = random_family(rng, pack, int(rng.integers(1, 6)), pts=universe)
+    fam += [frozenset([int(p)]) for p in rng.choice(universe, size=int(rng.integers(0, 4)))]
+    if rng.uniform() < 0.2:
+        fam.append(frozenset(universe))
+    return fam
+
+
+@st.composite
+def ladders(draw, extra=()):
+    """A strictly decreasing positive ladder, often with rungs at the given values."""
+    pool = st.floats(1e-3, 10.0, allow_nan=False)
+    if len(extra):
+        pool = st.one_of(pool, st.sampled_from([float(x) for x in extra if x > 0] or [1.0]))
+    radii = sorted(set(draw(st.lists(pool, min_size=3, max_size=25))), reverse=True)
+    assume(len(radii) >= 3)
+    return cc.ScaleLadder(tuple(radii))
+
+
+# -- curve verdicts -------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_scale_curve_verdict_matches_loop(data, effective_floor):
+    ladder = data.draw(ladders())
+    item = st.one_of(st.sampled_from(ladder.radii), st.floats(0.0, 12.0, allow_nan=False))
+    cond = np.array(data.draw(st.lists(item, max_size=20)), dtype=float)
+    size = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=len(cond), max_size=len(cond))))
+    threshold = data.draw(st.floats(0.0, 5.0))
+    got = _scale_curve_verdict(ladder, cond, size, threshold, effective_floor)
+    want = oracle_curve_verdict(ladder, cond, size, threshold, effective_floor)
+    assert (got.curve.samples, got.floor_t, got.floor_value, got.accept, got.monotone) == want
+
+
+@pytest.mark.parametrize("effective_floor", [False, True])
+def test_scale_curve_verdict_empty_cond(cyl_ladder, effective_floor):
+    empty = np.array([])
+    got = _scale_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor)
+    want = oracle_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor)
+    assert (got.curve.samples, got.floor_t, got.floor_value, got.accept, got.monotone) == want
+    assert got.floor_t == (None if effective_floor else cyl_ladder.radii[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(packs(), st.data())
+def test_h_profile_matches_loop(drawn, data):
+    pack, _ = drawn
+    ladder = data.draw(st.one_of(st.just(cc.default_ladder(pack)), ladders(extra=pack.boundary_dist)))
+    got = outcome(cc.h_profile, pack, ladder)
+    want = outcome(oracle_h_profile, pack, ladder)
+    assert (got.samples if isinstance(got, cc.ModulusCurve) else got) == want
+
+
+def test_h_profile_empty_complement():
+    pack = generated("interval_cylinder")
+    # a k_sup above every sample depth leaves rungs in between with no far point
+    lifted = _finish_pack(replace(pack, k_sup=2 * pack.k_sup))
+    ladder = cc.ScaleLadder((4.0, 1.5, 0.5, 0.01))
+    got = outcome(cc.h_profile, lifted, ladder)
+    assert got == outcome(oracle_h_profile, lifted, ladder)
+    assert got[0] is EmptyComplement and "1.5" in got[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(packs(), st.sampled_from(["identity", "constant", "random"]), st.data())
+def test_controlled_phi_matches_loop(drawn, lam_kind, data):
+    pack, rng = drawn
+    ladder = cc.default_ladder(pack)
+    if lam_kind == "identity":
+        lam = cc.LambdaSpec.identity(ladder)
+    elif lam_kind == "constant":
+        lam = cc.LambdaSpec.constant(ladder, data.draw(st.floats(1e-3, 2.0)))
+    else:  # nondecreasing in t, listed along decreasing t
+        vals = np.sort(rng.uniform(1e-3, 1.0, len(ladder)))[::-1]
+        lam = cc.LambdaSpec(cc.ModulusCurve(np.column_stack([ladder.radii, vals])))
+    assert controlled_phi(pack, ladder, lam).samples == oracle_phi(pack, ladder, lam)
+
+
+def test_c0_modulus_empty_relation(cyl_fixture, cyl_ladder):
+    v = cc.c0_modulus(cyl_fixture, cyl_ladder, cc.Relation(cyl_fixture, []))
+    assert v.curve.samples == tuple((t, 0.0) for t in cyl_ladder.radii)
+    assert v.accept and v.floor_t == cyl_ladder.radii[-1]
+
+
+# -- member statistics and Lebesgue numbers ---------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(packs())
+def test_member_stats_matches_loop(drawn):
+    pack, rng = drawn
+    fam = families(rng, pack)
+    lo, hi, diam = member_stats(pack, fam)
+    want = oracle_member_stats(pack, fam)
+    assert (lo.tolist(), hi.tolist(), diam.tolist()) == tuple(list(map(float, w)) for w in want)
+    dlo, dhi, reach = member_depths(pack, fam)
+    assert (dlo.tolist(), dhi.tolist()) == (lo.tolist(), hi.tolist())
+    first = [next(iter(m)) for m in fam]
+    assert reach.tolist() == [max(pack.d(c, q) for q in m) if len(m) > 1 else 0.0 for c, m in zip(first, fam)]
+    assert np.all(reach <= diam)
+
+
+def test_member_stats_chunked_gathers(monkeypatch, rng):
+    pack = random_pack(rng, 12, 4)
+    fam = [frozenset(rng.choice(12, size=s, replace=False).tolist()) for s in (3, 3, 3, 5, 5, 12, 1)]
+    monkeypatch.setattr(covers, "_GATHER_LIMIT", 20)  # one or two members per gather
+    _, _, diam = member_stats(pack, fam)
+    assert diam.tolist() == [oracle_diam(pack, m) for m in fam]
+    assert diam[-1] == 0.0
+
+
+def test_member_stats_empty_family(cyl_fixture):
+    assert all(a.size == 0 for a in member_stats(cyl_fixture, []) + member_depths(cyl_fixture, []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packs(), st.booleans(), st.booleans())
+def test_lebesgue_number_matches_loop(drawn, skip_uncovered, subset):
+    pack, rng = drawn
+    target = sorted(pack.points)
+    if subset:
+        target = sorted(rng.choice(target, size=int(rng.integers(1, len(target) + 1)), replace=False).tolist())
+    fam = families(rng, pack)
+    got = outcome(cc.lebesgue_number, pack, fam, target, skip_uncovered=skip_uncovered)
+    assert got == outcome(oracle_lebesgue, pack, fam, target, skip_uncovered=skip_uncovered)
+
+
+def test_lebesgue_names_the_first_uncovered_point(rng):
+    pack = random_pack(rng, 8, 3)
+    fam = [frozenset({0, 1}), frozenset({5}), frozenset({1, 2, 6})]
+    with pytest.raises(NotACover, match="point 3 lies"):
+        cc.lebesgue_number(pack, fam, pack.points)
+    assert cc.lebesgue_number(pack, fam, pack.points, skip_uncovered=True) == oracle_lebesgue(
+        pack, fam, pack.points, skip_uncovered=True
+    )
+
+
+def test_lebesgue_one_point_members(rng):
+    pack = random_pack(rng, 7, 2)
+    singles = [frozenset([p]) for p in pack.points]
+    assert cc.lebesgue_number(pack, singles, pack.points) == oracle_lebesgue(pack, singles, pack.points)
+
+
+# -- the refinement recursion -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("finite_cylinder", dict(n_base=2, n_levels=8)), ("interval_cylinder", dict(n_base=9, n_levels=6)),
+     ("circle_in_disk", dict(n_angles=8, n_levels=6)), ("countable_example", dict(n_y=5))],
+)
+@pytest.mark.parametrize("on_samples", [False, True])
+def test_subsequence_indices_matches_loop(kind, params, on_samples):
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    if on_samples:  # rungs at sample depths, where members reach a rung exactly
+        depths = {float(t) for t in pack.boundary_dist if t > 0}
+        ladder = cc.ScaleLadder(tuple(sorted(set(ladder.radii) | depths, reverse=True)))
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    gamma = gamma.union_with(cc.singleton_cover(pack))
+    betas = ExtBallBetas(pack, beta_length_for(pack))
+    got = outcome(subsequence_indices, pack, ladder, betas, gamma)
+    assert got == outcome(oracle_subsequence, pack, ladder, betas, gamma)
+
+
+# -- the ladder -------------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(packs())
+def test_default_ladder_matches_loop(drawn):
+    pack, _ = drawn
+    floor = float(pack.boundary_dist[pack.boundary_dist > 0].min())
+    assume(pack.k_sup / floor < 2e5)  # keeps the oracle loop short
+    assert cc.default_ladder(pack).radii == oracle_default_ladder(pack)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_default_ladder_on_default_generators(kind):
+    pack = cc.generate_pack(kind)
+    assert cc.default_ladder(pack).radii == oracle_default_ladder(pack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=30), st.data())
+def test_thin_rungs_matches_greedy_scan(values, data):
+    # near-duplicates within the 1e-12 margin exercise the greedy path
+    cand = sorted(values, reverse=True)
+    dupes = data.draw(st.lists(st.sampled_from(range(len(cand))), max_size=5))
+    for i in sorted(dupes, reverse=True):
+        cand.insert(i + 1, cand[i] * (1 - data.draw(st.sampled_from([0.0, 1e-13, 5e-13, 2e-12]))))
+    kept = [cand[0]]
+    for x in cand[1:]:
+        if x < kept[-1] * (1 - 1e-12):
+            kept.append(x)
+    assert _thin_rungs(np.array(cand)).tolist() == kept
+
+
+def test_default_ladder_nudges_collisions():
+    # depths on, just above and just below harmonic rungs k / (2n); 0.1 - 1e-13
+    # is the floor, met from above by the rung 0.1
+    depths = [1.0, 0.5 + 1e-13, 0.25, 1 / 6 - 1e-13, 0.125 + 4e-13, 0.1 - 1e-13]
+    line = np.array([0.0] + depths)
+    pack = cc.validate_pack(len(line), np.abs(line[:, None] - line[None, :]), [0])
+    assert cc.default_ladder(pack).radii == oracle_default_ladder(pack)
+
+
+def test_default_ladder_runaway_is_typed():
+    pack = cc.generate_pack("finite_cylinder", n_base=1, n_levels=2, ratio=1e-8)
+    with pytest.raises(BadLadder, match="runaway"):
+        cc.default_ladder(pack)
+
+
+# -- the modulus curve as an array ------------------------------------------------------------
+
+
+def test_modulus_curve_pairs_and_array_agree():
+    pairs = ((1.0, 2.0), (0.5, 1.0), (0.25, 0.0))
+    a, b = cc.ModulusCurve(pairs), cc.ModulusCurve(np.array(pairs))
+    assert a == b and hash(a) == hash(b) and a.samples == pairs
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert cc.ModulusCurve(((1.0, -0.0),)) == cc.ModulusCurve(((1.0, 0.0),))
+    assert hash(cc.ModulusCurve(((1.0, -0.0),))) == hash(cc.ModulusCurve(((1.0, 0.0),)))
+    assert a != cc.ModulusCurve(((1.0, 2.0), (0.5, 1.0), (0.25, 0.5)))
+    positive = ((1.0, 2.0), (0.5, 1.0))
+    assert len({cc.LambdaSpec(cc.ModulusCurve(positive)), cc.LambdaSpec(cc.ModulusCurve(np.array(positive)))}) == 1
+    with pytest.raises(ValueError):
+        a.array[0, 0] = 3.0  # read-only
+    with pytest.raises(AttributeError):
+        a.array = None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(), [[1.0]], [[1.0, 2.0, 3.0]], [(1.0, 1.0), (1.0, 0.5)], [(0.0, 1.0)], [(1.0, -1.0)],
+     [(float("nan"), 1.0)], [("x", 1.0)]],
+)
+def test_modulus_curve_rejects(bad):
+    with pytest.raises(BadParams):
+        cc.ModulusCurve(bad)
+
+
+def test_curve_verdicts_stay_hashable(cyl_fixture, cyl_ladder):
+    v = cc.uniformity_verdict(cyl_fixture, cyl_ladder, cc.singleton_cover(cyl_fixture))
+    assert hash(v) == hash(cc.uniformity_verdict(cyl_fixture, cyl_ladder, cc.singleton_cover(cyl_fixture)))
+
+
+# -- whole reports, pinned on the loop implementation -------------------------------------------
+
+PINNED_REPORTS = [
+    (
+        {"kind": "finite_cylinder", "params": {"n_base": 2, "n_levels": 12}, "candidates": 10},
+        "b6465b66dcf80a22db1f013615b080c9b3a7dba5eb327981c83f514a43a1ee2b",
+    ),
+    (
+        {"kind": "interval_cylinder", "params": {"n_base": 33, "n_levels": 10}, "candidates": 10},
+        "b8e13fe58bed721580ee283764c6d8fe3a0be0c56642f6aabe5d845ef0704171",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, sha256", PINNED_REPORTS, ids=["small_finite", "interval_33x10"])
+def test_report_bytes_pinned(config, sha256):
+    text = report_to_json(run_experiment(ExperimentConfig(**config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
