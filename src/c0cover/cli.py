@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .canonical import minimal_canonical, provider_for
 from .covers import cover_from_json, cover_to_json
-from .errors import BadParams, C0CoverError
+from .errors import C0CoverError
 from .experiment import ExperimentConfig, report_to_json, run_experiment
 from .packs import (
     PackKind,
@@ -18,6 +18,7 @@ from .packs import (
     ladder_from_json,
     pack_from_json,
     pack_to_json,
+    read_json,
 )
 from .relations import LambdaSpec, ball_cover, controlled_E
 from .svg import emit_svg
@@ -71,16 +72,9 @@ def main(argv=None) -> int:
         return 2
 
 
-def _read_json(text: str, source: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"{source} is not valid JSON: {exc}") from None
-
-
 def _dispatch(args) -> int:
     if args.command == "pack":
-        pack = generate_pack(PackKind(args.kind, _read_json(args.params, "--params")))
+        pack = generate_pack(PackKind(args.kind, read_json(args.params, "--params")))
         Path(args.out).write_text(pack_to_json(pack))
         print(f"wrote {args.out}: {pack.n_points} points, k_sup={pack.k_sup:g}")
         return 0
@@ -106,7 +100,7 @@ def _dispatch(args) -> int:
         return 0 if summary.ok else 1
 
     if args.command == "experiment":
-        config = ExperimentConfig.from_dict(_read_json(Path(args.config).read_text(), args.config))
+        config = ExperimentConfig.from_dict(read_json(Path(args.config).read_text(), args.config))
         report, alpha = run_experiment(config, with_alpha=True)
         Path(args.out).write_text(report_to_json(report))
         if args.svg:

@@ -18,7 +18,7 @@ from .errors import (
     NotARefinement,
     PackMismatch,
 )
-from .packs import DiscretePack, ScaleLadder
+from .packs import DiscretePack, ScaleLadder, read_json
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _scale_curve_verdict
 
 Family = Sequence[frozenset]
@@ -456,5 +456,10 @@ def cover_to_json(alpha: Cover) -> str:
 
 
 def cover_from_json(pack: DiscretePack, text: str) -> Cover:
-    obj = json.loads(text)
-    return Cover.make(pack, obj["members"], target=obj.get("target", "interior"))
+    obj = read_json(text, "cover file")
+    if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
+        raise BadParams("cover file must be an object with a list of members")
+    try:
+        return Cover.make(pack, obj["members"], target=obj.get("target", "interior"))
+    except (TypeError, ValueError):
+        raise BadParams("cover members and a custom target must be lists of point ids") from None

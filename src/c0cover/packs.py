@@ -210,7 +210,7 @@ class DiscretePack:
         meta.setdefault("delta_res", self.delta_res)
         return {
             "points": list(self.points),
-            "dist": [[float(x) for x in row] for row in self.dist],
+            "dist": self.dist.tolist(),
             "boundary": sorted(self.boundary),
             "meta": meta,
         }
@@ -247,37 +247,58 @@ def _finish_pack(pack: DiscretePack) -> DiscretePack:
     return pack
 
 
+def _min_plus_defects(dist: np.ndarray, off: np.ndarray, off_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) for the pairs i < j; -inf elsewhere.
+
+    ``off`` is ``dist`` with +inf on its diagonal, which drops k = i and k = j,
+    and ``off_t`` its transpose as a C-contiguous array; ``buf`` is scratch
+    space for at least n * (n - 1) floats.
+    """
+    n = dist.shape[0]
+    via = np.full((n, n), np.inf)
+    for j in range(1, n):
+        s = buf[: j * n].reshape(j, n)
+        np.add(off[:j], off_t[j], out=s)  # s[i, k] = d(i,k) + d(k,j)
+        s.min(axis=1, out=via[:j, j])
+    return np.subtract(dist, via, out=via)
+
+
 def _check_metric(dist: np.ndarray, tol: float) -> None:
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise BadParams("distance matrix must be square")
+    if not np.isfinite(dist).all():
+        raise BadParams("distance matrix has non-finite entries")
     if np.any(np.abs(np.diag(dist)) > tol):
         raise DegeneratePack("nonzero self-distance")
     asym = np.abs(dist - dist.T)
-    if asym.max(initial=0.0) > tol:
+    asym_max = asym.max(initial=0.0)
+    if asym_max > tol:
         i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         raise AsymmetricDistance(f"d({i},{j}) != d({j},{i})")
     off = dist.copy()
     np.fill_diagonal(off, np.inf)
     if off.min() <= 0:
         raise DegeneratePack("distinct points at distance <= 0")
-    # worst triangle defect d(i,j) - min_k (d(i,k)+d(k,j))
-    worst = -np.inf
-    worst_ijk = None
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        defect = dist - via
-        np.fill_diagonal(defect, -np.inf)
-        defect[:, k] = -np.inf
-        defect[k, :] = -np.inf
-        m = defect.max(initial=-np.inf)
-        if m > worst:
-            worst = m
-            i, j = np.unravel_index(int(defect.argmax()), defect.shape)
-            worst_ijk = (int(i), k, int(j))
+    # worst triangle defect d(i,j) - min_k (d(i,k)+d(k,j)); rounding is monotone, so
+    # it equals the largest fl(d(i,j) - fl(d(i,k)+d(k,j))) bit for bit.  The pairs
+    # below the diagonal are those above it in the transpose, which an exactly
+    # symmetric matrix need not check again.  asym is no longer needed: reuse it.
+    buf = asym.ravel()
+    off_t = off if asym_max == 0 else np.ascontiguousarray(off.T)
+    defect = _min_plus_defects(dist, off, off_t, buf)
+    if off_t is not off:
+        np.maximum(defect, _min_plus_defects(dist.T, off_t, off, buf).T, out=defect)
+    worst = defect.max(initial=-np.inf)
     if worst > tol:
-        i, k, j = worst_ijk
-        raise TriangleViolation(i, k, j, worst)
+        # report what a scan over k reports: the first k reaching the worst
+        # defect, then the first such pair (i, j) in row-major order
+        i, j = np.nonzero(defect == worst)
+        gap = dist[i, j]
+        for k in range(n):
+            hit = np.flatnonzero(gap - (off[i, k] + off[k, j]) == worst)
+            if hit.size:
+                raise TriangleViolation(int(i[hit[0]]), k, int(j[hit[0]]), worst)
 
 
 def validate_pack(
@@ -289,21 +310,41 @@ def validate_pack(
 ) -> DiscretePack:
     """Check all pack invariants and return the finished pack.
 
+    ``raw_points`` is the point count or a sequence of that many ids;
     ``boundary_mask`` is either a boolean sequence over the points or an
-    iterable of boundary ids.  Raises AsymmetricDistance, TriangleViolation,
-    EmptySide or DegeneratePack on the first violated invariant.
+    iterable of boundary ids.  Raises on the first violated invariant:
+    BadParams for a distance matrix that is not a square array of finite
+    numbers, a point count that disagrees with it, or boundary ids that are
+    not integers in 0..n-1; EmptySide for an empty boundary or interior;
+    DegeneratePack for a nonzero self-distance, distinct points at distance
+    <= 0 or an interior point at distance 0 from the boundary;
+    AsymmetricDistance and TriangleViolation beyond the ``triangle``
+    tolerance.
     """
     tol = (tolerances or {}).get("triangle", DEFAULT_TRIANGLE_TOL)
-    dist = np.array(raw_dist, dtype=float)
+    try:
+        dist = np.array(raw_dist, dtype=float)
+    except (TypeError, ValueError):
+        raise BadParams("distance matrix must be a square array of numbers") from None
+    if dist.ndim != 2:
+        raise BadParams("distance matrix must be square")
     n = dist.shape[0]
-    pts = list(range(n)) if isinstance(raw_points, int) else list(raw_points)
-    if len(pts) != n:
+    try:
+        n_pts = raw_points if isinstance(raw_points, int) else len(list(raw_points))
+    except TypeError:
+        raise BadParams("points must be a count or a sequence of ids") from None
+    if n_pts != n:
         raise BadParams("points and distance matrix disagree in size")
-    mask = list(boundary_mask)
-    if len(mask) == n and all(isinstance(b, (bool, np.bool_)) for b in mask):
-        boundary = frozenset(i for i, b in enumerate(mask) if b)
-    else:
-        boundary = frozenset(int(i) for i in mask)
+    try:
+        mask = list(boundary_mask)
+        if len(mask) == n and all(isinstance(b, (bool, np.bool_)) for b in mask):
+            boundary = frozenset(i for i, b in enumerate(mask) if b)
+        else:
+            boundary = frozenset(int(i) for i in mask)
+    except (TypeError, ValueError):
+        raise BadParams("boundary must be a boolean mask or a list of point ids") from None
+    if boundary and not (min(boundary) >= 0 and max(boundary) < n):
+        raise BadParams(f"boundary ids must lie in 0..{n - 1}")
     if not boundary:
         raise EmptySide("boundary X is empty")
     if len(boundary) == n:
@@ -667,15 +708,33 @@ def generate_pack(kind: PackKind | str, **params) -> DiscretePack:
 # -- file formats ---------------------------------------------------------------
 
 
+def read_json(text: str, source: str):
+    """Parse JSON text, raising BadParams that names ``source`` if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"{source} is not valid JSON: {exc}") from None
+
+
 def pack_to_json(pack: DiscretePack) -> str:
     return json.dumps(pack.to_json_dict(), sort_keys=True)
 
 
 def pack_from_json(text: str) -> DiscretePack:
-    obj = json.loads(text)
-    pack = validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=obj.get("meta"))
+    obj = read_json(text, "pack file")
+    if not isinstance(obj, dict) or not {"points", "dist", "boundary"} <= obj.keys():
+        raise BadParams("pack file must be an object with points, dist and boundary")
+    meta = obj.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise BadParams("pack meta must be an object")
+    pack = validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=meta)
     meta = pack.meta
     if "base_of" in meta and "level_of" in meta:
+        try:
+            base_of = tuple(int(b) for b in meta["base_of"])
+            level_of = tuple(float(l) for l in meta["level_of"])
+        except (TypeError, ValueError):
+            raise BadParams("pack meta base_of and level_of must be lists of numbers") from None
         cyl = CylinderPack(
             dist=pack.dist,
             boundary=pack.boundary,
@@ -683,8 +742,8 @@ def pack_from_json(text: str) -> DiscretePack:
             delta_res=pack.delta_res,
             delta_dense=pack.delta_dense,
             meta=meta,
-            base_of=tuple(int(b) for b in meta["base_of"]),
-            level_of=tuple(float(l) for l in meta["level_of"]),
+            base_of=base_of,
+            level_of=level_of,
         )
         return _finish_pack(cyl)
     return pack
@@ -695,4 +754,10 @@ def ladder_to_json(ladder: ScaleLadder) -> str:
 
 
 def ladder_from_json(text: str) -> ScaleLadder:
-    return ScaleLadder(tuple(float(r) for r in json.loads(text)))
+    radii = read_json(text, "ladder file")
+    if not isinstance(radii, list):
+        raise BadLadder("ladder file must be a JSON array of radii")
+    try:
+        return ScaleLadder(tuple(float(r) for r in radii))
+    except (TypeError, ValueError):
+        raise BadLadder("radii must be numbers") from None

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,10 +117,13 @@ def test_cli_verify_small():
 
 
 def test_cli_module_entrypoint(tmp_path):
+    # the child imports the same package as this process, however pytest found it
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-m", "c0cover", "pack", "gen", "--kind", "countable_example",
          "--params", json.dumps({"n_y": 4}), "--out", str(tmp_path / "p.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
 
@@ -194,3 +199,48 @@ def test_cli_pack_gen_params_not_json_exits_2(tmp_path):
     rc = main(["pack", "gen", "--kind", "finite_cylinder", "--params", "{n_base: 2}",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+def _finite_pack_file(tmp_path):
+    pack_file = tmp_path / "pack.json"
+    assert main(["pack", "gen", "--kind", "finite_cylinder",
+                 "--params", json.dumps({"n_base": 2, "n_levels": 12}), "--out", str(pack_file)]) == 0
+    return pack_file
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"points": 3, "boundary": [0]}),
+    "{points: 3",
+    "[0, 1]",
+    json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
+], ids=["no_dist", "not_json", "not_an_object", "ragged_dist"])
+def test_cli_cover_build_malformed_pack_exits_2(tmp_path, text):
+    pack_file = tmp_path / "pack.json"
+    pack_file.write_text(text)
+    rc = main(["cover", "build", "--pack", str(pack_file), "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("text", ['["a"]', "[2.0, 1.0"], ids=["non_numeric", "not_json"])
+def test_cli_cover_build_malformed_ladder_exits_2(tmp_path, text):
+    ladder_file = tmp_path / "ladder.json"
+    ladder_file.write_text(text)
+    rc = main(["cover", "build", "--pack", str(_finite_pack_file(tmp_path)),
+               "--ladder", str(ladder_file), "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("text", [
+    "{members: []",
+    json.dumps({"target": "interior"}),
+    json.dumps({"members": 5}),
+    json.dumps({"members": [[14, "x"]]}),
+], ids=["not_json", "no_members", "members_not_a_list", "non_numeric_member"])
+def test_cli_render_malformed_cover_exits_2(tmp_path, text):
+    cover_file = tmp_path / "cover.json"
+    cover_file.write_text(text)
+    rc = main(["render", "--pack", str(_finite_pack_file(tmp_path)),
+               "--cover", str(cover_file), "--out", str(tmp_path / "x.svg")])
+    assert rc == 2
+    assert not (tmp_path / "x.svg").exists()

@@ -1,6 +1,6 @@
 """Differential tests: the array kernels against the loops they replaced.
 
-Each oracle below is the per-rung or per-point loop the library used before
+Each oracle below is the per-rung, per-point or per-k loop the library used before
 its kernel, kept verbatim in spirit and independent of the kernel code.  The
 kernels must agree with them exactly (``==``, no tolerance).
 """
@@ -18,9 +18,18 @@ import c0cover as cc
 from c0cover import covers
 from c0cover.covers import _members_of, member_depths, member_stats
 from c0cover.canonical import ExtBallBetas, beta_length_for, subsequence_indices
-from c0cover.errors import BadLadder, BadParams, EmptyComplement, LadderExhausted, NotACover
+from c0cover.errors import (
+    AsymmetricDistance,
+    BadLadder,
+    BadParams,
+    DegeneratePack,
+    EmptyComplement,
+    LadderExhausted,
+    NotACover,
+    TriangleViolation,
+)
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
-from c0cover.packs import _finish_pack, _thin_rungs
+from c0cover.packs import _check_metric, _finish_pack, _thin_rungs
 from c0cover.relations import _scale_curve_verdict, controlled_phi
 from c0cover.verify import random_family, random_pack
 
@@ -193,6 +202,38 @@ def oracle_subsequence(pack, ladder, betas, gamma):
             break
         k += 1
     return tuple(indices)
+
+
+def oracle_check_metric(dist, tol):
+    n = dist.shape[0]
+    if dist.shape != (n, n):
+        raise BadParams("distance matrix must be square")
+    if np.any(np.abs(np.diag(dist)) > tol):
+        raise DegeneratePack("nonzero self-distance")
+    asym = np.abs(dist - dist.T)
+    if asym.max(initial=0.0) > tol:
+        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+        raise AsymmetricDistance(f"d({i},{j}) != d({j},{i})")
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    if off.min() <= 0:
+        raise DegeneratePack("distinct points at distance <= 0")
+    worst = -np.inf
+    worst_ijk = None
+    for k in range(n):
+        via = dist[:, k, None] + dist[None, k, :]
+        defect = dist - via
+        np.fill_diagonal(defect, -np.inf)
+        defect[:, k] = -np.inf
+        defect[k, :] = -np.inf
+        m = defect.max(initial=-np.inf)
+        if m > worst:
+            worst = m
+            i, j = np.unravel_index(int(defect.argmax()), defect.shape)
+            worst_ijk = (int(i), k, int(j))
+    if worst > tol:
+        i, k, j = worst_ijk
+        raise TriangleViolation(i, k, j, worst)
 
 
 def outcome(fn, *args, **kwargs):
@@ -479,6 +520,59 @@ def test_modulus_curve_rejects(bad):
 def test_curve_verdicts_stay_hashable(cyl_fixture, cyl_ladder):
     v = cc.uniformity_verdict(cyl_fixture, cyl_ladder, cc.singleton_cover(cyl_fixture))
     assert hash(v) == hash(cc.uniformity_verdict(cyl_fixture, cyl_ladder, cc.singleton_cover(cyl_fixture)))
+
+
+# -- triangle check -----------------------------------------------------------------------------
+
+
+def metric_outcome(check, dist, tol):
+    """None if accepted, else the error type plus the violating triple or the message."""
+    try:
+        check(dist, tol)
+    except TriangleViolation as exc:
+        return TriangleViolation, (exc.p, exc.q, exc.r, exc.defect)
+    except cc.C0CoverError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def metric_matrices(draw):
+    """Planar metrics, small-integer matrices (ties), asymmetry within tol, one inflated entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 14))
+    case = draw(st.sampled_from(["planar", "integer", "asymmetric", "inflated"]))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+    if case == "integer" or (case == "asymmetric" and draw(st.booleans())):
+        upper = np.triu(rng.integers(1, 5, (n, n)).astype(float), 1)
+        dist = upper + upper.T
+    else:
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    if case == "asymmetric":
+        tol = max(tol, 1e-9)
+        dist += rng.uniform(0.0, tol, (n, n)) * (rng.uniform(size=(n, n)) < 0.3) * (1 - np.eye(n))
+    if case == "inflated" and n >= 2:
+        a, b = rng.choice(n, 2, replace=False)
+        factor = rng.uniform(1.0, 3.0)
+        dist[a, b] *= factor
+        dist[b, a] *= factor
+    return dist, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(metric_matrices())
+def test_check_metric_matches_loop(drawn):
+    dist, tol = drawn
+    assert metric_outcome(_check_metric, dist, tol) == metric_outcome(oracle_check_metric, dist, tol)
+
+
+def test_triangle_violation_below_the_diagonal():
+    # d(0,2) = 2.05 is within tol of d(0,1) + d(1,2) = 2; d(2,0) = 2.12 is not
+    dist = np.array([[0.0, 1.0, 2.05], [1.0, 0.0, 1.0], [2.12, 1.0, 0.0]])
+    expected = metric_outcome(oracle_check_metric, dist, 0.1)
+    assert expected[0] is TriangleViolation and expected[1][:3] == (2, 1, 0)
+    assert metric_outcome(_check_metric, dist, 0.1) == expected
 
 
 # -- whole reports, pinned on the loop implementation -------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -27,6 +28,33 @@ def test_validate_line3(line3):
 def test_validate_triangle_violation():
     with pytest.raises(TriangleViolation):
         cc.validate_pack(3, [[0, 1, 5], [1, 0, 1], [5, 1, 0]], [0, 2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_rejects_non_finite_distances(bad):
+    with pytest.raises(BadParams, match="non-finite"):
+        cc.validate_pack(3, [[0, 1, bad], [1, 0, 1], [bad, 1, 0]], [0, 2])
+
+
+def test_validate_point_count_must_match_the_matrix():
+    with pytest.raises(BadParams, match="disagree"):
+        cc.validate_pack(3, [[0, 1], [1, 0]], [0])
+
+
+@pytest.mark.parametrize("boundary", [[0, 7], [-1]])
+def test_validate_boundary_ids_in_range(boundary):
+    with pytest.raises(BadParams, match="boundary ids"):
+        cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], boundary)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [[[0, 1], [1]], [["a", 1], [1, 0]], [0, 1, 2], [[[0.0]]]],
+    ids=["ragged", "non_numeric", "flat", "three_axes"],
+)
+def test_validate_malformed_matrix_is_typed(dist):
+    with pytest.raises(BadParams):
+        cc.validate_pack(2, dist, [0])
 
 
 def test_validate_empty_side():
@@ -216,3 +244,42 @@ def test_ladder_json_roundtrip(finite_pack):
     lad = cc.default_ladder(finite_pack)
     back = cc.packs.ladder_from_json(cc.packs.ladder_to_json(lad))
     assert back.radii == lad.radii
+
+
+# sha256 of pack_to_json for the two pack files the cli-files benchmark writes:
+# the file format is fixed, so a faster writer must produce the same bytes
+PINNED_PACK_JSON = [
+    ("interval_cylinder", {"n_base": 33, "n_levels": 10}, "cfc66f08666f40645c4e5da5b3d9ec49c8d588d0c7e605708903901f5f53dae1"),
+    ("circle_in_disk", {"n_angles": 32, "n_levels": 10}, "db6b0f6dab0ffb86fcbad31a90cdc040abd261809ad2d3d795f47e4aaf8feb3c"),
+]
+
+
+@pytest.mark.parametrize("kind, params, sha256", PINNED_PACK_JSON, ids=[k for k, _, _ in PINNED_PACK_JSON])
+def test_pack_json_bytes_pinned(kind, params, sha256):
+    text = pack_to_json(cc.generate_pack(kind, **params))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+MALFORMED_PACKS = {
+    "not_json": "{points: 3",
+    "not_an_object": "[1, 2, 3]",
+    "no_dist": json.dumps({"points": 3, "boundary": [0]}),
+    "no_points": json.dumps({"dist": [[0, 1], [1, 0]], "boundary": [0]}),
+    "no_boundary": json.dumps({"points": 2, "dist": [[0, 1], [1, 0]]}),
+    "meta_not_an_object": json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [0], "meta": 5}),
+    "meta_base_of_non_numeric": json.dumps(
+        {"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [0], "meta": {"base_of": ["x", 0], "level_of": [0, 1]}}
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_PACKS.values()), ids=list(MALFORMED_PACKS))
+def test_pack_from_json_malformed_is_typed(text):
+    with pytest.raises(BadParams):
+        pack_from_json(text)
+
+
+@pytest.mark.parametrize("text", ["[2.0, 1.0", '["a"]', '{"radii": [2, 1, 0.5]}', "[[2], [1], [0.5]]"])
+def test_ladder_from_json_malformed_is_typed(text):
+    with pytest.raises((BadParams, BadLadder)):
+        cc.packs.ladder_from_json(text)
