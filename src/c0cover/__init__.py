@@ -35,7 +35,6 @@ from .canonical import (
     finite_dim0_provider,
     interval_dim1_provider,
     minimal_canonical,
-    plugin_provider,
     provider_for,
     refine_subsequence,
     star_expand,

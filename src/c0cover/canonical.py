@@ -24,7 +24,6 @@ from .covers import (
     member_depths,
     member_stats,
     mesh,
-    multiplicity,
     mult_witness,
     refines,
     singleton_cover,
@@ -43,7 +42,7 @@ from .errors import (
     ProviderMismatch,
     UniformityRejected,
 )
-from .packs import DiscretePack, ScaleLadder, annulus, default_ladder
+from .packs import DiscretePack, ScaleLadder, annulus, boundary_line, default_ladder
 from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, compose, image
 
 
@@ -77,6 +76,29 @@ def ext_family(pack: DiscretePack, family) -> tuple[frozenset, ...]:
 # -- the scale-cover constructor ----------------------------------------------------
 
 
+def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence) -> tuple[list[frozenset], list[int]]:
+    """The nonempty sets U & annulus n for U in betas[n], deduplicated in
+    order, each tagged with the first annulus n that produced it."""
+    n_ann = len(ladder) - 2
+    if len(betas) < n_ann:
+        raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
+    if frozenset().union(*betas[0]) != frozenset(pack.points):
+        raise BadParams("betas[0] must be the whole-space family")
+    members, tags, seen = [], [], set()
+    for n in range(n_ann):
+        fam = betas[n]
+        if not pack.boundary <= frozenset().union(*fam):
+            raise BetaDoesNotCoverBoundary(n)
+        ann = annulus(pack, ladder, n)
+        for u in fam:
+            m = frozenset(u) & ann
+            if m and m not in seen:
+                seen.add(m)
+                members.append(m)
+                tags.append(n)
+    return members, tags
+
+
 def build_alpha(
     pack: DiscretePack,
     ladder: ScaleLadder,
@@ -89,45 +111,23 @@ def build_alpha(
     the boundary.  The result is a family over the interior; it covers and is
     uniform when the betas' meshes near the boundary decay jointly.
     """
-    n_ann = len(ladder) - 2
-    if len(betas) < n_ann:
-        raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
-    all_pts = frozenset(pack.points)
-    b0_union = frozenset().union(*betas[0]) if len(betas[0]) else frozenset()
-    if b0_union != all_pts:
-        raise BadParams("betas[0] must be the whole-space family")
-    members = []
-    for n in range(n_ann):
-        fam = betas[n]
-        union = frozenset().union(*fam) if len(fam) else frozenset()
-        if not pack.boundary <= union:
-            raise BetaDoesNotCoverBoundary(n)
-        ann = annulus(pack, ladder, n)
-        if not ann:
-            continue
-        for u in fam:
-            m = frozenset(u) & ann
-            if m:
-                members.append(m)
-    return Cover.make(pack, members, target="interior", drop_empty=True)
+    return Cover.make(pack, _slice(pack, ladder, betas)[0], target="interior")
 
 
-def _annotated_build(pack, ladder, betas):
-    """build_alpha plus (annulus index, member) bookkeeping for completion."""
-    n_ann = len(ladder) - 2
-    members, tags = [], []
-    seen = set()
-    for n in range(n_ann):
-        ann = annulus(pack, ladder, n)
-        if not ann:
-            continue
-        for u in betas[n]:
-            m = frozenset(u) & ann
-            if m and m not in seen:
-                seen.add(m)
-                members.append(m)
-                tags.append(n)
-    return members, tags
+def _complete_orphans(pack: DiscretePack, ladder: ScaleLadder, members: list, tags: Sequence[int]) -> int:
+    """Adds every interior point in no member (an Ext tie) to the first member
+    of the deepest annulus holding it; returns how many points it placed."""
+    orphans = sorted(pack.interior - frozenset().union(*members))
+    first: dict[int, int] = {}
+    for i, n in enumerate(tags):
+        first.setdefault(n, i)
+    for p in orphans:
+        depth = pack.boundary_dist[p]
+        holding = [n for n in range(len(ladder) - 3, -1, -1) if n in first and ladder[n + 2] < depth < ladder[n]]
+        if not holding:
+            raise NotCovering(f"orphan {p} fits no annulus member")
+        members[first[holding[0]]] |= {p}
+    return len(orphans)
 
 
 # -- the refinement subsequence recursion ---------------------------------------------
@@ -230,30 +230,35 @@ def refine_subsequence(
     betas: Sequence,
     gamma: Cover,
     unif_tol: float = DEFAULT_LIMIT_TOL,
-) -> tuple[tuple[int, ...], Cover, RefinementWitness]:
-    """Run the recursion, build the sliced cover, and verify gamma refines it."""
-    verdict = uniformity_verdict(pack, ladder, gamma, unif_tol)
-    if not verdict.accept:
+) -> tuple[tuple[int, ...], Cover, RefinementWitness, int]:
+    """The canonical cover alpha({beta_n}, {W_n}) that gamma refines.
+
+    Checks gamma's uniformity, runs the recursion against gamma plus all
+    singletons, slices the betas along the annuli of the chosen rungs and
+    completes orphans.  Returns (subsequence, alpha, the witness that gamma
+    refines alpha, the number of orphans completed).
+    """
+    if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
         raise UniformityRejected("gamma fails the uniformity verdict")
-    indices = subsequence_indices(pack, ladder, betas, gamma)
+    indices = subsequence_indices(pack, ladder, betas, gamma.union_with(singleton_cover(pack)))
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
-    alpha = build_alpha(pack, sub, betas)
-    witness = refines(gamma, alpha)
-    return indices, alpha, witness
+    members, tags = _slice(pack, sub, betas)
+    orphans = _complete_orphans(pack, sub, members, tags)
+    alpha = Cover.make(pack, members, target="interior").require_cover()
+    return indices, alpha, refines(gamma, alpha), orphans
 
 
-# -- canonical cover refining a given family ------------------------------------------
+class ExtBetas:
+    """Lazy beta sequence of Ext images, each family computed once.
 
-
-class ExtBallBetas:
-    """Lazy beta sequence: whole space, then Ext images of boundary ball covers.
-
-    Family n uses balls of radius k_sup * 2^-n around a greedy boundary net.
+    Family 0 is Ext({X}), the whole space; family n >= 1 is the Ext image of
+    the boundary family ``boundary_family(n)``.
     """
 
-    def __init__(self, pack: DiscretePack, length: int):
+    def __init__(self, pack: DiscretePack, length: int, boundary_family: Callable[[int], object]):
         self.pack = pack
         self.length = length
+        self.boundary_family = boundary_family
         self._cache: dict[int, tuple[frozenset, ...]] = {}
 
     def __len__(self) -> int:
@@ -263,15 +268,17 @@ class ExtBallBetas:
         if n < 0 or n >= self.length:
             raise IndexError(n)
         if n not in self._cache:
-            if n == 0:
-                fam: tuple[frozenset, ...] = (frozenset(self.pack.points),)
-            else:
-                rho = self.pack.k_sup * 4.0 ** (-n)
-                fam = tuple(
-                    ext(self.pack, b) for b in boundary_ball_cover(self.pack, rho).members
-                )
-            self._cache[n] = fam
+            fam = self.boundary_family(n) if n else (self.pack.boundary,)
+            self._cache[n] = ext_family(self.pack, fam)
         return self._cache[n]
+
+
+# -- canonical cover refining a given family ------------------------------------------
+
+
+def ball_betas(pack: DiscretePack, length: int) -> ExtBetas:
+    """Ext images of boundary ball covers of radius k_sup * 4^-n."""
+    return ExtBetas(pack, length, lambda n: boundary_ball_cover(pack, pack.k_sup * 4.0 ** (-n)))
 
 
 def boundary_ball_cover(pack: DiscretePack, rho: float) -> Cover:
@@ -297,17 +304,10 @@ def canonical_refining(
     ladder: ScaleLadder | None = None,
     unif_tol: float = DEFAULT_LIMIT_TOL,
 ) -> Cover:
-    """A canonical cover refined by gamma: default ladder, Ext-ball betas,
-    and the subsequence recursion against gamma plus all singletons."""
+    """A canonical cover refined by gamma, in any dimension: default ladder
+    and Ext-ball betas, with no multiplicity bound."""
     ladder = ladder or default_ladder(pack)
-    verdict = uniformity_verdict(pack, ladder, gamma, unif_tol)
-    if not verdict.accept:
-        raise UniformityRejected("gamma fails the uniformity verdict")
-    gamma_aug = gamma.union_with(singleton_cover(pack))
-    betas = ExtBallBetas(pack, beta_length_for(pack))
-    _, alpha, _ = refine_subsequence(pack, ladder, betas, gamma_aug, unif_tol)
-    refines(gamma, alpha)
-    return alpha.require_cover()
+    return refine_subsequence(pack, ladder, ball_betas(pack, beta_length_for(pack)), gamma, unif_tol)[1]
 
 
 # -- star expansion --------------------------------------------------------------------
@@ -408,33 +408,16 @@ def _build_dim0(pack: DiscretePack, targets: tuple[float, ...]) -> CoverSequence
     return CoverSequence(tuple(covers), targets, 2).validate(pack)
 
 
-def _boundary_line(pack: DiscretePack):
-    """(positions, span, circular) of a 1-dimensional boundary sample."""
-    if pack.kind == "interval_cylinder":
-        coords = pack.coords
-        pos = {p: float(coords[p][0]) for p in sorted(pack.boundary)}
-        span = max(pos.values()) - min(pos.values())
-        return pos, span, False
-    if pack.kind == "circle_in_disk":
-        coords = pack.coords
-        pos = {
-            p: float(math.atan2(coords[p][1], coords[p][0]) % (2 * math.pi))
-            for p in sorted(pack.boundary)
-        }
-        return pos, 2 * math.pi, True
-    raise ProviderMismatch(f"no 1-dimensional coordinates for kind {pack.kind!r}")
-
-
 def _arc_cover(
-    positions: dict[int, float],
+    pts: list[int],
+    positions: list[float],
     span: float,
     circular: bool,
     length: float,
     offset: float,
 ) -> list[frozenset]:
     """Closed arcs of the given length stepping by 7/8 of it (1/8 overlaps)."""
-    pts = sorted(positions)
-    pos = np.array([positions[p] for p in pts])
+    pos = np.array(positions)
     order = np.argsort(pos, kind="stable")
     sorted_pos = pos[order]
     min_gap = float(np.diff(sorted_pos).min(initial=np.inf))
@@ -467,12 +450,15 @@ def _arc_cover(
 
 
 def _build_dim1(pack: DiscretePack, targets: tuple[float, ...]) -> CoverSequence:
-    positions, span, circular = _boundary_line(pack)
+    positions = boundary_line(pack)
+    pts = sorted(pack.boundary)
+    circular = pack.kind == "circle_in_disk"
+    span = 2 * math.pi if circular else max(positions) - min(positions)
     covers = [Cover.make(pack, [pack.boundary], target="boundary")]
     offset = 0.0
-    for i, eps in enumerate(targets[1:], start=1):
-        length = min(eps, span if circular else span)
-        members = _arc_cover(positions, span, circular, length, offset)
+    for eps in targets[1:]:
+        length = min(eps, span)
+        members = _arc_cover(pts, positions, span, circular, length, offset)
         cov = Cover.make(pack, members, target="boundary").require_cover()
         covers.append(cov)
         offset = (offset + length / 4.0) % span
@@ -487,10 +473,6 @@ def interval_dim1_provider() -> Provider:
     return Provider("interval_dim1", 1, _build_dim1)
 
 
-def plugin_provider(tag: str, known_dim: int, build) -> Provider:
-    return Provider(tag, known_dim, build)
-
-
 def provider_for(pack: DiscretePack) -> Provider:
     if pack.known_dim == 0:
         return finite_dim0_provider()
@@ -499,9 +481,8 @@ def provider_for(pack: DiscretePack) -> Provider:
     raise ProviderMismatch(f"no shipped provider for dimension {pack.known_dim!r}")
 
 
-def default_mesh_targets(pack: DiscretePack, length: int | None = None) -> tuple[float, ...]:
-    length = length or beta_length_for(pack)
-    return (float("inf"),) + tuple(pack.k_sup * 2.0 ** (-i) for i in range(1, length))
+def default_mesh_targets(pack: DiscretePack) -> tuple[float, ...]:
+    return (float("inf"),) + tuple(pack.k_sup * 2.0 ** (-i) for i in range(1, beta_length_for(pack)))
 
 
 # -- the minimal-multiplicity pipeline ------------------------------------------------------
@@ -528,23 +509,6 @@ class PipelineReport:
         return d
 
 
-class _ExtSeq:
-    """Ext images of a cover sequence, computed on demand."""
-
-    def __init__(self, pack: DiscretePack, seq: CoverSequence):
-        self.pack = pack
-        self.seq = seq
-        self._cache: dict[int, tuple[frozenset, ...]] = {}
-
-    def __len__(self):
-        return len(self.seq.covers)
-
-    def __getitem__(self, n: int):
-        if n not in self._cache:
-            self._cache[n] = ext_family(self.pack, self.seq.covers[n])
-        return self._cache[n]
-
-
 def minimal_canonical(
     pack: DiscretePack,
     gamma: Cover,
@@ -554,10 +518,8 @@ def minimal_canonical(
 ) -> tuple[Cover, PipelineReport]:
     """Canonical cover refined by gamma with multiplicity at most known_dim + 2.
 
-    Provider covers of the boundary go through Ext, the subsequence recursion
-    runs against gamma plus all singletons, and interior points orphaned by
-    Ext ties are assigned to the first member of the deepest annulus holding
-    them.
+    The betas are the Ext images of the provider's boundary covers, fast
+    forwarded past the uniformity threshold; refine_subsequence builds alpha.
     """
     provider = provider or provider_for(pack)
     if pack.known_dim is None or provider.known_dim != pack.known_dim:
@@ -565,9 +527,6 @@ def minimal_canonical(
             f"provider {provider.tag!r} (dim {provider.known_dim}) does not match pack dim {pack.known_dim!r}"
         )
     ladder = ladder or default_ladder(pack)
-    if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
-        raise UniformityRejected("gamma fails the uniformity verdict")
-
     targets = default_mesh_targets(pack)
     seq = provider.build(pack, targets).validate(pack)
     # Fast-forward the beta meshes past the uniformity threshold: the deepest
@@ -579,34 +538,13 @@ def minimal_canonical(
         (i for i in range(1, len(seq.covers)) if targets[i] <= 0.8 * unif_tol * pack.k_sup),
         1,
     )
-    seq_used = CoverSequence(
+    seq = CoverSequence(
         (seq.covers[0],) + seq.covers[skip:],
         (targets[0],) + targets[skip:],
         seq.common_mult_bound,
     ).validate(pack)
-    betas = _ExtSeq(pack, seq_used)
-    gamma_aug = gamma.union_with(singleton_cover(pack))
-    indices = subsequence_indices(pack, ladder, betas, gamma_aug)
-    sub = ScaleLadder(tuple(ladder[i] for i in indices))
-    members, ann_tags = _annotated_build(pack, sub, betas)
-    seq = seq_used
-
-    orphans = sorted(pack.interior - frozenset().union(*members)) if members else sorted(pack.interior)
-    for p in orphans:
-        depth = pack.boundary_dist[p]
-        home = None
-        for n in range(len(sub) - 3, -1, -1):  # deepest annulus first
-            if sub[n + 2] < depth < sub[n]:
-                cands = [i for i, t in enumerate(ann_tags) if t == n]
-                if cands:
-                    home = cands[0]
-                    break
-        if home is None:
-            raise NotCovering(f"orphan {p} fits no annulus member")
-        members[home] = members[home] | {p}
-
-    alpha = Cover.make(pack, members, target="interior").require_cover()
-    witness = refines(gamma, alpha)
+    betas = ExtBetas(pack, len(seq.covers), seq.covers.__getitem__)
+    indices, alpha, witness, orphans = refine_subsequence(pack, ladder, betas, gamma, unif_tol)
     verdict = uniformity_verdict(pack, ladder, alpha, unif_tol)
     mult, witness_pt = mult_witness(alpha)
     report = PipelineReport(
@@ -620,7 +558,7 @@ def minimal_canonical(
         naive_bound_2dim_plus_2=2 * pack.known_dim + 2,
         max_common_mult=seq.max_consecutive_common_mult(upto=len(indices)),
         witness_ok=witness.verify(),
-        orphans_completed=len(orphans),
+        orphans_completed=orphans,
         uniformity=verdict.to_dict(),
     )
     return alpha, report

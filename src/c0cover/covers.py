@@ -99,12 +99,6 @@ class Cover:
     def covers_flag(self) -> bool:
         return self.union == self.target
 
-    @property
-    def locally_finite(self) -> bool:
-        """Vacuous on finite packs; recorded so the canonical predicate keeps
-        the shape open + locally finite + uniform."""
-        return True
-
     def require_cover(self) -> "Cover":
         if not self.covers_flag:
             raise NotACover(f"family of {len(self.members)} members misses the {self.target_tag} target")
@@ -397,11 +391,7 @@ def is_canonical(
 ) -> bool:
     """Canonical = covers the interior and accepts the uniformity verdict
     (open-ness and local finiteness carry no discrete content)."""
-    return (
-        alpha.covers_flag
-        and alpha.locally_finite
-        and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
-    )
+    return alpha.covers_flag and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
 
 
 # -- scale dimension -------------------------------------------------------------------

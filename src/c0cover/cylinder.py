@@ -35,6 +35,7 @@ from .packs import (
     CylinderPack,
     DiscretePack,
     ScaleLadder,
+    boundary_line,
     default_ladder,
     h_profile,
     _finish_pack,
@@ -527,7 +528,7 @@ def random_uniform_candidates(
     nl = len(levels)
     circular = pack.kind == "circle_in_disk"
     if pack.known_dim == 1:
-        positions = _base_positions(pack, bidx)
+        positions = boundary_line(pack)
         span = positions[-1] - positions[0] if not circular else 2 * math.pi
         gap = span / max(nb - 1, 1)
         if round(2 * levels[0] / gap) < 2:
@@ -572,13 +573,6 @@ def random_uniform_candidates(
         cov = Cover.make(pack, members, target="interior", drop_empty=True).require_cover()
         covers.append(cov)
     return covers
-
-
-def _base_positions(pack: DiscretePack, bidx) -> list[float]:
-    coords = pack.coords
-    if pack.kind == "circle_in_disk":
-        return [math.atan2(coords[b][1], coords[b][0]) % (2 * math.pi) for b in bidx]
-    return [float(coords[b][0]) for b in bidx]
 
 
 def _base_runs(nb: int, circular: bool, width: int, rng) -> list[list[int]]:

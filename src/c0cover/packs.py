@@ -12,6 +12,7 @@ gauge lambda, displacement moduli) on a ladder.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     EmptyComplement,
     EmptySide,
     IndexOutOfLadder,
+    ProviderMismatch,
     TriangleViolation,
 )
 
@@ -484,6 +486,18 @@ def annulus(pack: DiscretePack, ladder: ScaleLadder, n: int) -> frozenset[int]:
     bd = pack.boundary_dist
     sel = (bd > ladder[n + 2]) & (bd < ladder[n])
     return frozenset(np.flatnonzero(sel).tolist()) & pack.interior
+
+
+def boundary_line(pack: DiscretePack) -> list[float]:
+    """Positions of the boundary points, in id order, along a 1-dimensional
+    base: the x coordinate on interval_cylinder, the angle in [0, 2pi) on
+    circle_in_disk."""
+    coords = pack.coords
+    if coords is None or pack.kind not in ("interval_cylinder", "circle_in_disk"):
+        raise ProviderMismatch(f"no 1-dimensional coordinates for kind {pack.kind!r}")
+    if pack.kind == "circle_in_disk":
+        return [math.atan2(coords[b][1], coords[b][0]) % (2 * math.pi) for b in sorted(pack.boundary)]
+    return [float(coords[b][0]) for b in sorted(pack.boundary)]
 
 
 def h_profile(pack: DiscretePack, ladder: ScaleLadder) -> ModulusCurve:

@@ -93,11 +93,6 @@ class Relation:
         _same_pack(self, other)
         return Relation(self.pack, self.pairs | other.pairs)
 
-    def is_proper(self) -> bool:
-        """Images of relatively compact sets are relatively compact; every
-        subset of a finite pack is, so this records True for API parity."""
-        return True
-
     def to_json_list(self) -> list[list[int]]:
         return [[p, q] for p, q in sorted(self.pairs)]
 

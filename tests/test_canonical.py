@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import c0cover as cc
 from c0cover.canonical import (
     CoverSequence,
-    ExtBallBetas,
+    ExtBetas,
+    _complete_orphans,
+    ball_betas,
     boundary_ball_cover,
     default_mesh_targets,
     ext_family,
@@ -14,6 +18,7 @@ from c0cover.errors import (
     BetaDoesNotCoverBoundary,
     LadderExhausted,
     NotBoundarySubset,
+    NotCovering,
     ProviderMismatch,
     UniformityRejected,
 )
@@ -67,9 +72,9 @@ def test_build_alpha_interval_betas_bound(interval_pipeline):
 
 def test_refine_subsequence_singletons(finite_pack):
     ladder = cc.default_ladder(finite_pack)
-    betas = ExtBallBetas(finite_pack, 40)
+    betas = ball_betas(finite_pack, 40)
     gamma = cc.singleton_cover(finite_pack)
-    indices, alpha, witness = cc.refine_subsequence(finite_pack, ladder, betas, gamma)
+    indices, alpha, witness, _ = cc.refine_subsequence(finite_pack, ladder, betas, gamma)
     assert indices[0] == 0 and all(b > a for a, b in zip(indices, indices[1:]))
     assert witness.verify()
     assert alpha.covers_flag
@@ -78,8 +83,8 @@ def test_refine_subsequence_singletons(finite_pack):
 def test_refine_subsequence_ball_cover(finite_pipeline):
     pack, ladder = finite_pipeline["pack"], finite_pipeline["ladder"]
     gamma = finite_pipeline["gamma"].union_with(cc.singleton_cover(pack))
-    betas = ExtBallBetas(pack, 40)
-    indices, alpha, witness = cc.refine_subsequence(pack, ladder, betas, gamma)
+    betas = ball_betas(pack, 40)
+    indices, alpha, witness, _ = cc.refine_subsequence(pack, ladder, betas, gamma)
     assert witness.verify()
     for v, u in witness.assignment.items():
         assert v <= u
@@ -88,7 +93,7 @@ def test_refine_subsequence_ball_cover(finite_pipeline):
 def test_refine_subsequence_ladder_exhausted(finite_pack):
     short = cc.ScaleLadder((2.5, 1.1, 0.9))  # never reaches the sample floor
     with pytest.raises((LadderExhausted, cc.C0CoverError)):
-        betas = ExtBallBetas(finite_pack, 40)
+        betas = ball_betas(finite_pack, 40)
         cc.refine_subsequence(finite_pack, short, betas, cc.singleton_cover(finite_pack))
 
 
@@ -216,3 +221,68 @@ def test_provider_for_unknown_dim():
 def test_ext_family_matches_pointwise(line3):
     fam = [frozenset({0}), frozenset({0, 2})]
     assert ext_family(line3, fam) == (cc.ext(line3, {0}), cc.ext(line3, {0, 2}))
+
+
+# sha256 of cover_to_json(alpha) for both entry points; the cube_face pin is
+# the only run of the dimension-2 path
+ALPHA_PINS = [
+    ("minimal", "interval_cylinder", dict(n_base=33, n_levels=10),
+     "c7c44dc8ae558adbf6cbee121b197719ab81dd762616e9ea67b78e89638096b6"),
+    ("minimal", "circle_in_disk", dict(n_angles=32, n_levels=10),
+     "3d75af949fe2198a59f06f02288c5aa5b4245f97b337ed5416d659554344d632"),
+    ("refining", "cube_face", {}, "0d06659b7ea2d3dd05910264bff8e7d9fffe89f7da83da69dacfc4b0d59962b8"),
+    ("refining", "countable_example", dict(n_y=40),
+     "4a05d22e4b4bd4548204f360af7b36f37a815c508cadbc5faee2eabd53343346"),
+]
+
+
+@pytest.mark.parametrize("entry, kind, params, digest", ALPHA_PINS)
+def test_alpha_pinned(entry, kind, params, digest):
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    if entry == "minimal":
+        gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+        alpha, _ = cc.minimal_canonical(pack, gamma)
+    else:
+        gamma = cc.singleton_cover(pack)
+        alpha = cc.canonical_refining(pack, gamma)
+    assert alpha.covers_flag
+    assert cc.refines(gamma, alpha).verify()
+    assert hashlib.sha256(cc.covers.cover_to_json(alpha).encode()).hexdigest() == digest
+
+
+def test_ext_betas_family_zero_is_whole_space(interval_pack):
+    betas = ExtBetas(interval_pack, 2, lambda n: [interval_pack.boundary])
+    assert betas[0] == (frozenset(interval_pack.points),)
+    with pytest.raises(IndexError):
+        betas[2]
+
+
+def _by_depth(pack):
+    return {round(float(pack.boundary_dist[p]), 6): p for p in pack.interior}
+
+
+def test_orphan_joins_first_member_of_deepest_annulus(cyl_fixture, cyl_ladder):
+    # interior depths 1, 1/2, 1/4, 1/8; the orphan at depth 1/2 lies in
+    # annuli 0 (0.3, 1.5) and 1 (0.1, 0.6), not in annulus 2 (0.05, 0.3)
+    at = _by_depth(cyl_fixture)
+    members = [frozenset({at[1.0]}), frozenset({at[0.25]}), frozenset({at[0.25], at[0.125]}), frozenset({at[0.125]})]
+    placed = _complete_orphans(cyl_fixture, cyl_ladder, members, [0, 1, 1, 2])
+    assert placed == 1
+    assert members == [
+        frozenset({at[1.0]}),
+        frozenset({at[0.25], at[0.5]}),
+        frozenset({at[0.25], at[0.125]}),
+        frozenset({at[0.125]}),
+    ]
+    # with no member in annulus 1 it falls back to annulus 0
+    members = [frozenset({at[1.0]}), frozenset({at[0.25], at[0.125]})]
+    assert _complete_orphans(cyl_fixture, cyl_ladder, members, [0, 2]) == 1
+    assert members[0] == {at[1.0], at[0.5]}
+
+
+def test_orphan_without_annulus_member_raises(cyl_fixture, cyl_ladder):
+    at = _by_depth(cyl_fixture)
+    members = [frozenset({at[1.0], at[0.25], at[0.125]})]
+    with pytest.raises(NotCovering, match=f"orphan {at[0.5]}"):
+        _complete_orphans(cyl_fixture, cyl_ladder, members, [2])

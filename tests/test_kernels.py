@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import c0cover as cc
 from c0cover import covers
 from c0cover.covers import _members_of, member_depths, member_stats
-from c0cover.canonical import ExtBallBetas, beta_length_for, subsequence_indices
+from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
 from c0cover.errors import (
     AsymmetricDistance,
     BadLadder,
@@ -435,7 +435,7 @@ def test_subsequence_indices_matches_loop(kind, params, on_samples):
         ladder = cc.ScaleLadder(tuple(sorted(set(ladder.radii) | depths, reverse=True)))
     gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
     gamma = gamma.union_with(cc.singleton_cover(pack))
-    betas = ExtBallBetas(pack, beta_length_for(pack))
+    betas = ball_betas(pack, beta_length_for(pack))
     got = outcome(subsequence_indices, pack, ladder, betas, gamma)
     assert got == outcome(oracle_subsequence, pack, ladder, betas, gamma)
 

@@ -12,9 +12,10 @@ from c0cover.errors import (
     EmptyComplement,
     EmptySide,
     IndexOutOfLadder,
+    ProviderMismatch,
     TriangleViolation,
 )
-from c0cover.packs import pack_from_json, pack_to_json, w_set
+from c0cover.packs import boundary_line, pack_from_json, pack_to_json, w_set
 
 
 def test_validate_line3(line3):
@@ -283,3 +284,18 @@ def test_pack_from_json_malformed_is_typed(text):
 def test_ladder_from_json_malformed_is_typed(text):
     with pytest.raises((BadParams, BadLadder)):
         cc.packs.ladder_from_json(text)
+
+
+def test_boundary_line(interval_pack, circle_pack):
+    xs = boundary_line(interval_pack)
+    assert xs == [float(interval_pack.coords[b][0]) for b in sorted(interval_pack.boundary)]
+    angles = boundary_line(circle_pack)
+    assert len(angles) == len(circle_pack.boundary)
+    assert all(0 <= a < 2 * math.pi for a in angles)
+    assert len(set(angles)) == len(angles)
+    # the same positions survive a round trip through a pack file
+    assert boundary_line(pack_from_json(pack_to_json(circle_pack))) == angles
+    with pytest.raises(ProviderMismatch):
+        boundary_line(cc.generate_pack("cube_face", n_side=3, n_levels=3))
+    with pytest.raises(ProviderMismatch):
+        boundary_line(cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2]))
