@@ -67,6 +67,7 @@ from .packs import (
     default_ladder,
     generate_pack,
     h_profile,
+    sample_levels,
     validate_pack,
 )
 from .relations import (

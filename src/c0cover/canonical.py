@@ -42,8 +42,8 @@ from .errors import (
     ProviderMismatch,
     UniformityRejected,
 )
-from .packs import DiscretePack, ScaleLadder, annulus, boundary_line, default_ladder
-from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, compose, image
+from .packs import DiscretePack, ScaleLadder, annulus, boundary_line, default_ladder, sample_levels
+from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
 
 
 # -- the Ext map -----------------------------------------------------------------
@@ -293,7 +293,7 @@ def boundary_ball_cover(pack: DiscretePack, rho: float) -> Cover:
 
 
 def beta_length_for(pack: DiscretePack) -> int:
-    n_levels = len(np.unique(pack.boundary_dist[pack.boundary_dist > 0]))
+    n_levels = len(sample_levels(pack))
     paced = math.ceil(math.log(pack.k_sup / pack.delta_res) / math.log(1.4))
     return max(24, 8 + paced, n_levels + 8)
 

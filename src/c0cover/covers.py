@@ -4,6 +4,7 @@ Lebesgue numbers, uniformity verdicts, and the scale-dimension oracle."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -104,12 +105,6 @@ class Cover:
             raise NotACover(f"family of {len(self.members)} members misses the {self.target_tag} target")
         return self
 
-    def restrict(self, pts: Iterable[int]) -> "Cover":
-        pset = frozenset(pts)
-        return Cover.make(
-            self.pack, (m & pset for m in self.members), target=self.target & pset, drop_empty=True
-        )
-
     def union_with(self, other: "Cover") -> "Cover":
         if other.pack is not self.pack:
             raise PackMismatch("covers over different packs")
@@ -155,23 +150,20 @@ def mult_on(alpha, s: Iterable[int]) -> int:
     return sum(1 for m in _members_of(alpha) if m & fs)
 
 
+def _point_counts(*families) -> Counter:
+    """For every point, the number of members holding it, summed over the
+    families (each family deduplicated); points are any hashables."""
+    return Counter(p for fam in families for m in _members_of(fam) for p in m)
+
+
 def multiplicity(alpha) -> int:
     """Largest number of members through one point."""
-    members = _members_of(alpha)
-    counts: dict[int, int] = {}
-    for m in members:
-        for p in m:
-            counts[p] = counts.get(p, 0) + 1
-    return max(counts.values(), default=0)
+    return max(_point_counts(alpha).values(), default=0)
 
 
 def mult_witness(alpha) -> tuple[int, int | None]:
     """(multiplicity, a point attaining it); lowest witnessing id."""
-    members = _members_of(alpha)
-    counts: dict[int, int] = {}
-    for m in members:
-        for p in m:
-            counts[p] = counts.get(p, 0) + 1
+    counts = _point_counts(alpha)
     if not counts:
         return 0, None
     best = max(counts.values())
@@ -191,12 +183,7 @@ def mult_along(alpha, e: Relation) -> int:
 
 def common_multiplicity(*families) -> int:
     """max over points of the summed pointwise multiplicities of the families."""
-    counts: dict[int, int] = {}
-    for fam in families:
-        for m in _members_of(fam):
-            for p in m:
-                counts[p] = counts.get(p, 0) + 1
-    return max(counts.values(), default=0)
+    return max(_point_counts(*families).values(), default=0)
 
 
 def _flatten(members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,13 +304,6 @@ def refines(beta, alpha) -> RefinementWitness:
         else:
             raise NotARefinement(v)
     return RefinementWitness(assignment)
-
-
-def is_refinement(beta, alpha) -> bool:
-    try:
-        return refines(beta, alpha).verify()
-    except NotARefinement:
-        return False
 
 
 # -- Lebesgue number ------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 from .covers import (
     Cover,
     mult_witness,
-    multiplicity,
     star,
     uniformity_verdict,
 )
@@ -38,7 +37,9 @@ from .packs import (
     boundary_line,
     default_ladder,
     h_profile,
+    sample_levels,
     _finish_pack,
+    _product_pack,
 )
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, c0_modulus
 
@@ -50,11 +51,7 @@ def f_map(pack: DiscretePack, p: int) -> tuple[int, float]:
     """(nearest boundary point, boundary distance); lowest id breaks ties."""
     if p in pack.boundary:
         raise BoundaryInput(f"{p} lies on the boundary")
-    t = float(pack.boundary_dist[p])
-    bidx = sorted(pack.boundary)
-    d = pack.dist[p, bidx]
-    z = bidx[int(np.argmin(d))]
-    return z, t
+    return int(pack.nearest_boundary[p]), float(pack.boundary_dist[p])
 
 
 def g_map(pack: DiscretePack, z: int, t: float) -> int:
@@ -83,27 +80,26 @@ def cylinder_over_boundary(pack: DiscretePack, levels: Sequence[float]) -> Cylin
     if not levels:
         raise BadParams("need at least one positive level")
     bidx = sorted(pack.boundary)
-    base = pack.dist[np.ix_(bidx, bidx)]
-    nb = len(bidx)
-    base_of = list(range(nb))
-    level_of = [0.0] * nb
-    for t in levels:
-        base_of.extend(range(nb))
-        level_of.extend([t] * nb)
-    bo = np.array(base_of)
-    lv = np.array(level_of)
-    dist = base[np.ix_(bo, bo)] + np.abs(lv[:, None] - lv[None, :])
-    cyl = CylinderPack(
-        dist=dist,
-        boundary=frozenset(range(nb)),
-        k_sup=float(max(levels)),
-        delta_res=float(min(levels)),
-        delta_dense=float(min(levels)),
-        meta={"kind": "induced_cylinder", "levels": levels, "source_boundary": bidx},
-        base_of=tuple(int(b) for b in base_of),
-        level_of=tuple(float(t) for t in level_of),
-    )
-    return _finish_pack(cyl)
+    meta = {"kind": "induced_cylinder", "source_boundary": bidx}
+    return _product_pack(None, pack.dist[np.ix_(bidx, bidx)], levels, meta)
+
+
+def _base_index(pack: DiscretePack) -> np.ndarray:
+    """For every point, the position of its nearest boundary point among the sorted boundary ids."""
+    return np.searchsorted(np.array(sorted(pack.boundary)), pack.nearest_boundary)
+
+
+def _f_image(pack: DiscretePack) -> tuple[CylinderPack, np.ndarray]:
+    """The cylinder over the boundary at the sample levels, and f as a point
+    map into it: entry p is the cylinder point f(p), or -1 on the boundary."""
+    levels = sample_levels(pack)
+    cyl = cylinder_over_boundary(pack, levels)
+    bd = pack.boundary_dist
+    # row 0 of the cylinder is level 0, then one row per level, descending
+    row = np.where(bd > 0, len(levels) - np.searchsorted(levels, bd), 0)
+    point = len(pack.boundary) * row + _base_index(pack)
+    point[sorted(pack.boundary)] = -1
+    return cyl, point
 
 
 def fxf_image(pack: DiscretePack, e: Relation) -> tuple[CylinderPack, Relation]:
@@ -114,17 +110,9 @@ def fxf_image(pack: DiscretePack, e: Relation) -> tuple[CylinderPack, Relation]:
     """
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
-    interior = sorted(pack.interior)
-    fmap = {p: f_map(pack, p) for p in interior}
-    levels = sorted({t for _, t in fmap.values()}, reverse=True)
-    cyl = cylinder_over_boundary(pack, levels)
-    b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
-    point_of = {p: cyl.point_at(b_index[z], t) for p, (z, t) in fmap.items()}
-    pairs = set()
-    for p, q in e.pairs:
-        if p in point_of and q in point_of:
-            pairs.add((point_of[p], point_of[q]))
-    return cyl, Relation(cyl, pairs)
+    cyl, point_of = _f_image(pack)
+    pairs = point_of[np.array(list(e.pairs), dtype=np.intp).reshape(-1, 2)]
+    return cyl, Relation(cyl, pairs[(pairs >= 0).all(axis=1)].tolist())
 
 
 def fxf_modulus(
@@ -143,22 +131,15 @@ def image_density_gap(pack: DiscretePack) -> float:
     Coarse density surrogate: at most 1 when every slot (z, t) of the induced
     cylinder lies within 3 h(t) of some f(p).
     """
-    interior = sorted(pack.interior)
-    fmap = [f_map(pack, p) for p in interior]
-    levels = sorted({t for _, t in fmap}, reverse=True)
-    cyl = cylinder_over_boundary(pack, levels)
+    cyl, point_of = _f_image(pack)
     h = h_profile(pack, default_ladder(pack))
-    b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
-    img = np.array(sorted({cyl.point_at(b_index[z], t) for z, t in fmap}))
-    worst = 0.0
-    for slot in cyl.points:
-        t = cyl.level_of[slot]
-        if t == 0.0:
-            continue
-        gap = float(cyl.dist[slot, img].min())
-        bound = 3.0 * h.value_at(t)
-        worst = max(worst, gap / bound if bound > 0 else math.inf)
-    return worst
+    img = np.unique(point_of[point_of >= 0])
+    level = np.array(cyl.level_of)
+    slots = np.flatnonzero(level != 0.0)
+    gap = cyl.dist[np.ix_(slots, img)].min(axis=1)
+    bound = 3.0 * h.value_at_many(level[slots])
+    ratio = np.divide(gap, bound, out=np.full(len(slots), math.inf), where=bound > 0)
+    return float(ratio.max(initial=0.0))
 
 
 # -- embeddings and pullbacks -------------------------------------------------------
@@ -357,6 +338,15 @@ def double_cover(gc: GridCover, k: int) -> GridCover:
 # -- slab extraction --------------------------------------------------------------------
 
 
+def _top_slice_depth(pack: DiscretePack, alpha: Cover, top: float) -> float:
+    """Smallest boundary distance in the star of the top slice (the interior
+    points within 1e-12 of level ``top``); ``top`` when the star is empty."""
+    bd = pack.boundary_dist
+    slice_pts = frozenset(np.flatnonzero(np.abs(bd - top) < 1e-12).tolist()) - pack.boundary
+    st = star(alpha, slice_pts)
+    return float(bd[list(st)].min()) if st else top
+
+
 def choose_slab(
     pack: DiscretePack,
     ladder: ScaleLadder,
@@ -369,17 +359,14 @@ def choose_slab(
     if not fine.size:
         raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
     d1 = float(curve.ts[fine[0]])  # the largest such scale: t descends along the curve
-    levels = sorted({float(t) for t in pack.boundary_dist if t > 0})
-    slice_levels = [t for t in levels if t <= d1]
-    if not slice_levels:
+    levels = sample_levels(pack)
+    slice_levels = levels[levels <= d1]
+    if not slice_levels.size:
         raise SlabTooThin("no sample level at or below delta1")
-    top = slice_levels[-1]
-    slice_pts = frozenset(p for p in pack.interior if abs(pack.boundary_dist[p] - top) < 1e-12)
-    st = star(alpha, slice_pts)
-    depth = min((float(pack.boundary_dist[p]) for p in st), default=top)
+    depth = _top_slice_depth(pack, alpha, float(slice_levels[-1]))
     # keep one level strictly below the star's reach inside the slab, so
     # members meeting the top slice stay clear of the bottom retained level
-    below = [t for t in levels if t < depth]
+    below = levels[levels < depth].tolist()
     if not below:
         raise SlabTooThin("the star of the top slice reaches the deepest sample")
     d2 = (below[-2] + below[-1]) / 2.0 if len(below) >= 2 else below[-1] / 2.0
@@ -403,41 +390,32 @@ def slab_rescale(
     if not (0 < delta2 < delta1):
         raise BadDeltas(f"need 0 < delta2 < delta1, got {delta2}, {delta1}")
     bd = pack.boundary_dist
-    levels = sorted({float(t) for t in bd if delta2 <= t <= delta1})
-    if not levels:
+    levels = sample_levels(pack)
+    levels = levels[(levels >= delta2) & (levels <= delta1)]
+    if not levels.size:
         raise SlabTooThin(f"no sample level inside [{delta2}, {delta1}]")
-    top_level = levels[-1]
-    slice_pts = frozenset(p for p in pack.interior if abs(bd[p] - top_level) < 1e-12)
-    st = star(alpha, slice_pts)
-    if any(bd[p] < delta2 for p in st):
+    if _top_slice_depth(pack, alpha, float(levels[-1])) < delta2:
         raise BadDeltas("the star of the top slice escapes below delta2")
     d1 = _to_fraction(delta1)
     d2 = _to_fraction(delta2)
-    fr_levels = sorted({(d1 - _to_fraction(t)) / (d1 - d2) for t in levels})
+    rescaled = [(d1 - _to_fraction(t)) / (d1 - d2) for t in levels.tolist()]
+    fr_levels = sorted(set(rescaled))
     level_index = {t: i for i, t in enumerate(fr_levels)}
-
-    bases = sorted(pack.boundary)
-    base_index = {b: i for i, b in enumerate(bases)}
-    bidx = sorted(pack.boundary)
-
-    def to_grid(p: int) -> tuple[int, int] | None:
-        t = float(bd[p])
-        if not (delta2 <= t <= delta1):
-            return None
-        ft = (d1 - _to_fraction(t)) / (d1 - d2)
-        d = pack.dist[p, bidx]
-        z = bidx[int(np.argmin(d))]
-        return base_index[z], level_index[ft]
+    # the grid cell of every point: (base of f(p), index of its rescaled level), level -1 outside the slab
+    row = np.array([level_index[t] for t in rescaled])
+    inside = (bd >= delta2) & (bd <= delta1)
+    cell_level = np.where(inside, row[np.minimum(np.searchsorted(levels, bd), len(levels) - 1)], -1)
+    cell_base = _base_index(pack)
 
     members = []
     for u in alpha.members:
-        pts = [to_grid(p) for p in u]
-        m = frozenset(pt for pt in pts if pt is not None)
-        if m:
-            members.append(m)
+        idx = np.fromiter(u, dtype=np.intp, count=len(u))
+        idx = idx[cell_level[idx] >= 0]
+        if idx.size:
+            members.append(zip(cell_base[idx].tolist(), cell_level[idx].tolist()))
     if not members:
         raise SlabTooThin("no member survives the slab restriction")
-    return grid_cover(len(bases), fr_levels, members)
+    return grid_cover(len(pack.boundary), fr_levels, members)
 
 
 # -- multiplicity lower bound ---------------------------------------------------------
@@ -493,15 +471,14 @@ def lower_bound_check(
 def _column_structure(pack: DiscretePack):
     """Assign every interior point a (base position index, level index)."""
     bidx = sorted(pack.boundary)
-    levels = sorted({float(t) for t in pack.boundary_dist if t > 0}, reverse=True)
-    lev_index = {t: i for i, t in enumerate(levels)}
-    by_slot: dict[tuple[int, int], int] = {}
-    for p in sorted(pack.interior):
-        d = pack.dist[p, bidx]
-        z = int(np.argmin(d))
-        li = lev_index[min(levels, key=lambda t: abs(t - float(pack.boundary_dist[p])))]
-        by_slot[(z, li)] = p
-    return bidx, levels, by_slot
+    levels = sample_levels(pack)[::-1]
+    interior = np.array(sorted(pack.interior), dtype=np.intp)
+    # the nearest level; argmin along the descending levels gives ties to the larger one
+    li = np.abs(pack.boundary_dist[interior, None] - levels[None, :]).argmin(axis=1)
+    z = _base_index(pack)[interior]
+    # a later (higher) id overwrites an earlier one in a shared slot
+    by_slot = dict(zip(zip(z.tolist(), li.tolist()), interior.tolist()))
+    return bidx, levels.tolist(), by_slot
 
 
 def random_uniform_candidates(

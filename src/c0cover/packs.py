@@ -164,6 +164,13 @@ class DiscretePack:
         return self._bdist
 
     @property
+    def nearest_boundary(self) -> np.ndarray:
+        """Read-only vector of the nearest boundary point of every point p,
+        the lowest id on ties; a boundary point is its own nearest point.
+        On the interior this is the first coordinate of the map f."""
+        return self._near
+
+    @property
     def kind(self) -> str | None:
         return self.meta.get("kind")
 
@@ -238,10 +245,16 @@ class CylinderPack(DiscretePack):
 
 
 def _finish_pack(pack: DiscretePack) -> DiscretePack:
-    bidx = sorted(pack.boundary)
-    bdist = pack.dist[:, bidx].min(axis=1)
+    bidx = np.array(sorted(pack.boundary), dtype=np.intp)
+    block = pack.dist[:, bidx]
+    j = block.argmin(axis=1)  # the first minimum: the lowest boundary id
+    bdist = block[np.arange(len(j)), j]
+    near = bidx[j]
     bdist[bidx] = 0.0
+    near[bidx] = bidx
+    near.setflags(write=False)
     object.__setattr__(pack, "_bdist", bdist)
+    object.__setattr__(pack, "_near", near)
     pack.dist.setflags(write=False)
     if isinstance(pack, CylinderPack):
         grid = {(b, l): p for p, (b, l) in enumerate(zip(pack.base_of, pack.level_of))}
@@ -377,6 +390,12 @@ def boundary_distance(pack: DiscretePack, p: int) -> float:
     return float(pack.boundary_dist[p])
 
 
+def sample_levels(pack: DiscretePack) -> np.ndarray:
+    """The attained positive boundary distances, ascending."""
+    bd = pack.boundary_dist
+    return np.unique(bd[bd > 0])
+
+
 # -- scale ladders -------------------------------------------------------------
 
 
@@ -441,7 +460,7 @@ def default_ladder(pack: DiscretePack, top_factor: float = 2.0) -> ScaleLadder:
     sample values.  The ladder is truncated one rung below the sample floor.
     """
     k = pack.k_sup
-    values = np.unique(pack.boundary_dist[pack.boundary_dist > 0])
+    values = sample_levels(pack)
     floor = float(values.min())
     # k / (2n) is below the floor from n = k / (2 floor) + 1 on, and nudges only lower a rung
     n_max = int(k / (2.0 * floor)) + 2
@@ -548,39 +567,33 @@ def _geometric_levels(n_levels: int, ratio: float, top: float = 1.0) -> list[flo
 
 
 def _product_pack(
-    base_coords: np.ndarray,
+    base_coords: np.ndarray | None,
     base_dist: np.ndarray,
     levels: Sequence[float],
     meta: dict,
 ) -> CylinderPack:
-    """Assemble X x levels with the sum metric; boundary is X at level 0."""
+    """Assemble X x levels with the sum metric; boundary is X at level 0.
+
+    Point ``nb * (i + 1) + b`` is base point b at ``levels[i]``, and points
+    0..nb-1 are the boundary.  Coordinates go into meta when the base has them.
+    """
     nb = base_dist.shape[0]
-    base_of = list(range(nb))
-    level_of = [0.0] * nb
-    for lev in levels:
-        base_of.extend(range(nb))
-        level_of.extend([lev] * nb)
-    bo = np.array(base_of)
-    lv = np.array(level_of)
+    bo = np.tile(np.arange(nb), len(levels) + 1)
+    lv = np.repeat(np.array([0.0, *levels], dtype=float), nb)
     dist = base_dist[np.ix_(bo, bo)] + np.abs(lv[:, None] - lv[None, :])
-    boundary = frozenset(range(nb))
-    coords = np.column_stack([base_coords[bo], lv])
-    meta = dict(meta)
-    meta.update(
-        levels=[float(l) for l in levels],
-        coords=coords.tolist(),
-        base_of=[int(b) for b in base_of],
-        level_of=[float(l) for l in level_of],
-    )
+    base_of, level_of = bo.tolist(), lv.tolist()
+    meta = dict(meta, levels=[float(l) for l in levels], base_of=base_of, level_of=level_of)
+    if base_coords is not None:
+        meta["coords"] = np.column_stack([base_coords[bo], lv]).tolist()
     pack = CylinderPack(
         dist=dist,
-        boundary=boundary,
+        boundary=frozenset(range(nb)),
         k_sup=float(max(levels)),
         delta_res=float(min(levels)),
         delta_dense=float(min(levels)),
         meta=meta,
-        base_of=tuple(int(b) for b in base_of),
-        level_of=tuple(float(l) for l in level_of),
+        base_of=tuple(base_of),
+        level_of=tuple(level_of),
     )
     return _finish_pack(pack)
 

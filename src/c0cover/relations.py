@@ -23,7 +23,7 @@ from .errors import (
     NotSymmetric,
     PackMismatch,
 )
-from .packs import DiscretePack, ModulusCurve, ScaleLadder, h_profile
+from .packs import DiscretePack, ModulusCurve, ScaleLadder, h_profile, read_json
 
 DEFAULT_LIMIT_TOL = 0.05  # one knob for every decay-to-resolution surrogate
 
@@ -357,6 +357,11 @@ def relation_to_json(e: Relation) -> str:
 
 
 def relation_from_json(pack: DiscretePack, text: str) -> Relation:
-    import json
-
-    return Relation(pack, (tuple(pq) for pq in json.loads(text)))
+    """Read a JSON list of [p, q] pairs of point ids; BadParams for any other shape."""
+    pairs = read_json(text, "relation file")
+    if not isinstance(pairs, list):
+        raise BadParams("relation file must be a JSON list of pairs")
+    for pq in pairs:
+        if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
+            raise BadParams(f"relation pair {pq!r} is not two integers")
+    return Relation(pack, pairs)

@@ -15,7 +15,6 @@ import numpy as np
 from .canonical import ext
 from .covers import (
     _members_of,
-    delta_of,
     image_family,
     mult_along,
     multiplicity,

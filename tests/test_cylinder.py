@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +8,13 @@ import pytest
 import c0cover as cc
 from c0cover.cylinder import (
     GridCover,
+    choose_slab,
     cylinder_over_boundary,
     fg_displacement,
     fxf_image,
     image_density_gap,
     induced_pack,
+    slab_rescale,
 )
 from c0cover.errors import (
     BadDeltas,
@@ -199,14 +203,18 @@ def test_slab_rescale_errors(cyl_fixture):
         cc.slab_rescale(cyl_fixture, alpha, 0.24, 0.13)  # between adjacent levels
 
 
-def test_choose_slab():
-    # brick-wall cover on a deep single column: members span ~2 levels each
+def brick_cover():
+    """A brick-wall cover on a deep single column: members span ~2 levels each."""
     pack = cc.generate_pack("finite_cylinder", n_base=1, n_levels=8, ratio=0.5)
     radii = (1.5, 0.7, 0.35, 0.17, 0.085, 0.042, 0.021, 0.0105, 0.005)
     ladder = cc.ScaleLadder(radii)
     ladder.validate_for(pack)
     betas = [(frozenset(pack.points),)] * (len(radii) - 2)
-    alpha = cc.build_alpha(pack, ladder, betas)
+    return pack, ladder, cc.build_alpha(pack, ladder, betas)
+
+
+def test_choose_slab():
+    pack, ladder, alpha = brick_cover()
     d1, d2 = cc.cylinder.choose_slab(pack, ladder, alpha, eps=0.5)
     assert 0 < d2 < d1 <= pack.k_sup
     out = cc.slab_rescale(pack, alpha, d1, d2)
@@ -251,3 +259,79 @@ def test_cylinder_over_boundary_structure(line3):
     b_idx = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
     p = cyl.point_at(b_idx[0], 0.5)
     assert cyl.boundary_dist[p] == 0.5
+
+
+# -- outputs pinned on the per-point loops that computed f and the levels before ------------------
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else json.dumps(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, params, sha256",
+    [
+        ("finite_cylinder", dict(n_base=3, n_levels=10), "0301305929946e46309c33fdbd3074cb057f348469731e1d772e9593ce4e7006"),
+        ("interval_cylinder", dict(n_base=33, n_levels=10), "75373b2b822e1ca14361e37b88c1cdaddd23d3e0ffc4b4e071c006972a2031d5"),
+        ("circle_in_disk", dict(n_angles=32, n_levels=10), "24704d2cde01cf7dc1ef7fd6b0f7f8c7cc3ef074035982830900914d35fc8447"),
+    ],
+)
+def test_random_candidates_pinned(kind, params, sha256):
+    pack = cc.generate_pack(kind, **params)
+    covers = cc.random_uniform_candidates(pack, np.random.default_rng(7), 20)
+    assert _sha([sorted(sorted(m) for m in c.members) for c in covers]) == sha256
+
+
+@pytest.mark.parametrize(
+    "kind, params, pairs_sha256, dist_sha256, gap",
+    [
+        (
+            "finite_cylinder",
+            dict(n_base=3, n_levels=12),
+            "c1db2243e162c454a224dfb1f3d89ce134d60fc803228c6dcbcbb243e59d99d5",
+            "91ff8cdf80b099be2429b26b463e8d4d0141c3b090a917ba079307dc39ec27f5",
+            0.0,
+        ),
+        (
+            "countable_example",
+            dict(n_y=6),
+            "9db335a48681c729713ac844bbf76dda9adc4c3a9140c519eaad9df04dfe7085",
+            "57c4cf0e30bfe6289d5648f1a56bbc8b711b15c4b1975b0e1dbc77f389d85392",
+            0.25,
+        ),
+    ],
+)
+def test_fxf_image_pinned(kind, params, pairs_sha256, dist_sha256, gap):
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    e = cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder))
+    cyl, fe = fxf_image(pack, e)
+    assert _sha(sorted(fe.pairs)) == pairs_sha256
+    assert _sha(cyl.dist.tobytes()) == dist_sha256
+    levels = sorted({float(t) for t in pack.boundary_dist if t > 0})
+    assert _sha(cylinder_over_boundary(pack, levels).dist.tobytes()) == dist_sha256
+    assert image_density_gap(pack) == gap
+
+
+def test_image_density_gap_pinned_circle():
+    pack = cc.generate_pack("circle_in_disk", n_angles=32, n_levels=10)
+    assert image_density_gap(pack) == 4.3730281716954246e-14
+
+
+def test_slab_pinned():
+    pack, ladder, alpha = brick_cover()
+    d1, d2 = choose_slab(pack, ladder, alpha, eps=0.5)
+    assert (d1, d2) == (0.35, 0.046875)
+    out = slab_rescale(pack, alpha, d1, d2)
+    den = 2730307274093363
+    assert out.levels == (Fraction(900719925474099, den), Fraction(2026619832316723, den), Fraction(2589569785738035, den))
+    assert sorted(sorted(m) for m in out.members) == [[(0, 0)], [(0, 0), (0, 1)], [(0, 1), (0, 2)], [(0, 2)]]
+
+
+def test_cylinder_over_boundary_is_a_product_pack(finite_pack):
+    # the induced cylinder over an exact cylinder is the generator's pack again
+    cyl = cylinder_over_boundary(finite_pack, finite_pack.levels)
+    for name in ("k_sup", "delta_res", "delta_dense", "base_of", "level_of", "boundary"):
+        assert getattr(cyl, name) == getattr(finite_pack, name)
+    assert cyl.dist.tobytes() == finite_pack.dist.tobytes()
+    assert cyl.meta["source_boundary"] == sorted(finite_pack.boundary)

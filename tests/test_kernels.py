@@ -16,20 +16,31 @@ from hypothesis import strategies as st
 
 import c0cover as cc
 from c0cover import covers
-from c0cover.covers import _members_of, member_depths, member_stats
+from c0cover.covers import _members_of, member_depths, member_stats, star
 from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
+from c0cover.cylinder import (
+    _column_structure,
+    _to_fraction,
+    choose_slab,
+    fxf_image,
+    image_density_gap,
+    slab_rescale,
+)
 from c0cover.errors import (
     AsymmetricDistance,
+    BadDeltas,
     BadLadder,
     BadParams,
+    BoundaryInput,
     DegeneratePack,
     EmptyComplement,
     LadderExhausted,
     NotACover,
+    SlabTooThin,
     TriangleViolation,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
-from c0cover.packs import _check_metric, _finish_pack, _thin_rungs
+from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, sample_levels
 from c0cover.relations import _scale_curve_verdict, controlled_phi
 from c0cover.verify import random_family, random_pack
 
@@ -236,6 +247,121 @@ def oracle_check_metric(dist, tol):
         raise TriangleViolation(i, k, j, worst)
 
 
+def oracle_boundary_dist(pack):
+    bidx = sorted(pack.boundary)
+    bdist = pack.dist[:, bidx].min(axis=1)
+    bdist[bidx] = 0.0
+    return bdist
+
+
+def oracle_f_map(pack, p):
+    bidx = sorted(pack.boundary)
+    d = pack.dist[p, bidx]
+    return bidx[int(np.argmin(d))], float(oracle_boundary_dist(pack)[p])
+
+
+def oracle_sample_levels(pack):
+    return sorted({float(t) for t in pack.boundary_dist if t > 0})
+
+
+def oracle_column_structure(pack):
+    bidx = sorted(pack.boundary)
+    levels = sorted({float(t) for t in pack.boundary_dist if t > 0}, reverse=True)
+    lev_index = {t: i for i, t in enumerate(levels)}
+    by_slot = {}
+    for p in sorted(pack.interior):
+        d = pack.dist[p, bidx]
+        z = int(np.argmin(d))
+        li = lev_index[min(levels, key=lambda t: abs(t - float(pack.boundary_dist[p])))]
+        by_slot[(z, li)] = p
+    return bidx, levels, by_slot
+
+
+def oracle_fxf_pairs(pack, e):
+    interior = sorted(pack.interior)
+    fmap = {p: oracle_f_map(pack, p) for p in interior}
+    levels = sorted({t for _, t in fmap.values()}, reverse=True)
+    cyl = cc.cylinder.cylinder_over_boundary(pack, levels)
+    b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
+    point_of = {p: cyl.point_at(b_index[z], t) for p, (z, t) in fmap.items()}
+    return {(point_of[p], point_of[q]) for p, q in e.pairs if p in point_of and q in point_of}
+
+
+def oracle_image_density_gap(pack):
+    fmap = [oracle_f_map(pack, p) for p in sorted(pack.interior)]
+    cyl = cc.cylinder.cylinder_over_boundary(pack, [t for _, t in fmap])
+    h = cc.h_profile(pack, cc.default_ladder(pack))
+    b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
+    img = np.array(sorted({cyl.point_at(b_index[z], t) for z, t in fmap}))
+    worst = 0.0
+    for slot in cyl.points:
+        t = cyl.level_of[slot]
+        if t == 0.0:
+            continue
+        gap = float(cyl.dist[slot, img].min())
+        bound = 3.0 * h.value_at(t)
+        worst = max(worst, gap / bound if bound > 0 else np.inf)
+    return worst
+
+
+def oracle_top_slice_star(pack, alpha, top):
+    slice_pts = frozenset(p for p in pack.interior if abs(pack.boundary_dist[p] - top) < 1e-12)
+    return star(alpha, slice_pts)
+
+
+def oracle_choose_slab(pack, ladder, alpha, eps):
+    curve = cc.uniformity_verdict(pack, ladder, alpha).curve
+    fine = np.flatnonzero((curve.values < eps) & (curve.ts <= pack.k_sup))
+    if not fine.size:
+        raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
+    d1 = float(curve.ts[fine[0]])
+    levels = oracle_sample_levels(pack)
+    slice_levels = [t for t in levels if t <= d1]
+    if not slice_levels:
+        raise SlabTooThin("no sample level at or below delta1")
+    top = slice_levels[-1]
+    st = oracle_top_slice_star(pack, alpha, top)
+    depth = min((float(pack.boundary_dist[p]) for p in st), default=top)
+    below = [t for t in levels if t < depth]
+    if not below:
+        raise SlabTooThin("the star of the top slice reaches the deepest sample")
+    d2 = (below[-2] + below[-1]) / 2.0 if len(below) >= 2 else below[-1] / 2.0
+    if not d2 < d1:
+        raise BadDeltas(f"degenerate slab [{d2}, {d1}]")
+    return d1, d2
+
+
+def oracle_slab_rescale(pack, alpha, delta1, delta2):
+    if not (0 < delta2 < delta1):
+        raise BadDeltas(f"need 0 < delta2 < delta1, got {delta2}, {delta1}")
+    bd = pack.boundary_dist
+    levels = sorted({float(t) for t in bd if delta2 <= t <= delta1})
+    if not levels:
+        raise SlabTooThin(f"no sample level inside [{delta2}, {delta1}]")
+    if any(bd[p] < delta2 for p in oracle_top_slice_star(pack, alpha, levels[-1])):
+        raise BadDeltas("the star of the top slice escapes below delta2")
+    d1, d2 = _to_fraction(delta1), _to_fraction(delta2)
+    fr_levels = sorted({(d1 - _to_fraction(t)) / (d1 - d2) for t in levels})
+    level_index = {t: i for i, t in enumerate(fr_levels)}
+    bidx = sorted(pack.boundary)
+
+    def to_grid(p):
+        t = float(bd[p])
+        if not (delta2 <= t <= delta1):
+            return None
+        z = bidx[int(np.argmin(pack.dist[p, bidx]))]
+        return bidx.index(z), level_index[(d1 - _to_fraction(t)) / (d1 - d2)]
+
+    members = []
+    for u in alpha.members:
+        m = frozenset(pt for pt in map(to_grid, u) if pt is not None)
+        if m:
+            members.append(m)
+    if not members:
+        raise SlabTooThin("no member survives the slab restriction")
+    return cc.grid_cover(len(bidx), fr_levels, members)
+
+
 def outcome(fn, *args, **kwargs):
     """The value, or the (type, message) of the library error raised."""
     try:
@@ -270,6 +396,17 @@ def packs(draw):
         n = draw(st.integers(3, 12))
         return random_pack(rng, n, draw(st.integers(1, n - 1))), rng
     return generated(draw(st.sampled_from(sorted(GENERATED)))), rng
+
+
+@st.composite
+def tie_packs(draw):
+    """Metrics with every distance in {2, 3, 4}: many ties between boundary
+    points, and many interior points sharing a (base, level) slot."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    upper = np.triu(rng.integers(2, 5, (n, n)).astype(float), 1)
+    boundary = rng.permutation(n)[: draw(st.integers(1, n - 1))].tolist()
+    return cc.validate_pack(n, upper + upper.T, boundary), rng
 
 
 def families(rng, pack, pts=None):
@@ -573,6 +710,71 @@ def test_triangle_violation_below_the_diagonal():
     expected = metric_outcome(oracle_check_metric, dist, 0.1)
     assert expected[0] is TriangleViolation and expected[1][:3] == (2, 1, 0)
     assert metric_outcome(_check_metric, dist, 0.1) == expected
+
+
+# -- the cylinder structure: f, the sample levels, the columns ------------------------------------
+
+
+def assert_f_structure(pack):
+    assert pack.boundary_dist.tobytes() == oracle_boundary_dist(pack).tobytes()
+    for p in pack.points:
+        if p in pack.boundary:
+            assert pack.nearest_boundary[p] == p
+            with pytest.raises(BoundaryInput):
+                cc.f_map(pack, p)
+        else:
+            assert cc.f_map(pack, p) == oracle_f_map(pack, p)
+            assert pack.nearest_boundary[p] == oracle_f_map(pack, p)[0]
+    assert sample_levels(pack).tolist() == oracle_sample_levels(pack)
+    assert _column_structure(pack) == oracle_column_structure(pack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(packs(), tie_packs()))
+def test_f_structure_matches_loops(drawn):
+    pack, rng = drawn
+    assert_f_structure(pack)
+    e = cc.verify.random_relation(rng, pack)
+    assert fxf_image(pack, e)[1].pairs == oracle_fxf_pairs(pack, e)
+    assert outcome(image_density_gap, pack) == outcome(oracle_image_density_gap, pack)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_f_structure_on_default_generators(kind):
+    assert_f_structure(cc.generate_pack(kind))
+
+
+def test_shared_slots_keep_the_highest_id():
+    # points 2 and 3 both sit at distance 1 from the boundary point 0
+    pack = cc.validate_pack(4, [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], [0])
+    assert _column_structure(pack) == oracle_column_structure(pack) == ([0], [1.0], {(0, 0): 3})
+
+
+def local_cover(rng, pack):
+    """Interior singletons plus a few balls reaching about one level from their centres."""
+    interior = sorted(pack.interior)
+    members = [{p} for p in interior]
+    for p in rng.choice(interior, size=int(rng.integers(1, 8))):
+        r = rng.uniform(0.1, 1.0) * pack.boundary_dist[p]
+        members.append({q for q in interior if pack.dist[p, q] <= r})
+    return cc.Cover.make(pack, members, target="interior")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["finite_cylinder", "interval_cylinder", "circle_in_disk", "countable_example"]), st.data())
+def test_slab_matches_loops(kind, data):
+    pack = generated(kind)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    alpha = local_cover(rng, pack)
+    levels = oracle_sample_levels(pack)
+    cuts = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [levels[-1] / 2, 2 * levels[-1]]
+    delta2, delta1 = sorted(data.draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True)))
+    assert outcome(slab_rescale, pack, alpha, delta1, delta2) == outcome(
+        oracle_slab_rescale, pack, alpha, delta1, delta2
+    )
+    ladder = cc.default_ladder(pack)
+    eps = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    assert outcome(choose_slab, pack, ladder, alpha, eps) == outcome(oracle_choose_slab, pack, ladder, alpha, eps)
 
 
 # -- whole reports, pinned on the loop implementation -------------------------------------------

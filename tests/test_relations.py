@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import c0cover as cc
-from c0cover.errors import LambdaNotDecaying, NotCovering, PackMismatch
+from c0cover.errors import BadParams, LambdaNotDecaying, NotCovering, PackMismatch
 from c0cover.relations import relation_from_json, relation_to_json
 
 
@@ -163,3 +163,14 @@ def test_shrink_cover_random_property(rng):
 def test_relation_json_roundtrip(line3):
     e = cc.Relation(line3, [(0, 1), (2, 0)])
     assert relation_from_json(line3, relation_to_json(e)) == e
+
+
+@pytest.mark.parametrize("text", ["not json", "{}", "[[1]]", '[["a", 1]]', "[[0, 1.5]]", "[[0, true]]"])
+def test_relation_file_malformed(line3, text):
+    with pytest.raises(BadParams):
+        relation_from_json(line3, text)
+
+
+def test_relation_file_out_of_range(line3):
+    with pytest.raises(PackMismatch):
+        relation_from_json(line3, "[[0, 3]]")
