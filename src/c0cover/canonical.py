@@ -52,20 +52,22 @@ from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
 def ext(pack: DiscretePack, u: frozenset | set) -> frozenset[int]:
     """v(U) = {p : d(p, U) < d(p, X \\ U)} with d(., empty) = +inf.
 
-    Extends boundary-open sets into the whole pack: v(U) meets X exactly in U,
-    is monotone, and turns finite intersections into intersections.  Points
-    tied between U and its boundary complement belong to no v(U).
+    That is v(U) = {p : T(p) <= U} for T(p) the nearest boundary points of
+    p, read off the pack's nearest-point map and tie pairs.  Extends
+    boundary-open sets into the whole pack: v(U) meets X exactly in U, is
+    monotone, and turns finite intersections into intersections.  A point
+    with nearest boundary points both in U and outside it is in neither v(U)
+    nor v(X \\ U).
     """
     u = frozenset(u)
     if not u <= pack.boundary:
         raise NotBoundarySubset("ext wants a subset of the boundary")
-    if not u:
-        return frozenset()
-    comp = sorted(pack.boundary - u)
-    uidx = sorted(u)
-    du = pack.dist[:, uidx].min(axis=1)
-    dc = pack.dist[:, comp].min(axis=1) if comp else np.full(pack.n_points, np.inf)
-    return frozenset(np.flatnonzero(du < dc).tolist())
+    in_u = np.zeros(pack.n_points, dtype=bool)
+    in_u[np.fromiter(u, dtype=np.intp, count=len(u))] = True
+    inside = in_u[pack.nearest_boundary]
+    p, x = pack.nearest_ties.T
+    inside[p[~in_u[x]]] = False  # a nearest boundary point outside U
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 def ext_family(pack: DiscretePack, family) -> tuple[frozenset, ...]:

@@ -429,7 +429,8 @@ def cover_from_json(pack: DiscretePack, text: str) -> Cover:
     obj = read_json(text, "cover file")
     if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
         raise BadParams("cover file must be an object with a list of members")
-    try:
-        return Cover.make(pack, obj["members"], target=obj.get("target", "interior"))
-    except (TypeError, ValueError):
-        raise BadParams("cover members and a custom target must be lists of point ids") from None
+    members, target = obj["members"], obj.get("target", "interior")
+    id_lists = members if target in ("interior", "boundary") else [*members, target]
+    if not all(isinstance(m, list) and all(type(p) is int for p in m) for m in id_lists):
+        raise BadParams("cover members and a custom target must be lists of integer point ids")
+    return Cover.make(pack, members, target=target)

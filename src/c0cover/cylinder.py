@@ -38,7 +38,7 @@ from .packs import (
     default_ladder,
     h_profile,
     sample_levels,
-    _finish_pack,
+    _derived_pack,
     _product_pack,
 )
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, c0_modulus
@@ -194,20 +194,9 @@ def collar_embedding(host: DiscretePack) -> Embedding:
 def induced_pack(embedding: Embedding) -> DiscretePack:
     """Source points with the host metric pulled back through the embedding."""
     mp = np.array(embedding.mapping)
-    dist = embedding.host.dist[np.ix_(mp, mp)]
     src = embedding.source
-    bidx = sorted(src.boundary)
-    iidx = sorted(src.interior)
-    bdist = dist[np.ix_(iidx, bidx)].min(axis=1)
-    pack = DiscretePack(
-        dist=dist.copy(),
-        boundary=src.boundary,
-        k_sup=float(bdist.max()),
-        delta_res=float(bdist.min()),
-        delta_dense=float(dist[np.ix_(bidx, iidx)].min(axis=1).max()),
-        meta={"kind": "induced", "cylindrical": src.cylindrical},
-    )
-    return _finish_pack(pack)
+    meta = {"kind": "induced", "cylindrical": src.cylindrical}
+    return _derived_pack(DiscretePack, embedding.host.dist[np.ix_(mp, mp)], src.boundary, meta)
 
 
 def pullback_cover(embedding: Embedding, alpha: Cover) -> Cover:

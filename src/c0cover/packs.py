@@ -135,15 +135,14 @@ class DiscretePack:
     Points are the integers 0..n-1.  ``dist`` is the full symmetric distance
     matrix, ``boundary`` the sorted ids of X.  Derived fields: ``k_sup`` is
     the largest boundary distance, ``delta_res`` the smallest positive one
-    (the resolution floor), ``delta_dense`` how far a boundary point can be
-    from the interior sample.
+    (the resolution floor).  One reduction of ``dist`` over the boundary
+    columns gives ``boundary_dist``, ``nearest_boundary`` and ``nearest_ties``.
     """
 
     dist: np.ndarray
     boundary: frozenset[int]
     k_sup: float
     delta_res: float
-    delta_dense: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -160,7 +159,7 @@ class DiscretePack:
 
     @property
     def boundary_dist(self) -> np.ndarray:
-        """Vector of d(p, X) for every point p."""
+        """Read-only vector of d(p, X) for every point p."""
         return self._bdist
 
     @property
@@ -169,6 +168,13 @@ class DiscretePack:
         the lowest id on ties; a boundary point is its own nearest point.
         On the interior this is the first coordinate of the map f."""
         return self._near
+
+    @property
+    def nearest_ties(self) -> np.ndarray:
+        """Read-only (m, 2) array of the pairs (p, x) with x in T(p), the set
+        of nearest boundary points of p, for every p with more than one;
+        sorted by p, then x."""
+        return self._ties
 
     @property
     def kind(self) -> str | None:
@@ -244,22 +250,48 @@ class CylinderPack(DiscretePack):
         return self._grid[(base, level)]
 
 
-def _finish_pack(pack: DiscretePack) -> DiscretePack:
-    bidx = np.array(sorted(pack.boundary), dtype=np.intp)
-    block = pack.dist[:, bidx]
+def _nearest_boundary(dist: np.ndarray, boundary: frozenset[int]) -> tuple[np.ndarray, ...]:
+    """The one reduction over the boundary columns: d(p, X), the lowest
+    nearest boundary id and the tie pairs, as ``DiscretePack`` stores them."""
+    bidx = np.array(sorted(boundary), dtype=np.intp)
+    block = dist[:, bidx]
     j = block.argmin(axis=1)  # the first minimum: the lowest boundary id
     bdist = block[np.arange(len(j)), j]
+    # the minimum is one of the row's entries, so a tie is an exact ==
+    nearest = block == bdist[:, None]
+    tied = np.count_nonzero(nearest, axis=1) > 1
+    tied[bidx] = False  # a boundary point is its own nearest point
+    p, k = np.nonzero(nearest[tied])
+    ties = np.column_stack([np.flatnonzero(tied)[p], bidx[k]])
     near = bidx[j]
     bdist[bidx] = 0.0
     near[bidx] = bidx
-    near.setflags(write=False)
+    return bdist, near, ties
+
+
+def _finish_pack(pack: DiscretePack, reduction=None) -> DiscretePack:
+    """Store the boundary reduction, unless given one already, and freeze the pack's arrays."""
+    bdist, near, ties = reduction or _nearest_boundary(pack.dist, pack.boundary)
+    for a in (bdist, near, ties, pack.dist):
+        a.setflags(write=False)
     object.__setattr__(pack, "_bdist", bdist)
     object.__setattr__(pack, "_near", near)
-    pack.dist.setflags(write=False)
+    object.__setattr__(pack, "_ties", ties)
     if isinstance(pack, CylinderPack):
         grid = {(b, l): p for p, (b, l) in enumerate(zip(pack.base_of, pack.level_of))}
         object.__setattr__(pack, "_grid", grid)
     return pack
+
+
+def _derived_pack(cls: type, dist: np.ndarray, boundary: frozenset[int], meta: dict, **extra) -> DiscretePack:
+    """A finished pack whose ``k_sup`` and ``delta_res`` are read off its boundary reduction."""
+    reduction = _nearest_boundary(dist, boundary)
+    depth = np.delete(reduction[0], sorted(boundary))
+    if depth.min() <= 0:
+        raise DegeneratePack("interior point at distance 0 from the boundary")
+    k_sup, delta_res = float(depth.max()), float(depth.min())
+    pack = cls(dist=dist, boundary=boundary, k_sup=k_sup, delta_res=delta_res, meta=meta, **extra)
+    return _finish_pack(pack, reduction)
 
 
 def _min_plus_defects(dist: np.ndarray, off: np.ndarray, off_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -326,11 +358,13 @@ def validate_pack(
     """Check all pack invariants and return the finished pack.
 
     ``raw_points`` is the point count or a sequence of that many ids;
-    ``boundary_mask`` is either a boolean sequence over the points or an
-    iterable of boundary ids.  Raises on the first violated invariant:
-    BadParams for a distance matrix that is not a square array of finite
-    numbers, a point count that disagrees with it, or boundary ids that are
-    not integers in 0..n-1; EmptySide for an empty boundary or interior;
+    ``boundary_mask`` is either a boolean sequence over the points or a
+    sequence of integer boundary ids.  A ``meta`` holding ``base_of`` and
+    ``level_of`` lists makes the pack a CylinderPack.  Raises on the first
+    violated invariant: BadParams for a distance matrix that is not a square
+    array of finite numbers, a point count that disagrees with it, boundary
+    ids that are not integers in 0..n-1, or non-numeric ``base_of`` or
+    ``level_of``; EmptySide for an empty boundary or interior;
     DegeneratePack for a nonzero self-distance, distinct points at distance
     <= 0 or an interior point at distance 0 from the boundary;
     AsymmetricDistance and TriangleViolation beyond the ``triangle``
@@ -352,12 +386,15 @@ def validate_pack(
         raise BadParams("points and distance matrix disagree in size")
     try:
         mask = list(boundary_mask)
-        if len(mask) == n and all(isinstance(b, (bool, np.bool_)) for b in mask):
-            boundary = frozenset(i for i, b in enumerate(mask) if b)
-        else:
-            boundary = frozenset(int(i) for i in mask)
-    except (TypeError, ValueError):
-        raise BadParams("boundary must be a boolean mask or a list of point ids") from None
+    except TypeError:
+        mask = [None]  # not a sequence: neither form below accepts it
+    flags = [isinstance(b, (bool, np.bool_)) for b in mask]
+    if len(mask) == n and all(flags):
+        boundary = frozenset(np.flatnonzero(mask).tolist())
+    elif not any(flags) and all(isinstance(b, (int, np.integer)) for b in mask):
+        boundary = frozenset(int(i) for i in mask)
+    else:
+        raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points")
     if boundary and not (min(boundary) >= 0 and max(boundary) < n):
         raise BadParams(f"boundary ids must lie in 0..{n - 1}")
     if not boundary:
@@ -365,24 +402,15 @@ def validate_pack(
     if len(boundary) == n:
         raise EmptySide("interior X-hat is empty")
     _check_metric(dist, tol)
-
-    bidx = sorted(boundary)
-    iidx = sorted(set(range(n)) - boundary)
-    bdist_int = dist[np.ix_(iidx, bidx)].min(axis=1)
-    if bdist_int.min() <= 0:
-        raise DegeneratePack("interior point at distance 0 from the boundary")
-    k_sup = float(bdist_int.max())
-    delta_res = float(bdist_int.min())
-    delta_dense = float(dist[np.ix_(bidx, iidx)].min(axis=1).max())
-    pack = DiscretePack(
-        dist=dist,
-        boundary=boundary,
-        k_sup=k_sup,
-        delta_res=delta_res,
-        delta_dense=delta_dense,
-        meta=dict(meta or {}),
-    )
-    return _finish_pack(pack)
+    meta = dict(meta or {})
+    if "base_of" in meta and "level_of" in meta:
+        try:
+            base_of = tuple(int(b) for b in meta["base_of"])
+            level_of = tuple(float(l) for l in meta["level_of"])
+        except (TypeError, ValueError):
+            raise BadParams("pack meta base_of and level_of must be lists of numbers") from None
+        return _derived_pack(CylinderPack, dist, boundary, meta, base_of=base_of, level_of=level_of)
+    return _derived_pack(DiscretePack, dist, boundary, meta)
 
 
 def boundary_distance(pack: DiscretePack, p: int) -> float:
@@ -590,7 +618,6 @@ def _product_pack(
         boundary=frozenset(range(nb)),
         k_sup=float(max(levels)),
         delta_res=float(min(levels)),
-        delta_dense=float(min(levels)),
         meta=meta,
         base_of=tuple(base_of),
         level_of=tuple(level_of),
@@ -638,7 +665,6 @@ def _gen_circle_in_disk(n_angles: int = 48, n_levels: int = 12, ratio: float = 0
         coords.append((1.0 - t) * coords[0])
     pts = np.vstack(coords)
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    n_b = n_angles
     meta = {
         "kind": "circle_in_disk",
         "known_dim": 1,
@@ -647,15 +673,8 @@ def _gen_circle_in_disk(n_angles: int = 48, n_levels: int = 12, ratio: float = 0
         "coords": pts.tolist(),
         "circumference": 2 * np.pi,
     }
-    pack = DiscretePack(
-        dist=dist,
-        boundary=frozenset(range(n_b)),
-        k_sup=float(max(levels)),
-        delta_res=float(min(levels)),
-        delta_dense=float(min(levels)),
-        meta=meta,
-    )
-    return _finish_pack(pack)
+    k_sup, delta_res = float(max(levels)), float(min(levels))
+    return _finish_pack(DiscretePack(dist, frozenset(range(n_angles)), k_sup, delta_res, meta))
 
 
 def _van_der_corput(n: int) -> float:
@@ -700,15 +719,7 @@ def _gen_countable_example(n_y: int = 5):
         "levels": sorted({1.0 / n for n in range(1, n_y + 1)}, reverse=True),
         "coords": coords.tolist(),
     }
-    pack = DiscretePack(
-        dist=dist,
-        boundary=frozenset(range(n_y)),
-        k_sup=1.0,
-        delta_res=1.0 / n_y,
-        delta_dense=float(dist[np.ix_(range(n_y), range(n_y, len(bo)))].min(axis=1).max()),
-        meta=meta,
-    )
-    return _finish_pack(pack)
+    return _finish_pack(DiscretePack(dist, frozenset(range(n_y)), k_sup=1.0, delta_res=1.0 / n_y, meta=meta))
 
 
 _GENERATORS: dict[str, Callable] = {
@@ -754,26 +765,7 @@ def pack_from_json(text: str) -> DiscretePack:
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise BadParams("pack meta must be an object")
-    pack = validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=meta)
-    meta = pack.meta
-    if "base_of" in meta and "level_of" in meta:
-        try:
-            base_of = tuple(int(b) for b in meta["base_of"])
-            level_of = tuple(float(l) for l in meta["level_of"])
-        except (TypeError, ValueError):
-            raise BadParams("pack meta base_of and level_of must be lists of numbers") from None
-        cyl = CylinderPack(
-            dist=pack.dist,
-            boundary=pack.boundary,
-            k_sup=pack.k_sup,
-            delta_res=pack.delta_res,
-            delta_dense=pack.delta_dense,
-            meta=meta,
-            base_of=base_of,
-            level_of=level_of,
-        )
-        return _finish_pack(cyl)
-    return pack
+    return validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=meta)
 
 
 def ladder_to_json(ladder: ScaleLadder) -> str:

@@ -331,7 +331,7 @@ def test_slab_pinned():
 def test_cylinder_over_boundary_is_a_product_pack(finite_pack):
     # the induced cylinder over an exact cylinder is the generator's pack again
     cyl = cylinder_over_boundary(finite_pack, finite_pack.levels)
-    for name in ("k_sup", "delta_res", "delta_dense", "base_of", "level_of", "boundary"):
+    for name in ("k_sup", "delta_res", "base_of", "level_of", "boundary"):
         assert getattr(cyl, name) == getattr(finite_pack, name)
     assert cyl.dist.tobytes() == finite_pack.dist.tobytes()
     assert cyl.meta["source_boundary"] == sorted(finite_pack.boundary)

@@ -213,7 +213,8 @@ def _finite_pack_file(tmp_path):
     "{points: 3",
     "[0, 1]",
     json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
-], ids=["no_dist", "not_json", "not_an_object", "ragged_dist"])
+    json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [-0.5]}),
+], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id"])
 def test_cli_cover_build_malformed_pack_exits_2(tmp_path, text):
     pack_file = tmp_path / "pack.json"
     pack_file.write_text(text)
@@ -236,7 +237,14 @@ def test_cli_cover_build_malformed_ladder_exits_2(tmp_path, text):
     json.dumps({"target": "interior"}),
     json.dumps({"members": 5}),
     json.dumps({"members": [[14, "x"]]}),
-], ids=["not_json", "no_members", "members_not_a_list", "non_numeric_member"])
+    json.dumps({"members": [[14.5]]}),
+    json.dumps({"members": [["14"]]}),
+    json.dumps({"members": [[True]]}),
+    json.dumps({"members": [14]}),
+    json.dumps({"members": [[14]], "target": [14.0]}),
+    json.dumps({"members": [[14]], "target": "everything"}),
+], ids=["not_json", "no_members", "members_not_a_list", "non_numeric_member", "fractional_member",
+        "string_member", "bool_member", "member_not_a_list", "fractional_target", "unknown_target"])
 def test_cli_render_malformed_cover_exits_2(tmp_path, text):
     cover_file = tmp_path / "cover.json"
     cover_file.write_text(text)

@@ -36,11 +36,12 @@ from c0cover.errors import (
     EmptyComplement,
     LadderExhausted,
     NotACover,
+    NotBoundarySubset,
     SlabTooThin,
     TriangleViolation,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
-from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, sample_levels
+from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, pack_from_json, pack_to_json, sample_levels
 from c0cover.relations import _scale_curve_verdict, controlled_phi
 from c0cover.verify import random_family, random_pack
 
@@ -258,6 +259,31 @@ def oracle_f_map(pack, p):
     bidx = sorted(pack.boundary)
     d = pack.dist[p, bidx]
     return bidx[int(np.argmin(d))], float(oracle_boundary_dist(pack)[p])
+
+
+def oracle_ties(pack):
+    """{p: T(p)} for the points p with more than one nearest boundary point."""
+    bidx = sorted(pack.boundary)
+    bdist = oracle_boundary_dist(pack)
+    ties = {}
+    for p in pack.points:
+        t = [x for x in bidx if pack.dist[p, x] == bdist[p]] if p not in pack.boundary else [p]
+        if len(t) > 1:
+            ties[p] = t
+    return ties
+
+
+def oracle_ext(pack, u):
+    """v(U) = {p : d(p, U) < d(p, X \\ U)}, reduced over both sides of the boundary."""
+    u = frozenset(u)
+    if not u <= pack.boundary:
+        raise NotBoundarySubset("ext wants a subset of the boundary")
+    if not u:
+        return frozenset()
+    comp = sorted(pack.boundary - u)
+    du = pack.dist[:, sorted(u)].min(axis=1)
+    dc = pack.dist[:, comp].min(axis=1) if comp else np.full(pack.n_points, np.inf)
+    return frozenset(np.flatnonzero(du < dc).tolist())
 
 
 def oracle_sample_levels(pack):
@@ -725,6 +751,11 @@ def assert_f_structure(pack):
         else:
             assert cc.f_map(pack, p) == oracle_f_map(pack, p)
             assert pack.nearest_boundary[p] == oracle_f_map(pack, p)[0]
+    ties = {}
+    for p, x in pack.nearest_ties.tolist():
+        ties.setdefault(p, []).append(x)
+    assert ties == oracle_ties(pack)
+    assert pack.nearest_ties.tolist() == sorted(pack.nearest_ties.tolist())
     assert sample_levels(pack).tolist() == oracle_sample_levels(pack)
     assert _column_structure(pack) == oracle_column_structure(pack)
 
@@ -742,6 +773,50 @@ def test_f_structure_matches_loops(drawn):
 @pytest.mark.parametrize("kind", sorted(GENERATED))
 def test_f_structure_on_default_generators(kind):
     assert_f_structure(cc.generate_pack(kind))
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_pack_file_round_trip_keeps_the_reduction(kind, monkeypatch):
+    pack = cc.generate_pack(kind)
+    finished = []
+    monkeypatch.setattr(cc.packs, "_finish_pack", lambda *a: finished.append(a) or _finish_pack(*a))
+    back = pack_from_json(pack_to_json(pack))
+    assert len(finished) == 1  # one boundary reduction per loaded pack
+    assert type(back) is type(pack)
+    for name in ("boundary_dist", "nearest_boundary", "nearest_ties"):
+        assert getattr(back, name).tobytes() == getattr(pack, name).tobytes()
+        assert getattr(back, name).shape == getattr(pack, name).shape
+    if isinstance(pack, cc.CylinderPack):
+        for p, (b, t) in enumerate(zip(pack.base_of, pack.level_of)):
+            assert back.point_at(b, t) == pack.point_at(b, t) == p
+    if kind != "circle_in_disk":  # derived from its ring distances, the circle's levels move in the last bits
+        assert (back.k_sup, back.delta_res) == (pack.k_sup, pack.delta_res)
+
+
+def boundary_subsets(data, pack):
+    """Random boundary subsets, always with the empty set and the whole boundary."""
+    bidx = sorted(pack.boundary)
+    drawn = data.draw(st.lists(st.frozensets(st.sampled_from(bidx)), min_size=1, max_size=6))
+    return [frozenset(), frozenset(bidx), *drawn]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(packs(), tie_packs()), st.data())
+def test_ext_matches_reduction(drawn, data):
+    pack, _ = drawn
+    for u in boundary_subsets(data, pack):
+        assert cc.ext(pack, u) == oracle_ext(pack, u)
+    outside = sorted(pack.interior)[:1]
+    assert outcome(cc.ext, pack, outside) == outcome(oracle_ext, pack, outside)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_ext_matches_reduction_on_default_generators(kind, data):
+    pack = cc.generate_pack(kind)
+    for u in boundary_subsets(data, pack):
+        assert cc.ext(pack, u) == oracle_ext(pack, u)
 
 
 def test_shared_slots_keep_the_highest_id():

@@ -23,7 +23,6 @@ def test_validate_line3(line3):
     assert sorted(line3.boundary) == [0, 2]
     assert sorted(line3.interior) == [1]
     assert line3.delta_res == 1.0
-    assert line3.delta_dense == 1.0
 
 
 def test_validate_triangle_violation():
@@ -42,10 +41,21 @@ def test_validate_point_count_must_match_the_matrix():
         cc.validate_pack(3, [[0, 1], [1, 0]], [0])
 
 
-@pytest.mark.parametrize("boundary", [[0, 7], [-1]])
+@pytest.mark.parametrize(
+    "boundary",
+    # ids must be integers: no truncation of fractions, strings or a short bool mask
+    [[0, 7], [-1], [1.5], [-0.5], ["0"], [True], [0, True], [np.float64(1.0)], 5],
+)
 def test_validate_boundary_ids_in_range(boundary):
     with pytest.raises(BadParams, match="boundary ids"):
         cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], boundary)
+
+
+@pytest.mark.parametrize(
+    "boundary", [[0, 2], [np.int64(2), 0], (0, 2), [True, False, True], np.array([True, False, True])]
+)
+def test_validate_boundary_accepts_ids_and_masks(boundary):
+    assert cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], boundary).boundary == {0, 2}
 
 
 @pytest.mark.parametrize(
@@ -100,7 +110,6 @@ def test_h_profile_empty_complement(cyl_fixture):
         boundary=cyl_fixture.boundary,
         k_sup=5.0,
         delta_res=cyl_fixture.delta_res,
-        delta_dense=cyl_fixture.delta_dense,
         meta={},
     )
     _finish_pack(bad)
@@ -178,13 +187,6 @@ def test_cylinder_metric_is_exact_sum():
 def test_boundary_distance_equals_level(interval_pack):
     for p in sorted(interval_pack.interior)[:50]:
         assert interval_pack.boundary_dist[p] == pytest.approx(interval_pack.level_of[p], abs=1e-12)
-
-
-def test_interior_density(finite_pack, interval_pack, circle_pack, countable_pack):
-    for pack in (finite_pack, interval_pack, circle_pack, countable_pack):
-        iidx = sorted(pack.interior)
-        for x in sorted(pack.boundary):
-            assert min(pack.d(x, p) for p in iidx) <= pack.delta_dense + 1e-12
 
 
 def test_ladder_invariants(finite_pack):
