@@ -32,16 +32,19 @@ class Cover:
 
     Members are deduplicated, order preserved.  ``covers_flag`` records
     whether the union equals the target; families that deliberately miss the
-    target are legal (refinement machinery needs them).
+    target are legal (refinement machinery needs them).  A cover is not
+    changed after it is made, so it keeps its uniformity verdicts, one per
+    ladder and tolerance.
     """
 
-    __slots__ = ("pack", "members", "target", "target_tag")
+    __slots__ = ("pack", "members", "target", "target_tag", "_verdicts")
 
     def __init__(self, pack, members, target, target_tag):
         self.pack = pack
         self.members = members
         self.target = target
         self.target_tag = target_tag
+        self._verdicts = {}
 
     @classmethod
     def make(
@@ -354,9 +357,19 @@ def uniformity_verdict(
     Value at scale t is the largest diameter among members meeting B(X, t);
     ACCEPT iff the curve is nondecreasing and decays to unif_tol * k_sup at
     the effective resolution floor (the smallest rung any member reaches).
-    Properness is vacuous on finite packs.
+    Properness is vacuous on finite packs.  A cover over ``pack`` computes
+    each verdict once and keeps it.
     """
-    members = _members_of(alpha)
+    if not isinstance(alpha, Cover) or alpha.pack is not pack:
+        return _uniformity_verdict(pack, ladder, _members_of(alpha), unif_tol)
+    # keyed by the ladder's id: the entry holds the ladder, so the id stays its own
+    key = (id(ladder), unif_tol)
+    if key not in alpha._verdicts:
+        alpha._verdicts[key] = ladder, _uniformity_verdict(pack, ladder, alpha.members, unif_tol)
+    return alpha._verdicts[key][1]
+
+
+def _uniformity_verdict(pack: DiscretePack, ladder: ScaleLadder, members, unif_tol: float) -> CurveVerdict:
     if not members:
         raise NotACover("empty family has no verdict")
     cond, _, size = member_stats(pack, members)

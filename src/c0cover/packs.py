@@ -11,6 +11,7 @@ gauge lambda, displacement moduli) on a ladder.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -144,6 +145,10 @@ class DiscretePack:
     k_sup: float
     delta_res: float
     meta: dict = field(default_factory=dict)
+
+    # the generate_pack call that made the pack, {"kind": ..., "params": {...}};
+    # only generate_pack sets it, and pack_to_json writes a pack carrying it as that call
+    _generator = None
 
     @property
     def n_points(self) -> int:
@@ -283,13 +288,19 @@ def _finish_pack(pack: DiscretePack, reduction=None) -> DiscretePack:
     return pack
 
 
+def _depth_range(bdist: np.ndarray, boundary: frozenset[int]) -> tuple[float, float]:
+    """(k_sup, delta_res): the largest and smallest boundary distance of an
+    interior point, which must be positive."""
+    depth = np.delete(bdist, sorted(boundary))
+    if depth.min() <= 0:
+        raise DegeneratePack("interior point at distance 0 from the boundary")
+    return float(depth.max()), float(depth.min())
+
+
 def _derived_pack(cls: type, dist: np.ndarray, boundary: frozenset[int], meta: dict, **extra) -> DiscretePack:
     """A finished pack whose ``k_sup`` and ``delta_res`` are read off its boundary reduction."""
     reduction = _nearest_boundary(dist, boundary)
-    depth = np.delete(reduction[0], sorted(boundary))
-    if depth.min() <= 0:
-        raise DegeneratePack("interior point at distance 0 from the boundary")
-    k_sup, delta_res = float(depth.max()), float(depth.min())
+    k_sup, delta_res = _depth_range(reduction[0], boundary)
     pack = cls(dist=dist, boundary=boundary, k_sup=k_sup, delta_res=delta_res, meta=meta, **extra)
     return _finish_pack(pack, reduction)
 
@@ -348,6 +359,57 @@ def _check_metric(dist: np.ndarray, tol: float) -> None:
                 raise TriangleViolation(int(i[hit[0]]), k, int(j[hit[0]]), worst)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
+def _is_finite_number(x) -> bool:
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, (bool, np.bool_)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _cylinder_fields(meta: dict, n: int) -> dict:
+    """The CylinderPack fields that ``meta`` names: ``base_of`` and ``level_of``
+    when it holds both, one integer base id and one finite level per point;
+    ``{}`` when it holds neither list, or only one."""
+    if "base_of" not in meta or "level_of" not in meta:
+        return {}
+    base_of, level_of = meta["base_of"], meta["level_of"]
+    if not (isinstance(base_of, _SEQUENCES) and len(base_of) == n and all(map(_is_int, base_of))):
+        raise BadParams(f"pack meta base_of must be a list of {n} integer base ids")
+    if not (isinstance(level_of, _SEQUENCES) and len(level_of) == n and all(map(_is_finite_number, level_of))):
+        raise BadParams(f"pack meta level_of must be a list of {n} finite levels")
+    return {"base_of": tuple(map(int, base_of)), "level_of": tuple(map(float, level_of))}
+
+
+def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict, tol: float) -> dict:
+    """The invariants of a pack's fields, for ``validate_pack`` and for
+    generator-form pack files alike.
+
+    ``dist`` is a 2-D float array and ``boundary`` a set of integers.  Checks
+    the boundary ids and sides, the metric (``_check_metric``, the full
+    triangle check included) and the cylinder lists in ``meta``, and returns
+    the CylinderPack fields those lists name.  With ``_depth_range`` on the
+    boundary reduction this is every check ``validate_pack`` makes.
+    """
+    n = dist.shape[0]
+    if boundary and not (min(boundary) >= 0 and max(boundary) < n):
+        raise BadParams(f"boundary ids must lie in 0..{n - 1}")
+    if not boundary:
+        raise EmptySide("boundary X is empty")
+    if len(boundary) == n:
+        raise EmptySide("interior X-hat is empty")
+    _check_metric(dist, tol)
+    return _cylinder_fields(meta, n)
+
+
 def validate_pack(
     raw_points: Sequence[int] | int,
     raw_dist,
@@ -363,12 +425,12 @@ def validate_pack(
     ``level_of`` lists makes the pack a CylinderPack.  Raises on the first
     violated invariant: BadParams for a distance matrix that is not a square
     array of finite numbers, a point count that disagrees with it, boundary
-    ids that are not integers in 0..n-1, or non-numeric ``base_of`` or
-    ``level_of``; EmptySide for an empty boundary or interior;
-    DegeneratePack for a nonzero self-distance, distinct points at distance
-    <= 0 or an interior point at distance 0 from the boundary;
-    AsymmetricDistance and TriangleViolation beyond the ``triangle``
-    tolerance.
+    ids that are not integers in 0..n-1, or ``base_of`` and ``level_of``
+    that are not one integer base id and one finite level per point;
+    EmptySide for an empty boundary or interior; DegeneratePack for a
+    nonzero self-distance, distinct points at distance <= 0 or an interior
+    point at distance 0 from the boundary; AsymmetricDistance and
+    TriangleViolation beyond the ``triangle`` tolerance.
     """
     tol = (tolerances or {}).get("triangle", DEFAULT_TRIANGLE_TOL)
     try:
@@ -388,29 +450,15 @@ def validate_pack(
         mask = list(boundary_mask)
     except TypeError:
         mask = [None]  # not a sequence: neither form below accepts it
-    flags = [isinstance(b, (bool, np.bool_)) for b in mask]
-    if len(mask) == n and all(flags):
+    if len(mask) == n and all(isinstance(b, (bool, np.bool_)) for b in mask):
         boundary = frozenset(np.flatnonzero(mask).tolist())
-    elif not any(flags) and all(isinstance(b, (int, np.integer)) for b in mask):
+    elif all(map(_is_int, mask)):
         boundary = frozenset(int(i) for i in mask)
     else:
         raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points")
-    if boundary and not (min(boundary) >= 0 and max(boundary) < n):
-        raise BadParams(f"boundary ids must lie in 0..{n - 1}")
-    if not boundary:
-        raise EmptySide("boundary X is empty")
-    if len(boundary) == n:
-        raise EmptySide("interior X-hat is empty")
-    _check_metric(dist, tol)
     meta = dict(meta or {})
-    if "base_of" in meta and "level_of" in meta:
-        try:
-            base_of = tuple(int(b) for b in meta["base_of"])
-            level_of = tuple(float(l) for l in meta["level_of"])
-        except (TypeError, ValueError):
-            raise BadParams("pack meta base_of and level_of must be lists of numbers") from None
-        return _derived_pack(CylinderPack, dist, boundary, meta, base_of=base_of, level_of=level_of)
-    return _derived_pack(DiscretePack, dist, boundary, meta)
+    cylinder = _check_fields(dist, boundary, meta, tol)
+    return _derived_pack(CylinderPack if cylinder else DiscretePack, dist, boundary, meta, **cylinder)
 
 
 def boundary_distance(pack: DiscretePack, p: int) -> float:
@@ -580,7 +628,7 @@ class PackKind:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in KNOWN_DIMS:
+        if not isinstance(self.tag, str) or self.tag not in KNOWN_DIMS:
             raise BadParams(f"unknown pack kind {self.tag!r}")
 
     @property
@@ -731,16 +779,46 @@ _GENERATORS: dict[str, Callable] = {
 }
 
 
+#: parameter name -> int or float, read off each generator's defaults
+_PARAM_TYPES = {
+    tag: {name: type(p.default) for name, p in inspect.signature(gen).parameters.items()}
+    for tag, gen in _GENERATORS.items()
+}
+
+
+def _generator_params(tag: str, params) -> dict:
+    """``params`` checked against the generator's parameters: known names, an
+    integer for an int parameter and a finite number for a float one.
+    Returns them as plain ints and floats."""
+    if not isinstance(params, dict):
+        raise BadParams(f"{tag} parameters must be an object")
+    types = _PARAM_TYPES[tag]
+    out = {}
+    for name, value in params.items():
+        want = types.get(name)
+        if want is None:
+            raise BadParams(f"unknown parameter {name!r} for {tag}; known: {sorted(types)}")
+        if not (_is_int(value) if want is int else _is_finite_number(value)):
+            raise BadParams(f"{tag} parameter {name} must be {'an integer' if want is int else 'a finite number'}")
+        out[name] = want(value)
+    return out
+
+
 def generate_pack(kind: PackKind | str, **params) -> DiscretePack:
-    """Build a pack of the requested family; its known dimension is recorded in meta."""
+    """Build a pack of the requested family; its known dimension is recorded in meta.
+
+    Raises BadParams for an unknown parameter name, a parameter of the wrong
+    type or a value the family rejects.  The pack records the call, so that
+    ``pack_to_json`` can write it as that call.
+    """
     if isinstance(kind, str):
         kind = PackKind(kind, params)
     elif params:
         raise BadParams("pass parameters inside PackKind or as keywords, not both")
-    try:
-        return _GENERATORS[kind.tag](**kind.params)
-    except TypeError as exc:
-        raise BadParams(str(exc)) from None
+    params = _generator_params(kind.tag, kind.params)
+    pack = _GENERATORS[kind.tag](**params)
+    object.__setattr__(pack, "_generator", {"kind": kind.tag, "params": params})
+    return pack
 
 
 # -- file formats ---------------------------------------------------------------
@@ -755,17 +833,43 @@ def read_json(text: str, source: str):
 
 
 def pack_to_json(pack: DiscretePack) -> str:
+    """The generator form ``{"generator": {"kind", "params"}}`` for a pack that
+    ``generate_pack`` made, the dense form ``{points, dist, boundary, meta}``
+    for any other."""
+    if pack._generator is not None:
+        return json.dumps({"generator": pack._generator}, sort_keys=True)
     return json.dumps(pack.to_json_dict(), sort_keys=True)
 
 
 def pack_from_json(text: str) -> DiscretePack:
+    """Load a pack file of either form; each load makes every check of
+    ``validate_pack``, the full triangle check included.
+
+    A generator-form file is rebuilt with ``generate_pack`` and then checked;
+    a dense file goes through ``validate_pack``.
+    """
     obj = read_json(text, "pack file")
+    if isinstance(obj, dict) and "generator" in obj:
+        return _generated_pack(obj)
     if not isinstance(obj, dict) or not {"points", "dist", "boundary"} <= obj.keys():
-        raise BadParams("pack file must be an object with points, dist and boundary")
+        raise BadParams("pack file must be an object with points, dist and boundary, or with a generator")
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise BadParams("pack meta must be an object")
     return validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=meta)
+
+
+def _generated_pack(obj: dict) -> DiscretePack:
+    """The pack a generator-form file names, after ``validate_pack``'s checks."""
+    if obj.keys() != {"generator"}:
+        raise BadParams(f"a generator pack file holds the generator alone, not {sorted(obj)}")
+    spec = obj["generator"]
+    if not isinstance(spec, dict) or spec.keys() != {"kind", "params"}:
+        raise BadParams("the generator must be an object with a kind and params")
+    pack = generate_pack(PackKind(spec["kind"], spec["params"]))
+    _check_fields(pack.dist, pack.boundary, pack.meta, DEFAULT_TRIANGLE_TOL)
+    _depth_range(pack.boundary_dist, pack.boundary)
+    return pack
 
 
 def ladder_to_json(ladder: ScaleLadder) -> str:

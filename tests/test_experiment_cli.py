@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import c0cover as cc
+from c0cover import covers, experiment
 from c0cover.cli import main
+from c0cover.covers import cover_from_json
 from c0cover.errors import NoCoordinates
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
+from c0cover.packs import pack_from_json
 from c0cover.svg import emit_svg
 
 
@@ -32,6 +35,18 @@ def test_experiment_finite_passes():
     ]
     assert rep["schema_version"] == 1
     assert rep["summary"]["tolerances"] == {"c0_tol": 0.05, "unif_tol": 0.05}
+
+
+def test_experiment_computes_the_ball_cover_verdict_once(monkeypatch):
+    gammas, measured = [], []
+    monkeypatch.setattr(experiment, "ball_cover", lambda e: gammas.append(cc.ball_cover(e)) or gammas[-1])
+    member_stats = covers.member_stats
+    monkeypatch.setattr(covers, "member_stats", lambda pack, ms: measured.append(ms) or member_stats(pack, ms))
+    rep = run_experiment(ExperimentConfig(**SMALL_FINITE))
+    assert rep["summary"]["all_pass"]
+    [gamma] = gammas
+    # the ball_cover stage, refine_subsequence and the lower-bound sweep all read gamma's verdict
+    assert sum(ms is gamma.members for ms in measured) == 1
 
 
 def test_experiment_deterministic():
@@ -71,8 +86,7 @@ def test_cli_pack_gen_and_render(tmp_path):
         "--out", str(pack_file),
     ])
     assert rc == 0
-    obj = json.loads(pack_file.read_text())
-    assert len(obj["points"]) == 14
+    assert pack_from_json(pack_file.read_text()).n_points == 14
 
     svg_file = tmp_path / "pack.svg"
     assert main(["render", "--pack", str(pack_file), "--out", str(svg_file)]) == 0
@@ -208,19 +222,65 @@ def _finite_pack_file(tmp_path):
     return pack_file
 
 
+def _short_base_of_file():
+    obj = cc.generate_pack("finite_cylinder", n_base=2, n_levels=3).to_json_dict()
+    obj["meta"]["base_of"] = obj["meta"]["base_of"][:3]
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"points": 3, "boundary": [0]}),
     "{points: 3",
     "[0, 1]",
     json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
     json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [-0.5]}),
-], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id"])
+    _short_base_of_file(),
+], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id", "short_base_of"])
 def test_cli_cover_build_malformed_pack_exits_2(tmp_path, text):
     pack_file = tmp_path / "pack.json"
     pack_file.write_text(text)
     rc = main(["cover", "build", "--pack", str(pack_file), "--out", str(tmp_path / "c.json")])
     assert rc == 2
     assert not (tmp_path / "c.json").exists()
+
+
+GENERATOR_FILE_ERRORS = {
+    "unknown_kind": {"generator": {"kind": "moebius_band", "params": {}}},
+    "params_not_an_object": {"generator": {"kind": "finite_cylinder", "params": [2, 12]}},
+    "unknown_parameter": {"generator": {"kind": "finite_cylinder", "params": {"n_bases": 2}}},
+    "wrongly_typed_parameter": {"generator": {"kind": "finite_cylinder", "params": {"n_base": "2"}}},
+    "extra_keys": {"generator": {"kind": "finite_cylinder", "params": {}}, "dist": [[0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["cover", "render"])
+@pytest.mark.parametrize("obj", list(GENERATOR_FILE_ERRORS.values()), ids=list(GENERATOR_FILE_ERRORS))
+def test_cli_malformed_generator_file_exits_2(tmp_path, command, obj):
+    pack_file = tmp_path / "pack.json"
+    pack_file.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    argv = ["cover", "build"] if command == "cover" else ["render"]
+    assert main([*argv, "--pack", str(pack_file), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("interval_cylinder", {"n_base": 33, "n_levels": 10}),
+    ("circle_in_disk", {"n_angles": 32, "n_levels": 10}),
+])
+def test_cli_cover_build_from_file_matches_in_process(tmp_path, kind, params):
+    pack_file, cover_file, report_file = (tmp_path / f"{name}.json" for name in ("pack", "cover", "report"))
+    assert main(["pack", "gen", "--kind", kind, "--params", json.dumps(params), "--out", str(pack_file)]) == 0
+    assert main(["cover", "build", "--pack", str(pack_file), "--out", str(cover_file),
+                 "--report", str(report_file)]) == 0
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    alpha, report = cc.minimal_canonical(pack, gamma, cc.provider_for(pack), ladder)
+    assert cover_from_json(pack, cover_file.read_text()) == alpha
+    from_file = json.loads(report_file.read_text())
+    for key in ("multiplicity", "subsequence", "orphans_completed"):
+        assert from_file[key] == report.to_dict()[key]
 
 
 @pytest.mark.parametrize("text", ['["a"]', "[2.0, 1.0"], ids=["non_numeric", "not_json"])

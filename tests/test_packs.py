@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import c0cover as cc
+from c0cover.cylinder import induced_pack
 from c0cover.errors import (
     BadLadder,
     BadParams,
+    C0CoverError,
     EmptyComplement,
     EmptySide,
     IndexOutOfLadder,
     ProviderMismatch,
     TriangleViolation,
 )
-from c0cover.packs import boundary_line, pack_from_json, pack_to_json, w_set
+from c0cover.packs import _check_metric, boundary_line, pack_from_json, pack_to_json, w_set
 
 
 def test_validate_line3(line3):
@@ -236,11 +240,11 @@ def test_pack_json_roundtrip(finite_pack):
     assert isinstance(back, cc.CylinderPack)
     assert back.n_points == finite_pack.n_points
     assert back.boundary == finite_pack.boundary
-    assert np.allclose(back.dist, finite_pack.dist)
+    assert np.array_equal(back.dist, finite_pack.dist)
     assert back.known_dim == finite_pack.known_dim
     obj = json.loads(text)
-    assert set(obj) == {"points", "dist", "boundary", "meta"}
-    assert obj["meta"]["kind"] == "finite_cylinder"
+    assert set(obj) == {"generator"}
+    assert obj["generator"]["kind"] == "finite_cylinder"
 
 
 def test_ladder_json_roundtrip(finite_pack):
@@ -249,8 +253,8 @@ def test_ladder_json_roundtrip(finite_pack):
     assert back.radii == lad.radii
 
 
-# sha256 of pack_to_json for the two pack files the cli-files benchmark writes:
-# the file format is fixed, so a faster writer must produce the same bytes
+# sha256 of the dense form of the two packs the cli-files benchmark writes:
+# the dense format is fixed, so a faster writer must produce the same bytes
 PINNED_PACK_JSON = [
     ("interval_cylinder", {"n_base": 33, "n_levels": 10}, "cfc66f08666f40645c4e5da5b3d9ec49c8d588d0c7e605708903901f5f53dae1"),
     ("circle_in_disk", {"n_angles": 32, "n_levels": 10}, "db6b0f6dab0ffb86fcbad31a90cdc040abd261809ad2d3d795f47e4aaf8feb3c"),
@@ -259,8 +263,76 @@ PINNED_PACK_JSON = [
 
 @pytest.mark.parametrize("kind, params, sha256", PINNED_PACK_JSON, ids=[k for k, _, _ in PINNED_PACK_JSON])
 def test_pack_json_bytes_pinned(kind, params, sha256):
-    text = pack_to_json(cc.generate_pack(kind, **params))
+    text = json.dumps(cc.generate_pack(kind, **params).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+# the files pack_to_json writes for the same two packs: the generator form
+PINNED_GENERATOR_JSON = [
+    ("interval_cylinder", {"n_base": 33, "n_levels": 10},
+     '{"generator": {"kind": "interval_cylinder", "params": {"n_base": 33, "n_levels": 10}}}'),
+    ("circle_in_disk", {"n_angles": 32, "n_levels": 10},
+     '{"generator": {"kind": "circle_in_disk", "params": {"n_angles": 32, "n_levels": 10}}}'),
+]
+
+
+@pytest.mark.parametrize("kind, params, text", PINNED_GENERATOR_JSON, ids=[k for k, _, _ in PINNED_GENERATOR_JSON])
+def test_pack_generator_json_bytes_pinned(kind, params, text):
+    pack = cc.generate_pack(kind, **params)
+    assert pack_to_json(pack) == text
+    # loading the file gives exactly the generated pack, delta_res included
+    back = pack_from_json(text)
+    assert type(back) is type(pack) and np.array_equal(back.dist, pack.dist)
+    assert (back.k_sup, back.delta_res) == (pack.k_sup, pack.delta_res)
+    assert back.to_json_dict() == pack.to_json_dict()
+
+
+def _small_cylinder():
+    return cc.generate_pack("finite_cylinder", n_base=2, n_levels=3)
+
+
+def _rebuilt_cylinder():
+    """The small cylinder rebuilt from its matrix: the same pack, but not made by generate_pack."""
+    pack = _small_cylinder()
+    return cc.validate_pack(pack.n_points, pack.dist, sorted(pack.boundary), meta=pack.meta)
+
+
+DENSE_PACKS = {
+    "validate_pack": lambda: cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2], meta={"coords": [[0], [1], [2]]}),
+    "induced_pack": lambda: induced_pack(cc.identity_embedding(_small_cylinder())),
+    "rebuilt_from_matrix": _rebuilt_cylinder,
+}
+
+
+@pytest.mark.parametrize("make", list(DENSE_PACKS.values()), ids=list(DENSE_PACKS))
+def test_dense_form_round_trips_exactly(make):
+    pack = make()
+    text = pack_to_json(pack)
+    assert text == json.dumps(pack.to_json_dict(), sort_keys=True)
+    assert set(json.loads(text)) == {"points", "dist", "boundary", "meta"}
+    back = pack_from_json(text)
+    assert type(back) is type(pack)
+    assert np.array_equal(back.dist, pack.dist) and back.boundary == pack.boundary
+    assert pack_to_json(back) == text
+
+
+@pytest.mark.parametrize("make", [_small_cylinder, _rebuilt_cylinder], ids=["generator", "dense"])
+def test_every_load_runs_the_triangle_check(make, monkeypatch):
+    text = pack_to_json(make())
+    checked = []
+    monkeypatch.setattr(cc.packs, "_check_metric", lambda *a: checked.append(a) or _check_metric(*a))
+    pack_from_json(text)
+    assert len(checked) == 1
+
+
+def _cylinder_file(**meta):
+    obj = _small_cylinder().to_json_dict()
+    obj["meta"] |= meta
+    return json.dumps(obj)
+
+
+def _generator_file(**fields):
+    return json.dumps({"generator": {"kind": "finite_cylinder", "params": {"n_base": 2}} | fields})
 
 
 MALFORMED_PACKS = {
@@ -273,6 +345,23 @@ MALFORMED_PACKS = {
     "meta_base_of_non_numeric": json.dumps(
         {"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [0], "meta": {"base_of": ["x", 0], "level_of": [0, 1]}}
     ),
+    "meta_base_of_short": _cylinder_file(base_of=[0, 1, 0]),
+    "meta_base_of_fractional": _cylinder_file(base_of=[0, 1, 0, 1.5, 0, 1, 0, 1]),
+    "meta_level_of_string": _cylinder_file(level_of=["0"] * 8),
+    "meta_level_of_infinite": _cylinder_file(level_of=[0.0] * 7 + [math.inf]),
+    "generator_unknown_kind": _generator_file(kind="moebius_band"),
+    "generator_kind_not_a_string": _generator_file(kind=["finite_cylinder"]),
+    "generator_params_not_an_object": _generator_file(params=[2, 3]),
+    "generator_unknown_parameter": _generator_file(params={"n_bases": 2}),
+    "generator_parameter_float_for_int": _generator_file(params={"n_base": 2.0}),
+    "generator_parameter_bool": _generator_file(params={"n_levels": True}),
+    "generator_parameter_string": _generator_file(params={"ratio": "0.4"}),
+    "generator_parameter_nan": _generator_file(params={"ratio": math.nan}),
+    "generator_rejected_value": _generator_file(params={"n_base": 0}),
+    "generator_no_params": json.dumps({"generator": {"kind": "finite_cylinder"}}),
+    "generator_extra_field": _generator_file(levels=[1.0]),
+    "generator_not_an_object": json.dumps({"generator": "finite_cylinder"}),
+    "generator_extra_keys": json.dumps({"generator": {"kind": "finite_cylinder", "params": {}}, "meta": {}}),
 }
 
 
@@ -280,6 +369,42 @@ MALFORMED_PACKS = {
 def test_pack_from_json_malformed_is_typed(text):
     with pytest.raises(BadParams):
         pack_from_json(text)
+
+
+# every generator with its size parameters drawn small (the defaults reach 845
+# points), then any parameters at all laid over them, so most draws are malformed
+_SIZES = {"n_base", "n_levels", "n_angles", "n_side", "n_y"}
+_PARAM_NAMES = sorted({name for types in cc.packs._PARAM_TYPES.values() for name in types})
+_PARAM_VALUES = st.one_of(
+    st.integers(-1, 5),
+    st.floats(-0.5, 2.5),
+    st.sampled_from([math.nan, math.inf, True, None, "2", [2]]),
+)
+
+
+@st.composite
+def generator_files(draw):
+    kind = draw(st.sampled_from(sorted(cc.packs.KNOWN_DIMS) + ["moebius_band", 3, None]))
+    known = cc.packs._PARAM_TYPES.get(kind, {}) if isinstance(kind, str) else {}
+    params = {name: draw(st.integers(1, 5)) for name in sorted(_SIZES & known.keys())}
+    params |= draw(st.dictionaries(st.sampled_from(_PARAM_NAMES + ["bogus"]), _PARAM_VALUES, max_size=3))
+    spec = {"kind": kind, "params": draw(st.sampled_from([params] * 8 + [[params], None]))}
+    obj = {"generator": spec}
+    if draw(st.integers(0, 9)) == 0:
+        obj["meta"] = {}
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_files())
+def test_generator_form_loads_checked_or_fails_typed(text):
+    try:
+        pack = pack_from_json(text)
+    except C0CoverError:
+        return
+    again = cc.validate_pack(pack.n_points, pack.dist, sorted(pack.boundary), meta=pack.meta)
+    assert type(again) is type(pack) and again.boundary == pack.boundary
+    assert pack_to_json(pack_from_json(pack_to_json(pack))) == pack_to_json(pack)
 
 
 @pytest.mark.parametrize("text", ["[2.0, 1.0", '["a"]', '{"radii": [2, 1, 0.5]}', "[[2], [1], [0.5]]"])
