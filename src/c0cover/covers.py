@@ -252,13 +252,16 @@ def star(alpha, s: Iterable[int]) -> frozenset[int]:
 
 
 def delta_of(alpha: Cover) -> Relation:
-    """Delta(alpha) = union of U x U over members."""
-    pairs = set()
-    for m in alpha.members:
-        for p in m:
-            for q in m:
-                pairs.add((p, q))
-    return Relation(alpha.pack, pairs)
+    """Delta(alpha) = union of U x U over members.
+
+    The member-incidence product: a float sum of 0/1 terms is positive
+    exactly when some member holds both points.
+    """
+    incidence = np.zeros((len(alpha.members), alpha.pack.n_points), dtype=np.float32)
+    if alpha.members:
+        flat, sizes, _ = _flatten(alpha.members)
+        incidence[np.repeat(np.arange(len(sizes)), sizes), flat] = 1.0
+    return Relation.from_mask(alpha.pack, incidence.T @ incidence > 0)
 
 
 def image_family(e: Relation, alpha) -> tuple[frozenset, ...]:

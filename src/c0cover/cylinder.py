@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,8 +112,11 @@ def fxf_image(pack: DiscretePack, e: Relation) -> tuple[CylinderPack, Relation]:
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
     cyl, point_of = _f_image(pack)
-    pairs = point_of[np.array(list(e.pairs), dtype=np.intp).reshape(-1, 2)]
-    return cyl, Relation(cyl, pairs[(pairs >= 0).all(axis=1)].tolist())
+    fp, fq = (point_of[i] for i in np.nonzero(e.mask))
+    keep = (fp >= 0) & (fq >= 0)
+    mask = np.zeros((cyl.n_points, cyl.n_points), dtype=bool)
+    mask[fp[keep], fq[keep]] = True
+    return cyl, Relation.from_mask(cyl, mask)
 
 
 def fxf_modulus(
@@ -457,17 +461,25 @@ def lower_bound_check(
 # -- randomized uniform candidates -------------------------------------------------------
 
 
+_EMPTY_SLOT = frozenset([-1])
+
+
 def _column_structure(pack: DiscretePack):
-    """Assign every interior point a (base position index, level index)."""
+    """Assign every interior point a (base position index, level index).
+
+    Returns the sorted boundary ids, the sample levels (descending) and the
+    (n_base x n_levels) slot array: the point in each slot, or -1 for an
+    empty slot.  Of the points sharing a slot, the highest id wins.
+    """
     bidx = sorted(pack.boundary)
     levels = sample_levels(pack)[::-1]
     interior = np.array(sorted(pack.interior), dtype=np.intp)
     # the nearest level; argmin along the descending levels gives ties to the larger one
     li = np.abs(pack.boundary_dist[interior, None] - levels[None, :]).argmin(axis=1)
     z = _base_index(pack)[interior]
-    # a later (higher) id overwrites an earlier one in a shared slot
-    by_slot = dict(zip(zip(z.tolist(), li.tolist()), interior.tolist()))
-    return bidx, levels.tolist(), by_slot
+    slots = np.full((len(bidx), len(levels)), -1, dtype=np.intp)
+    np.maximum.at(slots, (z, li), interior)
+    return bidx, levels.tolist(), slots
 
 
 def random_uniform_candidates(
@@ -489,7 +501,7 @@ def random_uniform_candidates(
     """
     if not pack.cylindrical or pack.known_dim not in (0, 1):
         raise NonCylindricalPack("candidate generator needs a cylindrical pack of dim 0 or 1")
-    bidx, levels, by_slot = _column_structure(pack)
+    bidx, levels, slots = _column_structure(pack)
     nb = len(bidx)
     nl = len(levels)
     circular = pack.kind == "circle_in_disk"
@@ -511,31 +523,15 @@ def random_uniform_candidates(
             overlap = int(rng.integers(1, min(3, b - a + 1) + 1))
             a = max(b - overlap + 1, a + 1)  # shares >= 1 level with the previous slab
         members = []
-        for (a, b) in slabs:
-            slab_levels = list(range(a, b + 1))
-            if pack.known_dim == 0:
-                for z in range(nb):
-                    m = frozenset(
-                        by_slot[(z, li)] for li in slab_levels if (z, li) in by_slot
-                    )
-                    if m:
-                        members.append(m)
+        for a, b in slabs:
+            width = 1 if pack.known_dim == 0 else max(1, round(2 * levels[a] / gap))
+            if width == 1:  # dimension 0, or too deep for overlapping runs: single columns
+                runs = [[z] for z in range(nb)]
             else:
-                top = levels[a]
-                width = max(1, round(2 * top / gap))
-                if width == 1:  # too deep for overlapping runs: single columns
-                    runs = [[z] for z in range(nb)]
-                else:
-                    runs = _base_runs(nb, circular, width, rng)
-                for run in runs:
-                    m = frozenset(
-                        by_slot[(z, li)]
-                        for z in run
-                        for li in slab_levels
-                        if (z, li) in by_slot
-                    )
-                    if m:
-                        members.append(m)
+                runs = _base_runs(nb, circular, width, rng)
+            columns = slots[:, a : b + 1].tolist()  # the slab's block, one row per base index
+            for run in runs:
+                members.append(frozenset(chain.from_iterable(map(columns.__getitem__, run))) - _EMPTY_SLOT)
         cov = Cover.make(pack, members, target="interior", drop_empty=True).require_cover()
         covers.append(cov)
     return covers

@@ -249,7 +249,8 @@ class CylinderPack(DiscretePack):
 
     @property
     def levels(self) -> tuple[float, ...]:
-        return tuple(self.meta["levels"])
+        """The positive levels, descending."""
+        return tuple(sorted({t for t in self.level_of if t > 0}, reverse=True))
 
     def point_at(self, base: int, level: float) -> int:
         return self._grid[(base, level)]
@@ -779,11 +780,35 @@ _GENERATORS: dict[str, Callable] = {
 }
 
 
-#: parameter name -> int or float, read off each generator's defaults
-_PARAM_TYPES = {
-    tag: {name: type(p.default) for name, p in inspect.signature(gen).parameters.items()}
+#: parameter name -> default, read off each generator's signature
+_PARAM_DEFAULTS = {
+    tag: {name: p.default for name, p in inspect.signature(gen).parameters.items()}
     for tag, gen in _GENERATORS.items()
 }
+#: parameter name -> int or float
+_PARAM_TYPES = {tag: {name: type(d) for name, d in ds.items()} for tag, ds in _PARAM_DEFAULTS.items()}
+
+#: the most points ``generate_pack`` builds: the float64 distance matrix alone
+#: takes n^2 * 8 bytes, 2 GiB at this size
+MAX_GENERATED_POINTS = 16_384
+
+
+def _generated_points(tag: str, params: dict) -> int:
+    """The point count of a generator call, in closed form, before anything is built.
+
+    Negative counts read as 0, so no sign cancels a large factor; the
+    generator rejects them itself.
+    """
+    p = {name: max(params.get(name, d), 0) for name, d in _PARAM_DEFAULTS[tag].items()}
+    if tag == "countable_example":
+        return p["n_y"] + p["n_y"] * (p["n_y"] + 1) // 2
+    if tag == "cube_face":
+        base = p["n_side"] ** 2
+    elif tag == "circle_in_disk":
+        base = p["n_angles"]
+    else:
+        base = p["n_base"]
+    return base * (p["n_levels"] + 1)
 
 
 def _generator_params(tag: str, params) -> dict:
@@ -808,7 +833,8 @@ def generate_pack(kind: PackKind | str, **params) -> DiscretePack:
     """Build a pack of the requested family; its known dimension is recorded in meta.
 
     Raises BadParams for an unknown parameter name, a parameter of the wrong
-    type or a value the family rejects.  The pack records the call, so that
+    type, a value the family rejects or a pack of more than
+    ``MAX_GENERATED_POINTS`` points.  The pack records the call, so that
     ``pack_to_json`` can write it as that call.
     """
     if isinstance(kind, str):
@@ -816,6 +842,9 @@ def generate_pack(kind: PackKind | str, **params) -> DiscretePack:
     elif params:
         raise BadParams("pass parameters inside PackKind or as keywords, not both")
     params = _generator_params(kind.tag, kind.params)
+    points = _generated_points(kind.tag, params)
+    if points > MAX_GENERATED_POINTS:
+        raise BadParams(f"{kind.tag} would have {points} points, over the limit {MAX_GENERATED_POINTS}")
     pack = _GENERATORS[kind.tag](**params)
     object.__setattr__(pack, "_generator", {"kind": kind.tag, "params": params})
     return pack

@@ -4,12 +4,15 @@ Conventions: the ball of x is E_x = {y : (y, x) in E}, the image of a set K
 is E(K) = {y : exists x in K with (y, x) in E}, and E o F pairs (x, z) when
 some y gives (x, y) in E and (y, z) in F.  With these the usual identities
 hold on the nose, e.g. (E o F)_x = E(F_x).
+
+A relation is one read-only n x n bool mask over its pack, ``mask[p, q]``
+iff (p, q) is in E, so the ball E_x is column x.  Sets of pairs appear only
+at the edges: the pair constructor, the JSON files and the ``pairs`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -28,45 +31,89 @@ from .packs import DiscretePack, ModulusCurve, ScaleLadder, h_profile, read_json
 DEFAULT_LIMIT_TOL = 0.05  # one knob for every decay-to-resolution surrogate
 
 
-class Relation:
-    """Set of ordered point pairs over one pack."""
+def _columns(mask: np.ndarray) -> list[frozenset[int]]:
+    """The rows set in each column of a bool matrix, column by column."""
+    cols, rows = np.nonzero(mask.T)  # grouped by column, rows ascending within each
+    rows = rows.tolist()
+    bounds = cols.searchsorted(range(mask.shape[1] + 1)).tolist()
+    return [frozenset(rows[s:e]) for s, e in zip(bounds, bounds[1:])]
 
-    __slots__ = ("pack", "pairs", "_balls")
+
+class Relation:
+    """Set of ordered point pairs over one pack, held as its n x n bool mask."""
+
+    __slots__ = ("pack", "mask", "_pairs", "_balls")
 
     def __init__(self, pack: DiscretePack, pairs: Iterable[tuple[int, int]]):
-        self.pack = pack
-        self.pairs = frozenset((int(p), int(q)) for p, q in pairs)
+        pairs = frozenset((int(p), int(q)) for p, q in pairs)
         n = pack.n_points
-        for p, q in self.pairs:
+        flat = []
+        for p, q in pairs:
             if not (0 <= p < n and 0 <= q < n):
                 raise PackMismatch(f"pair ({p},{q}) outside the pack")
+            flat.append(p * n + q)
+        mask = np.zeros(n * n, dtype=bool)
+        mask[flat] = True
+        self._set(pack, mask.reshape(n, n), pairs)
+
+    def _set(self, pack: DiscretePack, mask: np.ndarray, pairs: frozenset | None) -> None:
+        mask.setflags(write=False)
+        self.pack = pack
+        self.mask = mask
+        self._pairs = pairs
         self._balls = None
 
+    @classmethod
+    def _of(cls, pack: DiscretePack, mask: np.ndarray) -> "Relation":
+        """Wrap a fresh n x n bool mask that nothing else writes to."""
+        e = cls.__new__(cls)
+        e._set(pack, mask, None)
+        return e
+
+    @classmethod
+    def from_mask(cls, pack: DiscretePack, mask) -> "Relation":
+        """The relation {(p, q) : mask[p, q]} for an n x n bool array (copied).
+
+        BadParams for an array that is not bool, PackMismatch for one whose
+        shape is not (n, n) for the pack's n points.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise BadParams(f"relation mask must be bool, not {mask.dtype}")
+        n = pack.n_points
+        if mask.shape != (n, n):
+            raise PackMismatch(f"relation mask of shape {mask.shape} over a pack of {n} points")
+        return cls._of(pack, mask.copy())
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        if self._pairs is None:
+            ps, qs = np.nonzero(self.mask)
+            self._pairs = frozenset(zip(ps.tolist(), qs.tolist()))
+        return self._pairs
+
     def __repr__(self):
-        return f"Relation(<{len(self.pairs)} pairs>)"
+        return f"Relation(<{len(self)} pairs>)"
 
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
             and other.pack is self.pack
-            and other.pairs == self.pairs
+            and np.array_equal(other.mask, self.mask)
         )
 
     def __hash__(self):
-        return hash((id(self.pack), self.pairs))
+        return hash((id(self.pack), np.packbits(self.mask).tobytes()))
 
     def __len__(self):
-        return len(self.pairs)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, pair):
         return pair in self.pairs
 
     def _ball_index(self) -> dict[int, frozenset[int]]:
         if self._balls is None:
-            balls: dict[int, set[int]] = {}
-            for y, x in self.pairs:
-                balls.setdefault(x, set()).add(y)
-            self._balls = {x: frozenset(s) for x, s in balls.items()}
+            self._balls = dict(enumerate(_columns(self.mask)))
         return self._balls
 
     def ball(self, x: int) -> frozenset[int]:
@@ -80,21 +127,23 @@ class Relation:
         return frozenset(out)
 
     def inverse(self) -> "Relation":
-        return Relation(self.pack, ((q, p) for p, q in self.pairs))
+        return Relation._of(self.pack, self.mask.T)
 
     def is_symmetric(self) -> bool:
-        return all((q, p) in self.pairs for p, q in self.pairs)
+        return bool(np.array_equal(self.mask, self.mask.T))
 
     def contains_diagonal(self, points: Iterable[int] | None = None) -> bool:
-        pts = self.pack.interior if points is None else points
-        return all((p, p) in self.pairs for p in pts)
+        pts = np.fromiter(self.pack.interior if points is None else points, dtype=np.intp)
+        inside = ((pts >= 0) & (pts < len(self.mask))).all()
+        return bool(inside and self.mask[pts, pts].all())
 
     def union(self, other: "Relation") -> "Relation":
         _same_pack(self, other)
-        return Relation(self.pack, self.pairs | other.pairs)
+        return Relation._of(self.pack, self.mask | other.mask)
 
     def to_json_list(self) -> list[list[int]]:
-        return [[p, q] for p, q in sorted(self.pairs)]
+        # argwhere walks the mask in row-major order: the pairs come sorted
+        return np.argwhere(self.mask).tolist()
 
 
 def _same_pack(e: Relation, f: Relation) -> None:
@@ -103,31 +152,41 @@ def _same_pack(e: Relation, f: Relation) -> None:
 
 
 def compose(e: Relation, f: Relation) -> Relation:
-    """E o F = {(x, z) : exists y with (x, y) in E and (y, z) in F}."""
+    """E o F = {(x, z) : exists y with (x, y) in E and (y, z) in F}.
+
+    A 0/1 matrix product tested > 0: a float sum of 0/1 terms is positive
+    exactly when one term is 1, so the float32 product is exact.
+    """
     _same_pack(e, f)
-    by_first: dict[int, list[int]] = {}
-    for y, z in f.pairs:
-        by_first.setdefault(y, []).append(z)
-    out = set()
-    for x, y in e.pairs:
-        for z in by_first.get(y, ()):
-            out.add((x, z))
-    return Relation(e.pack, out)
+    return Relation._of(e.pack, e.mask.astype(np.float32) @ f.mask.astype(np.float32) > 0)
 
 
 def inverse(e: Relation) -> Relation:
     return e.inverse()
 
 
+def _point_index(pack: DiscretePack, points: Iterable[int]) -> np.ndarray:
+    """Point ids as an index array; PackMismatch for an id outside the pack."""
+    idx = [int(p) for p in points]
+    for p in idx:
+        if not 0 <= p < pack.n_points:
+            raise PackMismatch(f"point {p} outside the pack")
+    return np.array(idx, dtype=np.intp)
+
+
 def diagonal(pack: DiscretePack, points: Iterable[int] | None = None) -> Relation:
-    pts = pack.interior if points is None else points
-    return Relation(pack, ((p, p) for p in pts))
+    idx = _point_index(pack, pack.interior if points is None else points)
+    mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
+    mask[idx, idx] = True
+    return Relation._of(pack, mask)
 
 
 def full_relation(pack: DiscretePack, points: Iterable[int] | None = None) -> Relation:
     """All ordered pairs; over the whole pack by default (boundary included)."""
-    pts = list(pack.points if points is None else points)
-    return Relation(pack, ((p, q) for p in pts for q in pts))
+    idx = _point_index(pack, pack.points if points is None else points)
+    mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
+    mask[np.ix_(idx, idx)] = True
+    return Relation._of(pack, mask)
 
 
 def ball(e: Relation, x: int) -> frozenset[int]:
@@ -139,9 +198,15 @@ def image(e: Relation, targets: Iterable[int]) -> frozenset[int]:
 
 
 def map_relation(e: Relation, f: dict[int, int] | list[int], target: DiscretePack) -> Relation:
-    """f x f (E) over the target pack, for a point map f."""
-    fm = (lambda p: f[p]) if not callable(f) else f
-    return Relation(target, ((fm(p), fm(q)) for p, q in e.pairs))
+    """f x f (E) over the target pack, for a point map f (read on the points E touches)."""
+    fm = f if callable(f) else f.__getitem__
+    ps, qs = np.nonzero(e.mask)
+    used = list(set(ps.tolist()).union(qs.tolist()))
+    to = np.zeros(e.pack.n_points, dtype=np.intp)
+    to[used] = _point_index(target, map(fm, used))
+    mask = np.zeros((target.n_points, target.n_points), dtype=bool)
+    mask[to[ps], to[qs]] = True
+    return Relation._of(target, mask)
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -222,12 +287,11 @@ def c0_modulus(
     """
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
-    if not e.pairs:
+    # the curve is a running max, so the pairs need no order
+    ps, qs = np.nonzero(e.mask)
+    if not ps.size:
         empty = ModulusCurve(np.column_stack([ladder.array, np.zeros(len(ladder))]))
         return CurveVerdict(empty, True, float(ladder.radii[-1]), 0.0, c0_tol * pack.k_sup, True)
-    # the curve is a running max, so the pairs need no order
-    pairs = np.fromiter(chain.from_iterable(e.pairs), dtype=np.intp, count=2 * len(e.pairs))
-    ps, qs = pairs[0::2], pairs[1::2]
     bd = pack.boundary_dist
     cond = np.minimum(bd[ps], bd[qs])
     size = pack.dist[ps, qs]
@@ -269,9 +333,9 @@ def diag_nbhd_from_lambda(pack: DiscretePack, lam: LambdaSpec) -> Relation:
     idx = np.array(sorted(pack.interior))
     bd = pack.boundary_dist[idx]
     gauge = lam.at_many(np.minimum(bd[:, None], bd[None, :]).ravel()).reshape(len(idx), len(idx))
-    close = pack.dist[np.ix_(idx, idx)] < gauge
-    ii, jj = np.nonzero(close)
-    return Relation(pack, zip(idx[ii].tolist(), idx[jj].tolist()))
+    mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
+    mask[np.ix_(idx, idx)] = pack.dist[np.ix_(idx, idx)] < gauge
+    return Relation._of(pack, mask)
 
 
 def controlled_phi(pack: DiscretePack, ladder: ScaleLadder, lam: LambdaSpec) -> ModulusCurve:
@@ -310,17 +374,14 @@ def ball_cover(e: Relation):
     from .covers import Cover
 
     pack = e.pack
-    members = []
-    union: set[int] = set()
-    for x in sorted(pack.interior):
-        b = e.ball(x)
-        if not b:
-            raise NotCovering(f"point {x} has an empty ball")
-        members.append(b)
-        union |= b
-    if not pack.interior <= union:
+    interior = np.array(sorted(pack.interior), dtype=np.intp)
+    cols = e.mask[:, interior]
+    empty = ~cols.any(axis=0)
+    if empty.any():
+        raise NotCovering(f"point {interior[empty.argmax()]} has an empty ball")
+    if not cols[interior].any(axis=1).all():
         raise NotCovering("balls do not cover the interior")
-    return Cover.make(pack, members, target="interior")
+    return Cover.make(pack, _columns(cols), target="interior")
 
 
 def shrink_cover(e: Relation, alpha):

@@ -69,8 +69,7 @@ def random_pack(rng: np.random.Generator, n_points: int, n_boundary: int) -> Dis
 
 def random_relation(rng, pack: DiscretePack, density: float = 0.25) -> Relation:
     n = pack.n_points
-    mask = rng.uniform(size=(n, n)) < density
-    return Relation(pack, ((int(i), int(j)) for i, j in zip(*np.nonzero(mask))))
+    return Relation.from_mask(pack, rng.uniform(size=(n, n)) < density)
 
 
 def random_family(rng, pack: DiscretePack, n_members: int, pts=None) -> list[frozenset]:

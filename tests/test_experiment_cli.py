@@ -250,6 +250,9 @@ GENERATOR_FILE_ERRORS = {
     "unknown_parameter": {"generator": {"kind": "finite_cylinder", "params": {"n_bases": 2}}},
     "wrongly_typed_parameter": {"generator": {"kind": "finite_cylinder", "params": {"n_base": "2"}}},
     "extra_keys": {"generator": {"kind": "finite_cylinder", "params": {}}, "dist": [[0]]},
+    "over_the_point_budget": {
+        "generator": {"kind": "interval_cylinder", "params": {"n_base": 2, "n_levels": 3000000}}
+    },
 }
 
 

@@ -7,6 +7,7 @@ kernels must agree with them exactly (``==``, no tolerance).
 
 import hashlib
 import pickle
+from itertools import chain
 from dataclasses import replace
 
 import numpy as np
@@ -37,13 +38,21 @@ from c0cover.errors import (
     LadderExhausted,
     NotACover,
     NotBoundarySubset,
+    NotCovering,
+    PackMismatch,
     SlabTooThin,
     TriangleViolation,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
 from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, pack_from_json, pack_to_json, sample_levels
-from c0cover.relations import _scale_curve_verdict, controlled_phi
-from c0cover.verify import random_family, random_pack
+from c0cover.relations import (
+    CurveVerdict,
+    _scale_curve_verdict,
+    controlled_phi,
+    relation_from_json,
+    relation_to_json,
+)
+from c0cover.verify import delta_of_family, random_family, random_pack
 
 # -- oracles -----------------------------------------------------------------------------
 
@@ -388,6 +397,98 @@ def oracle_slab_rescale(pack, alpha, delta1, delta2):
     return cc.grid_cover(len(bidx), fr_levels, members)
 
 
+class OracleRelation:
+    """The set-of-pairs relation the library used before its bool mask."""
+
+    def __init__(self, pack, pairs):
+        self.pack = pack
+        self.pairs = frozenset((int(p), int(q)) for p, q in pairs)
+        n = pack.n_points
+        for p, q in self.pairs:
+            if not (0 <= p < n and 0 <= q < n):
+                raise PackMismatch(f"pair ({p},{q}) outside the pack")
+        balls = {}
+        for y, x in self.pairs:
+            balls.setdefault(x, set()).add(y)
+        self.balls = {x: frozenset(s) for x, s in balls.items()}
+
+    def ball(self, x):
+        return self.balls.get(x, frozenset())
+
+    def image(self, targets):
+        out = set()
+        for x in targets:
+            out |= self.ball(x)
+        return frozenset(out)
+
+    def inverse(self):
+        return OracleRelation(self.pack, ((q, p) for p, q in self.pairs))
+
+    def is_symmetric(self):
+        return all((q, p) in self.pairs for p, q in self.pairs)
+
+    def contains_diagonal(self, points=None):
+        pts = self.pack.interior if points is None else points
+        return all((p, p) in self.pairs for p in pts)
+
+    def union(self, other):
+        return OracleRelation(self.pack, self.pairs | other.pairs)
+
+    def to_json_list(self):
+        return [[p, q] for p, q in sorted(self.pairs)]
+
+
+def oracle_compose(e, f):
+    by_first = {}
+    for y, z in f.pairs:
+        by_first.setdefault(y, []).append(z)
+    out = set()
+    for x, y in e.pairs:
+        for z in by_first.get(y, ()):
+            out.add((x, z))
+    return OracleRelation(e.pack, out)
+
+
+def oracle_full_relation(pack, points=None):
+    pts = list(pack.points if points is None else points)
+    return OracleRelation(pack, ((p, q) for p in pts for q in pts))
+
+
+def oracle_map_relation(e, f, target):
+    return OracleRelation(target, ((f[p], f[q]) for p, q in e.pairs))
+
+
+def oracle_c0_modulus(pack, ladder, e, c0_tol=0.05):
+    if not e.pairs:
+        empty = cc.ModulusCurve(np.column_stack([ladder.array, np.zeros(len(ladder))]))
+        return CurveVerdict(empty, True, float(ladder.radii[-1]), 0.0, c0_tol * pack.k_sup, True)
+    pairs = np.fromiter(chain.from_iterable(e.pairs), dtype=np.intp, count=2 * len(e.pairs))
+    ps, qs = pairs[0::2], pairs[1::2]
+    bd = pack.boundary_dist
+    return _scale_curve_verdict(ladder, np.minimum(bd[ps], bd[qs]), pack.dist[ps, qs], c0_tol * pack.k_sup)
+
+
+def oracle_diag_nbhd(pack, lam):
+    interior = sorted(pack.interior)
+    bd = pack.boundary_dist
+    return {(p, q) for p in interior for q in interior if pack.dist[p, q] < lam.at(min(bd[p], bd[q]))}
+
+
+def oracle_ball_cover(e):
+    pack = e.pack
+    members = []
+    union = set()
+    for x in sorted(pack.interior):
+        b = e.ball(x)
+        if not b:
+            raise NotCovering(f"point {x} has an empty ball")
+        members.append(b)
+        union |= b
+    if not pack.interior <= union:
+        raise NotCovering("balls do not cover the interior")
+    return cc.Cover.make(pack, members, target="interior")
+
+
 def outcome(fn, *args, **kwargs):
     """The value, or the (type, message) of the library error raised."""
     try:
@@ -520,6 +621,157 @@ def test_c0_modulus_empty_relation(cyl_fixture, cyl_ladder):
     v = cc.c0_modulus(cyl_fixture, cyl_ladder, cc.Relation(cyl_fixture, []))
     assert v.curve.samples == tuple((t, 0.0) for t in cyl_ladder.radii)
     assert v.accept and v.floor_t == cyl_ladder.radii[-1]
+
+
+# -- relations: the bool mask against the sets of pairs ------------------------------------------
+
+
+@st.composite
+def relation_masks(draw, pack, rng):
+    """An n x n bool mask: random at any density (empty and full included), one
+    that only touches the boundary, or a symmetric one holding the diagonal."""
+    n = pack.n_points
+    kind = draw(st.sampled_from(["random", "empty", "full", "boundary", "symmetric"]))
+    if kind in ("empty", "full"):
+        return np.full((n, n), kind == "full")
+    mask = rng.uniform(size=(n, n)) < draw(st.sampled_from([0.05, 0.25, 0.6]))
+    if kind == "boundary":
+        on_boundary = np.isin(np.arange(n), sorted(pack.boundary))
+        mask &= on_boundary[:, None] | on_boundary[None, :]
+    elif kind == "symmetric":
+        mask |= mask.T | np.eye(n, dtype=bool)
+    return mask
+
+
+def as_oracle(e):
+    return OracleRelation(e.pack, zip(*(i.tolist() for i in np.nonzero(e.mask))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packs(), st.data())
+def test_relation_matches_sets(drawn, data):
+    pack, rng = drawn
+    mask = data.draw(relation_masks(pack, rng))
+    e = cc.Relation.from_mask(pack, mask)
+    oracle = OracleRelation(pack, zip(*(i.tolist() for i in np.nonzero(mask))))
+    assert e == cc.Relation(pack, oracle.pairs) and hash(e) == hash(cc.Relation(pack, oracle.pairs))
+    assert e.pairs == oracle.pairs and len(e) == len(oracle.pairs)
+    assert e.to_json_list() == oracle.to_json_list()
+    assert relation_from_json(pack, relation_to_json(e)) == e
+    n = pack.n_points
+    probes = [(int(p), int(q)) for p, q in rng.integers(-1, n + 1, (10, 2))]
+    assert [pq in e for pq in probes] == [pq in oracle.pairs for pq in probes]
+    for x in range(-1, n + 1):
+        assert e.ball(x) == oracle.ball(x)
+    subset = frozenset(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+    assert e.image(subset) == oracle.image(subset)
+    assert e.is_symmetric() == oracle.is_symmetric()
+    points = [int(p) for p in rng.integers(-1, n + 1, 3)]
+    for pts in (None, points, sorted(pack.boundary)):
+        assert e.contains_diagonal(pts) == oracle.contains_diagonal(pts)
+    assert e.inverse().pairs == oracle.inverse().pairs
+
+    f = cc.Relation.from_mask(pack, data.draw(relation_masks(pack, rng)))
+    assert cc.compose(e, f).pairs == oracle_compose(oracle, as_oracle(f)).pairs
+    assert e.union(f).pairs == oracle.union(as_oracle(f)).pairs
+
+    ladder = cc.default_ladder(pack)
+    assert cc.c0_modulus(pack, ladder, e) == oracle_c0_modulus(pack, ladder, oracle)
+    got = outcome(cc.ball_cover, e)
+    want = outcome(oracle_ball_cover, oracle)
+    assert got == want and (not isinstance(got, cc.Cover) or got.members == want.members)
+
+    target = random_pack(rng, int(rng.integers(2, 9)), 1)
+    fmap = rng.integers(0, target.n_points, n).tolist()
+    assert cc.relations.map_relation(e, fmap, target).pairs == oracle_map_relation(oracle, fmap, target).pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(packs(), st.data())
+def test_relation_constructions_match_sets(drawn, data):
+    pack, rng = drawn
+    size = int(rng.integers(0, pack.n_points + 1))
+    points = sorted(rng.choice(pack.n_points, size=size, replace=False).tolist())
+    for pts in (None, points):
+        assert cc.full_relation(pack, pts).pairs == oracle_full_relation(pack, pts).pairs
+        want = {(p, p) for p in (pack.interior if pts is None else pts)}
+        assert cc.diagonal(pack, pts).pairs == want
+    ladder = cc.default_ladder(pack)
+    full = cc.full_relation(pack)
+    assert cc.c0_modulus(pack, ladder, full) == oracle_c0_modulus(pack, ladder, oracle_full_relation(pack))
+    # nondecreasing in t, listed along decreasing t
+    vals = np.sort(rng.uniform(1e-3, 1.0, len(ladder)))[::-1]
+    lam = cc.LambdaSpec(cc.ModulusCurve(np.column_stack([ladder.radii, vals])))
+    e = cc.diag_nbhd_from_lambda(pack, lam)
+    want = oracle_diag_nbhd(pack, lam)
+    assert e.pairs == want
+    assert outcome(cc.ball_cover, e) == outcome(oracle_ball_cover, OracleRelation(pack, want))
+    alpha = cc.Cover.make(pack, families(rng, pack), target=pack.points)
+    assert covers.delta_of(alpha) == delta_of_family(pack, alpha.members)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_relation_on_default_generators(kind):
+    pack = cc.generate_pack(kind)
+    ladder = cc.default_ladder(pack)
+    e = cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder), lambda_tol=1.0)
+    phi = cc.LambdaSpec(controlled_phi(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    oracle = OracleRelation(pack, oracle_diag_nbhd(pack, phi))
+    assert e.pairs == oracle.pairs
+    assert cc.ball_cover(e).members == oracle_ball_cover(oracle).members
+    assert cc.c0_modulus(pack, ladder, e) == oracle_c0_modulus(pack, ladder, oracle)
+    assert e.to_json_list() == oracle.to_json_list()
+
+
+@pytest.mark.parametrize(
+    "mask, error",
+    [
+        (np.zeros((3, 2), dtype=bool), PackMismatch),
+        (np.zeros((4, 4), dtype=bool), PackMismatch),
+        (np.zeros(9, dtype=bool), PackMismatch),
+        (np.zeros((3, 3), dtype=np.int8), BadParams),
+        ([[0.0] * 3] * 3, BadParams),
+    ],
+    ids=["non_square", "wrong_size", "flat", "int8", "float_list"],
+)
+def test_relation_mask_is_checked(line3, mask, error):
+    with pytest.raises(error):
+        cc.Relation.from_mask(line3, mask)
+
+
+def test_relation_mask_is_read_only_and_copied(line3):
+    mask = np.eye(3, dtype=bool)
+    e = cc.Relation.from_mask(line3, mask)
+    mask[0, 1] = True
+    assert e.pairs == {(0, 0), (1, 1), (2, 2)}
+    with pytest.raises(ValueError):
+        e.mask[0, 2] = True
+    with pytest.raises(ValueError):
+        cc.compose(e, e).mask[0, 2] = True
+
+
+# the controlled relation's bytes and size, recorded on the set-of-pairs implementation
+PINNED_RELATIONS = [
+    (
+        ("interval_cylinder", {"n_base": 33, "n_levels": 10}),
+        15124,
+        "236cb232dd2915b1ed875f6f08b2b9d8940c72918a8f5b02f1f9b11c73530913",
+    ),
+    (
+        ("circle_in_disk", {"n_angles": 32, "n_levels": 10}),
+        6368,
+        "5b60d8cb23613ce8e2bec31e3bc02b4b0fa8e26df479b220bcb49cb0fcbbe14f",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, size, sha256", PINNED_RELATIONS, ids=["interval_33x10", "circle_32x10"])
+def test_controlled_E_bytes_pinned(spec, size, sha256):
+    pack = cc.generate_pack(spec[0], **spec[1])
+    ladder = cc.default_ladder(pack)
+    e = cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder))
+    assert len(e) == size
+    assert hashlib.sha256(relation_to_json(e).encode()).hexdigest() == sha256
 
 
 # -- member statistics and Lebesgue numbers ---------------------------------------------------
@@ -741,6 +993,13 @@ def test_triangle_violation_below_the_diagonal():
 # -- the cylinder structure: f, the sample levels, the columns ------------------------------------
 
 
+def column_structure_as_dict(pack):
+    """``_column_structure`` with its slot array read back as the oracle's {(z, li): point} dict."""
+    bidx, levels, slots = _column_structure(pack)
+    assert slots.shape == (len(bidx), len(levels))
+    return bidx, levels, {(z, li): int(p) for (z, li), p in np.ndenumerate(slots) if p >= 0}
+
+
 def assert_f_structure(pack):
     assert pack.boundary_dist.tobytes() == oracle_boundary_dist(pack).tobytes()
     for p in pack.points:
@@ -757,7 +1016,7 @@ def assert_f_structure(pack):
     assert ties == oracle_ties(pack)
     assert pack.nearest_ties.tolist() == sorted(pack.nearest_ties.tolist())
     assert sample_levels(pack).tolist() == oracle_sample_levels(pack)
-    assert _column_structure(pack) == oracle_column_structure(pack)
+    assert column_structure_as_dict(pack) == oracle_column_structure(pack)
 
 
 @settings(max_examples=150, deadline=None)
@@ -822,7 +1081,7 @@ def test_ext_matches_reduction_on_default_generators(kind, data):
 def test_shared_slots_keep_the_highest_id():
     # points 2 and 3 both sit at distance 1 from the boundary point 0
     pack = cc.validate_pack(4, [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], [0])
-    assert _column_structure(pack) == oracle_column_structure(pack) == ([0], [1.0], {(0, 0): 3})
+    assert column_structure_as_dict(pack) == oracle_column_structure(pack) == ([0], [1.0], {(0, 0): 3})
 
 
 def local_cover(rng, pack):

@@ -362,6 +362,9 @@ MALFORMED_PACKS = {
     "generator_extra_field": _generator_file(levels=[1.0]),
     "generator_not_an_object": json.dumps({"generator": "finite_cylinder"}),
     "generator_extra_keys": json.dumps({"generator": {"kind": "finite_cylinder", "params": {}}, "meta": {}}),
+    "generator_over_the_point_budget": json.dumps(
+        {"generator": {"kind": "interval_cylinder", "params": {"n_base": 2, "n_levels": 3000000}}}
+    ),
 }
 
 
@@ -369,6 +372,54 @@ MALFORMED_PACKS = {
 def test_pack_from_json_malformed_is_typed(text):
     with pytest.raises(BadParams):
         pack_from_json(text)
+
+
+def test_cylinder_levels_come_from_level_of():
+    obj = _small_cylinder().to_json_dict()
+    del obj["meta"]["levels"]
+    pack = pack_from_json(json.dumps(obj))
+    assert isinstance(pack, cc.CylinderPack)
+    assert pack.levels == _small_cylinder().levels
+    for kind in sorted(cc.packs.KNOWN_DIMS):  # the generators' meta agrees
+        pack = cc.generate_pack(kind)
+        if isinstance(pack, cc.CylinderPack):
+            assert pack.levels == tuple(pack.meta["levels"])
+
+
+POINT_COUNTS = [
+    ("finite_cylinder", {"n_base": 5, "n_levels": 2}),
+    ("interval_cylinder", {"n_levels": 3}),
+    ("circle_in_disk", {"n_angles": 7, "n_levels": 2}),
+    ("cube_face", {"n_side": 4, "n_levels": 3}),
+    ("countable_example", {"n_y": 9}),
+] + [(kind, {}) for kind in sorted(cc.packs.KNOWN_DIMS)]
+
+
+@pytest.mark.parametrize("kind, params", POINT_COUNTS)
+def test_point_count_in_closed_form(kind, params):
+    assert cc.packs._generated_points(kind, params) == cc.generate_pack(kind, **params).n_points
+
+
+OVER_BUDGET = {
+    "finite_cylinder": {"n_base": 2, "n_levels": 3000000},
+    "interval_cylinder": {"n_base": 16384},
+    "circle_in_disk": {"n_angles": 1490, "n_levels": 10},
+    "cube_face": {"n_side": 128},
+    "countable_example": {"n_y": 181},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVER_BUDGET))
+def test_point_budget_refuses_before_building(kind, monkeypatch):
+    params = OVER_BUDGET[kind]
+    assert cc.packs._generated_points(kind, params) > cc.packs.MAX_GENERATED_POINTS
+    monkeypatch.setitem(cc.packs._GENERATORS, kind, lambda **_: pytest.fail("the generator ran"))
+    with pytest.raises(BadParams, match="limit"):
+        cc.generate_pack(kind, **params)
+
+
+def test_point_budget_admits_the_largest_benchmark_pack():
+    assert cc.generate_pack("interval_cylinder", n_base=257, n_levels=14).n_points == 3855
 
 
 # every generator with its size parameters drawn small (the defaults reach 845
