@@ -21,12 +21,9 @@ from .covers import (
     RefinementWitness,
     common_multiplicity,
     lebesgue_number,
-    member_depths,
-    member_stats,
     mesh,
     mult_witness,
     refines,
-    singleton_cover,
     star,
     uniformity_verdict,
 )
@@ -39,6 +36,7 @@ from .errors import (
     NotBoundarySubset,
     NotCovering,
     NotSymmetric,
+    PackMismatch,
     ProviderMismatch,
     UniformityRejected,
 )
@@ -151,35 +149,28 @@ def subsequence_indices(
     three conditions are lower bounds, so each step additionally descends by
     a fixed geometric factor; that keeps the number of steps logarithmic in
     the depth whatever gamma looks like.  Stops one step after the rung
-    above the sample floor.
+    above the sample floor.  It runs on gamma's ``stats`` plus the interior
+    singletons in closed form: depth d(p, X) and diameter 0 for each {p}.
     """
+    if gamma.pack is not pack:
+        raise PackMismatch("covers over different packs")
     ladder.validate_for(pack)
     bd = pack.boundary_dist
-    all_pts = range(pack.n_points)
     radii = ladder.array
     m_top = len(ladder) - 1
 
-    members = gamma.members
-    mindepth, maxdepth, reach = member_depths(pack, members)
+    lo, hi, diam = gamma.stats
+    single = bd[list(pack.interior)]
+    mindepth, maxdepth = np.concatenate((lo, single)), np.concatenate((hi, single))
+    diam = np.concatenate((diam, np.zeros(single.size)))
     order = np.argsort(maxdepth, kind="stable")
-    # the gamma members inside W_n (maxdepth < r_n) are a prefix of `order`: its length per rung
+    # the members inside W_n (maxdepth < r_n) are a prefix of `order`: its length per rung
     inside = np.searchsorted(maxdepth[order], radii, side="left")
-    diams = np.zeros(0)  # exact diameters along `order`, computed only as far as needed
+    # per rung, the largest diameter among the members inside W_n (0 when none is)
+    rung_mesh = np.maximum.accumulate(np.concatenate(([0.0], diam[order])))[inside]
 
-    def first_wide(width: float) -> int:
-        """Position along `order` of the first member of diameter >= width."""
-        nonlocal diams
-        known = np.flatnonzero(reach[order] >= width)  # reach <= diameter
-        stop = int(known[0]) if known.size else len(order)
-        if stop > len(diams):
-            more = member_stats(pack, [members[i] for i in order[len(diams) : stop]])[2]
-            diams = np.concatenate([diams, more])
-        wide = np.flatnonzero(diams[:stop] >= width)
-        return int(wide[0]) if wide.size else stop
-
-    def first_rung_below(limit: float, start: int = 0) -> int | None:
+    def first_rung_below(limit: float) -> int | None:
         idx = np.nonzero(radii < limit)[0]
-        idx = idx[idx >= start]
         return int(idx[0]) if idx.size else None
 
     indices = [0]
@@ -194,13 +185,12 @@ def subsequence_indices(
         m = first_rung_below(lim)
         if m is None:
             raise LadderExhausted(f"no rung with closed neighborhood inside beta {k}")
-        extra = frozenset(np.flatnonzero(bd > radii[m]).tolist())
-        helper = list(beta_k) + [extra]
-        big_l = lebesgue_number(pack, helper, all_pts, skip_uncovered=True)
-        # m': the first rung where every gamma member inside W_n is narrower
-        # than L (with L <= 0 not even an empty W_n, valued 0, qualifies)
-        shrunk = np.flatnonzero(inside <= first_wide(big_l))
-        if big_l <= 0 or not shrunk.size:
+        far = frozenset(np.flatnonzero(bd > radii[m]).tolist())  # the far complement
+        big_l = lebesgue_number(pack, [*beta_k, far], pack.points, skip_uncovered=True)
+        # m': the first rung where every member inside W_n is narrower than L
+        # (with L <= 0 not even an empty W_n, valued 0, qualifies)
+        shrunk = np.flatnonzero(rung_mesh < big_l)
+        if not shrunk.size:
             raise LadderExhausted("no rung shrinks gamma below the Lebesgue number")
         m_prime = int(shrunk[0])
         prev = indices[-1]
@@ -242,7 +232,7 @@ def refine_subsequence(
     """
     if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
         raise UniformityRejected("gamma fails the uniformity verdict")
-    indices = subsequence_indices(pack, ladder, betas, gamma.union_with(singleton_cover(pack)))
+    indices = subsequence_indices(pack, ladder, betas, gamma)
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
     members, tags = _slice(pack, sub, betas)
     orphans = _complete_orphans(pack, sub, members, tags)
@@ -530,19 +520,20 @@ def minimal_canonical(
         )
     ladder = ladder or default_ladder(pack)
     targets = default_mesh_targets(pack)
-    seq = provider.build(pack, targets).validate(pack)
+    seq = provider.build(pack, targets)
     # Fast-forward the beta meshes past the uniformity threshold: the deepest
     # annuli inherit the first used family's mesh, so it must already be fine.
     # Consecutive pairs of the used sequence (including {X} against the first
     # fine cover, whose common multiplicity is 1 + its multiplicity) keep the
-    # common-multiplicity bound.
+    # common-multiplicity bound.  Validating the used sequence checks every
+    # cover alpha reads.
     skip = next(
         (i for i in range(1, len(seq.covers)) if targets[i] <= 0.8 * unif_tol * pack.k_sup),
         1,
     )
     seq = CoverSequence(
-        (seq.covers[0],) + seq.covers[skip:],
-        (targets[0],) + targets[skip:],
+        seq.covers[:1] + seq.covers[skip:],
+        targets[:1] + targets[skip:],
         seq.common_mult_bound,
     ).validate(pack)
     betas = ExtBetas(pack, len(seq.covers), seq.covers.__getitem__)

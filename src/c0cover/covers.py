@@ -17,7 +17,6 @@ from .errors import (
     MemberOutsideTarget,
     NotACover,
     NotARefinement,
-    PackMismatch,
 )
 from .packs import DiscretePack, ScaleLadder, read_json
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _scale_curve_verdict
@@ -33,18 +32,27 @@ class Cover:
     Members are deduplicated, order preserved.  ``covers_flag`` records
     whether the union equals the target; families that deliberately miss the
     target are legal (refinement machinery needs them).  A cover is not
-    changed after it is made, so it keeps its uniformity verdicts, one per
-    ladder and tolerance.
+    changed after it is made, so it measures its members once (``stats``)
+    for every verdict and recursion that reads them.
     """
 
-    __slots__ = ("pack", "members", "target", "target_tag", "_verdicts")
+    __slots__ = ("pack", "members", "target", "target_tag", "_stats")
 
     def __init__(self, pack, members, target, target_tag):
         self.pack = pack
         self.members = members
         self.target = target
         self.target_tag = target_tag
-        self._verdicts = {}
+        self._stats = None
+
+    @property
+    def stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The members' ``member_stats``, read-only, computed on first use."""
+        if self._stats is None:
+            self._stats = member_stats(self.pack, self.members)
+            for a in self._stats:
+                a.setflags(write=False)
+        return self._stats
 
     @classmethod
     def make(
@@ -107,11 +115,6 @@ class Cover:
         if not self.covers_flag:
             raise NotACover(f"family of {len(self.members)} members misses the {self.target_tag} target")
         return self
-
-    def union_with(self, other: "Cover") -> "Cover":
-        if other.pack is not self.pack:
-            raise PackMismatch("covers over different packs")
-        return Cover.make(self.pack, list(self.members) + list(other.members), target=self.target | other.target)
 
     def to_json_dict(self) -> dict:
         return {"members": [sorted(m) for m in self.members], "target": self.target_tag}
@@ -194,22 +197,6 @@ def _flatten(members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
     flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=int(sizes.sum()))
     return flat, sizes, np.cumsum(sizes) - sizes
-
-
-def member_depths(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per member: min and max boundary distance, and its reach.
-
-    The reach is the largest distance from the member's first point (0 for
-    a singleton), a lower bound on its diameter.  Linear in the members'
-    total size; members are nonempty point sets.
-    """
-    if not len(members):
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    flat, sizes, starts = _flatten(members)
-    depth = pack.boundary_dist[flat]
-    reach = np.maximum.reduceat(pack.dist[np.repeat(flat[starts], sizes), flat], starts)
-    reach[sizes == 1] = 0.0
-    return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), reach
 
 
 def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,22 +347,14 @@ def uniformity_verdict(
     Value at scale t is the largest diameter among members meeting B(X, t);
     ACCEPT iff the curve is nondecreasing and decays to unif_tol * k_sup at
     the effective resolution floor (the smallest rung any member reaches).
-    Properness is vacuous on finite packs.  A cover over ``pack`` computes
-    each verdict once and keeps it.
+    Properness is vacuous on finite packs.  A cover over ``pack`` reads its
+    own ``stats``, so no ladder or tolerance measures its members again.
     """
-    if not isinstance(alpha, Cover) or alpha.pack is not pack:
-        return _uniformity_verdict(pack, ladder, _members_of(alpha), unif_tol)
-    # keyed by the ladder's id: the entry holds the ladder, so the id stays its own
-    key = (id(ladder), unif_tol)
-    if key not in alpha._verdicts:
-        alpha._verdicts[key] = ladder, _uniformity_verdict(pack, ladder, alpha.members, unif_tol)
-    return alpha._verdicts[key][1]
-
-
-def _uniformity_verdict(pack: DiscretePack, ladder: ScaleLadder, members, unif_tol: float) -> CurveVerdict:
+    members = _members_of(alpha)
     if not members:
         raise NotACover("empty family has no verdict")
-    cond, _, size = member_stats(pack, members)
+    own = isinstance(alpha, Cover) and alpha.pack is pack
+    cond, _, size = alpha.stats if own else member_stats(pack, members)
     return _scale_curve_verdict(ladder, cond, size, unif_tol * pack.k_sup, effective_floor=True)
 
 

@@ -486,7 +486,6 @@ def random_uniform_candidates(
     pack: DiscretePack,
     rng: np.random.Generator,
     count: int,
-    unif_tol: float = DEFAULT_LIMIT_TOL,
 ) -> list[Cover]:
     """Random covers discretizing open uniform covers of the cylinder.
 

@@ -192,7 +192,7 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
             res = lower_bound_check(pack, cov, ladder, config.unif_tol)
             holds = holds and res.holds
             results.append(res.to_dict() | {"source": "constructed"})
-        for cand in random_uniform_candidates(pack, rng, config.candidates, config.unif_tol):
+        for cand in random_uniform_candidates(pack, rng, config.candidates):
             res = lower_bound_check(pack, cand, ladder, config.unif_tol)
             holds = holds and res.holds
             if not res.holds:

@@ -15,7 +15,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -390,15 +390,16 @@ def _cylinder_fields(meta: dict, n: int) -> dict:
     return {"base_of": tuple(map(int, base_of)), "level_of": tuple(map(float, level_of))}
 
 
-def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict, tol: float) -> dict:
+def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dict:
     """The invariants of a pack's fields, for ``validate_pack`` and for
     generator-form pack files alike.
 
     ``dist`` is a 2-D float array and ``boundary`` a set of integers.  Checks
     the boundary ids and sides, the metric (``_check_metric``, the full
-    triangle check included) and the cylinder lists in ``meta``, and returns
-    the CylinderPack fields those lists name.  With ``_depth_range`` on the
-    boundary reduction this is every check ``validate_pack`` makes.
+    triangle check included), ``meta["levels"]`` if present and the cylinder
+    lists in ``meta``, and returns the CylinderPack fields those lists name.
+    With ``_depth_range`` on the boundary reduction this is every check
+    ``validate_pack`` makes.
     """
     n = dist.shape[0]
     if boundary and not (min(boundary) >= 0 and max(boundary) < n):
@@ -407,7 +408,10 @@ def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict, tol: f
         raise EmptySide("boundary X is empty")
     if len(boundary) == n:
         raise EmptySide("interior X-hat is empty")
-    _check_metric(dist, tol)
+    _check_metric(dist, DEFAULT_TRIANGLE_TOL)
+    levels = meta.get("levels", [])
+    if not (isinstance(levels, _SEQUENCES) and all(_is_finite_number(t) and t > 0 for t in levels)):
+        raise BadParams("pack meta levels must be a list of finite positive levels")
     return _cylinder_fields(meta, n)
 
 
@@ -415,7 +419,6 @@ def validate_pack(
     raw_points: Sequence[int] | int,
     raw_dist,
     boundary_mask: Iterable[int] | Sequence[bool],
-    tolerances: Mapping[str, float] | None = None,
     meta: dict | None = None,
 ) -> DiscretePack:
     """Check all pack invariants and return the finished pack.
@@ -426,14 +429,14 @@ def validate_pack(
     ``level_of`` lists makes the pack a CylinderPack.  Raises on the first
     violated invariant: BadParams for a distance matrix that is not a square
     array of finite numbers, a point count that disagrees with it, boundary
-    ids that are not integers in 0..n-1, or ``base_of`` and ``level_of``
-    that are not one integer base id and one finite level per point;
+    ids that are not integers in 0..n-1, ``meta["levels"]`` not a list of
+    finite positive numbers, or ``base_of`` and ``level_of`` not one
+    integer base id and one finite level per point;
     EmptySide for an empty boundary or interior; DegeneratePack for a
     nonzero self-distance, distinct points at distance <= 0 or an interior
     point at distance 0 from the boundary; AsymmetricDistance and
-    TriangleViolation beyond the ``triangle`` tolerance.
+    TriangleViolation beyond ``DEFAULT_TRIANGLE_TOL``.
     """
-    tol = (tolerances or {}).get("triangle", DEFAULT_TRIANGLE_TOL)
     try:
         dist = np.array(raw_dist, dtype=float)
     except (TypeError, ValueError):
@@ -458,7 +461,7 @@ def validate_pack(
     else:
         raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points")
     meta = dict(meta or {})
-    cylinder = _check_fields(dist, boundary, meta, tol)
+    cylinder = _check_fields(dist, boundary, meta)
     return _derived_pack(CylinderPack if cylinder else DiscretePack, dist, boundary, meta, **cylinder)
 
 
@@ -529,12 +532,12 @@ def _thin_rungs(cand: np.ndarray) -> np.ndarray:
     return np.array(kept)
 
 
-def default_ladder(pack: DiscretePack, top_factor: float = 2.0) -> ScaleLadder:
+def default_ladder(pack: DiscretePack) -> ScaleLadder:
     """Ladder with the harmonic pattern r_n = k_sup / (2n), nudged off sample values.
 
-    Rungs that collide with an attained boundary distance are moved to the
-    midpoint of the gap below, so that W_n and its closure never coincide on
-    sample values.  The ladder is truncated one rung below the sample floor.
+    Rungs that collide with an attained boundary distance move to the midpoint
+    of the gap below, so W_n and its closure never coincide on sample values.
+    The top rung is 2 k_sup; the ladder is truncated one rung below the floor.
     """
     k = pack.k_sup
     values = sample_levels(pack)
@@ -555,7 +558,7 @@ def default_ladder(pack: DiscretePack, top_factor: float = 2.0) -> ScaleLadder:
     below = np.where(hit > 0, values[np.maximum(hit - 1, 0)], 0.0)
     below = np.maximum(below, k / (2.0 * (n + 1)))
     r = np.where(hit_up | hit_down, (values[hit] + below) / 2.0, r)
-    kept = _thin_rungs(np.concatenate(([top_factor * k], r)))
+    kept = _thin_rungs(np.concatenate(([2.0 * k], r)))
     below_floor = np.flatnonzero(kept < floor)
     if not below_floor.size:
         raise BadLadder("runaway ladder construction")
@@ -896,7 +899,7 @@ def _generated_pack(obj: dict) -> DiscretePack:
     if not isinstance(spec, dict) or spec.keys() != {"kind", "params"}:
         raise BadParams("the generator must be an object with a kind and params")
     pack = generate_pack(PackKind(spec["kind"], spec["params"]))
-    _check_fields(pack.dist, pack.boundary, pack.meta, DEFAULT_TRIANGLE_TOL)
+    _check_fields(pack.dist, pack.boundary, pack.meta)
     _depth_range(pack.boundary_dist, pack.boundary)
     return pack
 

@@ -40,15 +40,14 @@ def _hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def emit_svg(pack: DiscretePack, cover: Cover | None = None, style: dict | None = None) -> str:
+def emit_svg(pack: DiscretePack, cover: Cover | None = None) -> str:
     """Render the pack (and optionally a cover) as a standalone SVG document."""
     coords = pack.coords
     if coords is None or coords.ndim != 2 or coords.shape[1] not in (1, 2):
         raise NoCoordinates("pack carries no 1D or 2D coordinates")
     if coords.shape[1] == 1:
         coords = np.column_stack([coords[:, 0], np.zeros(len(coords))])
-    style = style or {}
-    size = float(style.get("size", 480))
+    size = 480.0
     pad = 0.08
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

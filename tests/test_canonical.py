@@ -82,7 +82,7 @@ def test_refine_subsequence_singletons(finite_pack):
 
 def test_refine_subsequence_ball_cover(finite_pipeline):
     pack, ladder = finite_pipeline["pack"], finite_pipeline["ladder"]
-    gamma = finite_pipeline["gamma"].union_with(cc.singleton_cover(pack))
+    gamma = cc.Cover.make(pack, [*finite_pipeline["gamma"].members, *cc.singleton_cover(pack).members])
     betas = ball_betas(pack, 40)
     indices, alpha, witness, _ = cc.refine_subsequence(pack, ladder, betas, gamma)
     assert witness.verify()

@@ -228,6 +228,12 @@ def _short_base_of_file():
     return json.dumps(obj)
 
 
+def _string_levels_file():
+    obj = cc.generate_pack("circle_in_disk", n_angles=8, n_levels=3).to_json_dict()
+    obj["meta"]["levels"] = "ab"
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"points": 3, "boundary": [0]}),
     "{points: 3",
@@ -235,7 +241,9 @@ def _short_base_of_file():
     json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
     json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [-0.5]}),
     _short_base_of_file(),
-], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id", "short_base_of"])
+    _string_levels_file(),
+], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id", "short_base_of",
+        "string_levels"])
 def test_cli_cover_build_malformed_pack_exits_2(tmp_path, text):
     pack_file = tmp_path / "pack.json"
     pack_file.write_text(text)

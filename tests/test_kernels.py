@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import c0cover as cc
 from c0cover import covers
-from c0cover.covers import _members_of, member_depths, member_stats, star
+from c0cover.covers import _members_of, member_stats, star
 from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
 from c0cover.cylinder import (
     _column_structure,
@@ -785,11 +785,6 @@ def test_member_stats_matches_loop(drawn):
     lo, hi, diam = member_stats(pack, fam)
     want = oracle_member_stats(pack, fam)
     assert (lo.tolist(), hi.tolist(), diam.tolist()) == tuple(list(map(float, w)) for w in want)
-    dlo, dhi, reach = member_depths(pack, fam)
-    assert (dlo.tolist(), dhi.tolist()) == (lo.tolist(), hi.tolist())
-    first = [next(iter(m)) for m in fam]
-    assert reach.tolist() == [max(pack.d(c, q) for q in m) if len(m) > 1 else 0.0 for c, m in zip(first, fam)]
-    assert np.all(reach <= diam)
 
 
 def test_member_stats_chunked_gathers(monkeypatch, rng):
@@ -802,7 +797,22 @@ def test_member_stats_chunked_gathers(monkeypatch, rng):
 
 
 def test_member_stats_empty_family(cyl_fixture):
-    assert all(a.size == 0 for a in member_stats(cyl_fixture, []) + member_depths(cyl_fixture, []))
+    assert all(a.size == 0 for a in member_stats(cyl_fixture, []))
+
+
+def test_cover_measures_its_members_once(monkeypatch):
+    pack = cc.generate_pack("interval_cylinder", n_base=9, n_levels=6)
+    ladder = cc.default_ladder(pack)
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    measured = []
+    monkeypatch.setattr(covers, "member_stats", lambda pack, ms: measured.append(ms) or member_stats(pack, ms))
+    for lad in (ladder, cc.ScaleLadder(ladder.radii[::2])):
+        for tol in (0.05, 0.2):
+            got = cc.uniformity_verdict(pack, lad, gamma, tol)
+            assert got == cc.uniformity_verdict(pack, lad, list(gamma.members), tol)  # the raw path
+    assert sum(ms is gamma.members for ms in measured) == 1
+    assert len(measured) == 1 + 4  # the cover once, each raw family every time
+    assert not any(a.flags.writeable for a in gamma.stats)
 
 
 @settings(max_examples=150, deadline=None)
@@ -848,11 +858,17 @@ def test_subsequence_indices_matches_loop(kind, params, on_samples):
     if on_samples:  # rungs at sample depths, where members reach a rung exactly
         depths = {float(t) for t in pack.boundary_dist if t > 0}
         ladder = cc.ScaleLadder(tuple(sorted(set(ladder.radii) | depths, reverse=True)))
-    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
-    gamma = gamma.union_with(cc.singleton_cover(pack))
+    balls = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    # a family that misses points too, so gamma alone is no cover
+    sparse = cc.Cover.make(pack, balls.members[::3])
     betas = ball_betas(pack, beta_length_for(pack))
-    got = outcome(subsequence_indices, pack, ladder, betas, gamma)
-    assert got == outcome(oracle_subsequence, pack, ladder, betas, gamma)
+    for gamma in (balls, sparse):
+        gamma_with_singletons = cc.Cover.make(pack, [*gamma.members, *cc.singleton_cover(pack).members])
+        want = outcome(oracle_subsequence, pack, ladder, betas, gamma_with_singletons)
+        # the library adds the interior singletons itself, so gamma alone gives the same rungs
+        for with_singletons in (False, True):
+            got = outcome(subsequence_indices, pack, ladder, betas, gamma_with_singletons if with_singletons else gamma)
+            assert got == want, (gamma is sparse, with_singletons)
 
 
 # -- the ladder -------------------------------------------------------------------------------

@@ -349,6 +349,12 @@ MALFORMED_PACKS = {
     "meta_base_of_fractional": _cylinder_file(base_of=[0, 1, 0, 1.5, 0, 1, 0, 1]),
     "meta_level_of_string": _cylinder_file(level_of=["0"] * 8),
     "meta_level_of_infinite": _cylinder_file(level_of=[0.0] * 7 + [math.inf]),
+    "meta_levels_string": _cylinder_file(levels="ab"),
+    "meta_levels_non_numeric": _cylinder_file(levels=[0.5, "x"]),
+    "meta_levels_not_a_list": _cylinder_file(levels=7),
+    "meta_levels_bool": _cylinder_file(levels=[True, 0.2, 0.08]),
+    "meta_levels_zero": _cylinder_file(levels=[0.5, 0.0]),
+    "meta_levels_infinite": _cylinder_file(levels=[0.5, math.inf]),
     "generator_unknown_kind": _generator_file(kind="moebius_band"),
     "generator_kind_not_a_string": _generator_file(kind=["finite_cylinder"]),
     "generator_params_not_an_object": _generator_file(params=[2, 3]),
