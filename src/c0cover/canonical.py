@@ -149,8 +149,7 @@ def subsequence_indices(
     three conditions are lower bounds, so each step additionally descends by
     a fixed geometric factor; that keeps the number of steps logarithmic in
     the depth whatever gamma looks like.  Stops one step after the rung
-    above the sample floor.  It runs on gamma's ``stats`` plus the interior
-    singletons in closed form: depth d(p, X) and diameter 0 for each {p}.
+    above the sample floor.  It reads gamma's ``stats`` alone.
     """
     if gamma.pack is not pack:
         raise PackMismatch("covers over different packs")
@@ -159,10 +158,11 @@ def subsequence_indices(
     radii = ladder.array
     m_top = len(ladder) - 1
 
-    lo, hi, diam = gamma.stats
-    single = bd[list(pack.interior)]
-    mindepth, maxdepth = np.concatenate((lo, single)), np.concatenate((hi, single))
-    diam = np.concatenate((diam, np.zeros(single.size)))
+    # The interior singletons decide no rung, so gamma stands for gamma plus
+    # them: a diameter of 0 never raises a prefix max, so m' is unchanged, and
+    # a singleton deep enough to enter the previous tail's star has depth
+    # >= r_prev, so its m'' is <= prev + 1, already a lower bound of n_k.
+    mindepth, maxdepth, diam = gamma.stats
     order = np.argsort(maxdepth, kind="stable")
     # the members inside W_n (maxdepth < r_n) are a prefix of `order`: its length per rung
     inside = np.searchsorted(maxdepth[order], radii, side="left")
@@ -225,10 +225,10 @@ def refine_subsequence(
 ) -> tuple[tuple[int, ...], Cover, RefinementWitness, int]:
     """The canonical cover alpha({beta_n}, {W_n}) that gamma refines.
 
-    Checks gamma's uniformity, runs the recursion against gamma plus all
-    singletons, slices the betas along the annuli of the chosen rungs and
-    completes orphans.  Returns (subsequence, alpha, the witness that gamma
-    refines alpha, the number of orphans completed).
+    Checks gamma's uniformity, runs the recursion on gamma alone, slices
+    the betas along the annuli of the chosen rungs and completes orphans.
+    Returns (subsequence, alpha, the witness that gamma refines alpha, the
+    number of orphans completed).
     """
     if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
         raise UniformityRejected("gamma fails the uniformity verdict")
@@ -290,16 +290,11 @@ def beta_length_for(pack: DiscretePack) -> int:
     return max(24, 8 + paced, n_levels + 8)
 
 
-def canonical_refining(
-    pack: DiscretePack,
-    gamma: Cover,
-    ladder: ScaleLadder | None = None,
-    unif_tol: float = DEFAULT_LIMIT_TOL,
-) -> Cover:
+def canonical_refining(pack: DiscretePack, gamma: Cover) -> Cover:
     """A canonical cover refined by gamma, in any dimension: default ladder
     and Ext-ball betas, with no multiplicity bound."""
-    ladder = ladder or default_ladder(pack)
-    return refine_subsequence(pack, ladder, ball_betas(pack, beta_length_for(pack)), gamma, unif_tol)[1]
+    betas = ball_betas(pack, beta_length_for(pack))
+    return refine_subsequence(pack, default_ladder(pack), betas, gamma)[1]
 
 
 # -- star expansion --------------------------------------------------------------------
@@ -316,7 +311,6 @@ def star_expand(
     beta: Cover,
     gamma: Cover,
     ladder: ScaleLadder | None = None,
-    tol: float = DEFAULT_LIMIT_TOL,
 ) -> Cover:
     """The cover {E(star(beta, U)) : U in gamma}; beta refines the output and
     its multiplicity along E obeys the composed-relation chain bound."""
@@ -326,10 +320,10 @@ def star_expand(
         raise NotSymmetric("star expansion wants a symmetric relation")
     if not e.contains_diagonal():
         raise MissingDiagonal("star expansion wants a diagonal neighborhood")
-    if not c0_modulus(pack, ladder, e, tol).accept:
+    if not c0_modulus(pack, ladder, e).accept:
         raise C0Rejected("relation fails the displacement verdict")
     for name, fam in (("beta", beta), ("gamma", gamma)):
-        if not uniformity_verdict(pack, ladder, fam, tol).accept:
+        if not uniformity_verdict(pack, ladder, fam).accept:
             raise UniformityRejected(f"{name} fails the uniformity verdict")
     return Cover.make(pack, star_expand_members(e, beta, gamma), target="interior", drop_empty=True)
 

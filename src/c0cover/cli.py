@@ -12,6 +12,7 @@ from .covers import cover_from_json, cover_to_json
 from .errors import C0CoverError
 from .experiment import ExperimentConfig, report_to_json, run_experiment
 from .packs import (
+    KNOWN_DIMS,
     PackKind,
     default_ladder,
     generate_pack,
@@ -32,9 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pack = sub.add_parser("pack", help="pack utilities")
     pack_sub = pack.add_subparsers(dest="pack_command", required=True)
     gen = pack_sub.add_parser("gen", help="generate an example pack")
-    gen.add_argument("--kind", required=True, choices=sorted(
-        ("finite_cylinder", "interval_cylinder", "circle_in_disk", "cube_face", "countable_example")
-    ))
+    gen.add_argument("--kind", required=True, choices=sorted(KNOWN_DIMS))
     gen.add_argument("--params", default="{}", help="generator parameters as a JSON object")
     gen.add_argument("--out", required=True)
 

@@ -17,6 +17,7 @@ from .errors import (
     MemberOutsideTarget,
     NotACover,
     NotARefinement,
+    PackMismatch,
 )
 from .packs import DiscretePack, ScaleLadder, read_json
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _scale_curve_verdict
@@ -68,6 +69,9 @@ class Cover:
             tset, tag = pack.boundary, "boundary"
         else:
             tset, tag = frozenset(int(p) for p in target), "custom"
+            outside = tset - frozenset(pack.points)
+            if outside:
+                raise PackMismatch(f"target point {min(outside)} outside the pack")
         seen = set()
         out = []
         for m in members:
@@ -403,13 +407,12 @@ def dim_at_scale(pack: DiscretePack, eps: float) -> DimAtScale:
     if kind in ("interval_cylinder", "circle_in_disk"):
         return DimAtScale(0 if eps >= bdiam else 1, True, "interval/arc cover")
     # greedy ball cover upper bound
-    centers = []
+    members: list[frozenset[int]] = []
     covered: set[int] = set()
     for p in bidx:
         if p not in covered:
-            centers.append(p)
-            covered |= {q for q in bidx if pack.d(p, q) <= eps / 2}
-    members = [frozenset(q for q in bidx if pack.d(c, q) <= eps / 2) for c in centers]
+            members.append(frozenset(q for q in bidx if pack.d(p, q) <= eps / 2))
+            covered |= members[-1]
     return DimAtScale(max(multiplicity(members) - 1, 0), False, "greedy ball cover")
 
 

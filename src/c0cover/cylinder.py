@@ -119,14 +119,10 @@ def fxf_image(pack: DiscretePack, e: Relation) -> tuple[CylinderPack, Relation]:
     return cyl, Relation.from_mask(cyl, mask)
 
 
-def fxf_modulus(
-    pack: DiscretePack,
-    e: Relation,
-    c0_tol: float = DEFAULT_LIMIT_TOL,
-) -> CurveVerdict:
+def fxf_modulus(pack: DiscretePack, e: Relation) -> CurveVerdict:
     """c0 verdict of the f x f image on the induced cylinder."""
     cyl, fe = fxf_image(pack, e)
-    return c0_modulus(cyl, default_ladder(cyl), fe, c0_tol)
+    return c0_modulus(cyl, default_ladder(cyl), fe)
 
 
 def image_density_gap(pack: DiscretePack) -> float:
@@ -141,7 +137,7 @@ def image_density_gap(pack: DiscretePack) -> float:
     level = np.array(cyl.level_of)
     slots = np.flatnonzero(level != 0.0)
     gap = cyl.dist[np.ix_(slots, img)].min(axis=1)
-    bound = 3.0 * h.value_at_many(level[slots])
+    bound = 3.0 * h.value_at(level[slots])
     ratio = np.divide(gap, bound, out=np.full(len(slots), math.inf), where=bound > 0)
     return float(ratio.max(initial=0.0))
 

@@ -107,17 +107,12 @@ class ModulusCurve:
             object.__setattr__(self, "_asc", (self.ts[::-1].copy(), self.values[::-1].copy()))
         return self._asc
 
-    def value_at(self, t: float) -> float:
-        """Value at the smallest sampled scale >= t (clamped at both ends)."""
+    def value_at(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Value at the smallest sampled scale >= t (clamped at both ends);
+        a float for one scale, an array of the same shape for an array."""
         ts, vs = self._ascending()
-        idx = int(np.searchsorted(ts, t, side="left"))
-        return float(vs[min(idx, len(ts) - 1)])
-
-    def value_at_many(self, t: np.ndarray) -> np.ndarray:
-        ts, vs = self._ascending()
-        idx = np.searchsorted(ts, t, side="left")
-        idx = np.clip(idx, 0, len(ts) - 1)
-        return vs[idx]
+        v = vs[np.minimum(np.searchsorted(ts, t, side="left"), len(ts) - 1)]
+        return v if np.ndim(t) else float(v)
 
     def is_nondecreasing(self, tol: float = 0.0) -> bool:
         v = self.values  # listed along decreasing t
@@ -201,20 +196,10 @@ class DiscretePack:
     def d(self, p: int, q: int) -> float:
         return float(self.dist[p, q])
 
-    def set_dist(self, p: int | np.ndarray, targets: Iterable[int]) -> float | np.ndarray:
-        """min over q in targets of d(p, q); +inf for an empty target set.
-
-        ``p`` is a point id (returns a float) or an index array of points
-        (returns one distance per point, in one reduction).
-        """
-        idx = np.fromiter(targets, dtype=np.intp) if not isinstance(targets, np.ndarray) else targets
-        if np.ndim(p):
-            if not idx.size:
-                return np.full(len(p), np.inf)
-            return self.dist[np.ix_(p, idx)].min(axis=1)
-        if not idx.size:
-            return float("inf")
-        return float(self.dist[p, idx].min())
+    def set_dist(self, pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """For each point of the index array ``pts``, its least distance to
+        the index array ``targets``, in one reduction; +inf for no targets."""
+        return self.dist[np.ix_(pts, targets)].min(axis=1, initial=np.inf)
 
     def diam(self, pts: Iterable[int]) -> float:
         idx = sorted(pts)

@@ -289,9 +289,6 @@ def c0_modulus(
         raise PackMismatch("relation belongs to a different pack")
     # the curve is a running max, so the pairs need no order
     ps, qs = np.nonzero(e.mask)
-    if not ps.size:
-        empty = ModulusCurve(np.column_stack([ladder.array, np.zeros(len(ladder))]))
-        return CurveVerdict(empty, True, float(ladder.radii[-1]), 0.0, c0_tol * pack.k_sup, True)
     bd = pack.boundary_dist
     cond = np.minimum(bd[ps], bd[qs])
     size = pack.dist[ps, qs]
@@ -321,18 +318,15 @@ class LambdaSpec:
     def constant(cls, ladder: ScaleLadder, c: float) -> "LambdaSpec":
         return cls(ModulusCurve(np.column_stack([ladder.array, np.full(len(ladder), float(c))])))
 
-    def at(self, t: float) -> float:
+    def at(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.values.value_at(t)
-
-    def at_many(self, t: np.ndarray) -> np.ndarray:
-        return self.values.value_at_many(t)
 
 
 def diag_nbhd_from_lambda(pack: DiscretePack, lam: LambdaSpec) -> Relation:
     """{(p, q) interior : d(p, q) < lambda(min boundary distance)}; symmetric, contains the diagonal."""
     idx = np.array(sorted(pack.interior))
     bd = pack.boundary_dist[idx]
-    gauge = lam.at_many(np.minimum(bd[:, None], bd[None, :]).ravel()).reshape(len(idx), len(idx))
+    gauge = lam.at(np.minimum(bd[:, None], bd[None, :]))
     mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
     mask[np.ix_(idx, idx)] = pack.dist[np.ix_(idx, idx)] < gauge
     return Relation._of(pack, mask)
@@ -342,8 +336,8 @@ def controlled_phi(pack: DiscretePack, ladder: ScaleLadder, lam: LambdaSpec) -> 
     """The modulus phi(t) = h(t) + lambda(t) + h(t + lambda(t)), h capped at k_sup."""
     h = h_profile(pack, ladder)
     t = ladder.array
-    lt = lam.at_many(t)
-    return ModulusCurve(np.column_stack([t, h.value_at_many(t) + lt + h.value_at_many(t + lt)]))
+    lt = lam.at(t)
+    return ModulusCurve(np.column_stack([t, h.value_at(t) + lt + h.value_at(t + lt)]))
 
 
 def controlled_E(

@@ -5,7 +5,7 @@ import pytest
 
 import c0cover as cc
 from c0cover.covers import cover_from_json, cover_to_json, image_family
-from c0cover.errors import EmptyMember, MemberOutsideTarget, NotACover, NotARefinement
+from c0cover.errors import EmptyMember, MemberOutsideTarget, NotACover, NotARefinement, PackMismatch
 
 
 def make_pack(n):
@@ -234,6 +234,9 @@ def test_cover_construction_checks(cyl_fixture):
         cc.Cover.make(cyl_fixture, [frozenset()], target="interior")
     with pytest.raises(MemberOutsideTarget):
         cc.Cover.make(cyl_fixture, [cyl_fixture.boundary], target="interior")
+    for p in (-1, cyl_fixture.n_points):  # a custom target holds point ids of the pack
+        with pytest.raises(PackMismatch):
+            cc.Cover.make(cyl_fixture, [[p]], target=[p])
     fam = cc.Cover.make(cyl_fixture, [list(cyl_fixture.interior)[:1]], target="interior")
     assert not fam.covers_flag
     with pytest.raises(NotACover):

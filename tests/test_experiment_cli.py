@@ -314,8 +314,11 @@ def test_cli_cover_build_malformed_ladder_exits_2(tmp_path, text):
     json.dumps({"members": [14]}),
     json.dumps({"members": [[14]], "target": [14.0]}),
     json.dumps({"members": [[14]], "target": "everything"}),
+    json.dumps({"members": [[100]], "target": [100]}),
+    json.dumps({"members": [[-1]], "target": [-1]}),
 ], ids=["not_json", "no_members", "members_not_a_list", "non_numeric_member", "fractional_member",
-        "string_member", "bool_member", "member_not_a_list", "fractional_target", "unknown_target"])
+        "string_member", "bool_member", "member_not_a_list", "fractional_target", "unknown_target",
+        "target_past_the_pack", "negative_target"])
 def test_cli_render_malformed_cover_exits_2(tmp_path, text):
     cover_file = tmp_path / "cover.json"
     cover_file.write_text(text)

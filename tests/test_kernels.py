@@ -7,7 +7,8 @@ kernels must agree with them exactly (``==``, no tolerance).
 
 import hashlib
 import pickle
-from itertools import chain
+import re
+from itertools import chain, product
 from dataclasses import replace
 
 import numpy as np
@@ -861,14 +862,28 @@ def test_subsequence_indices_matches_loop(kind, params, on_samples):
     balls = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
     # a family that misses points too, so gamma alone is no cover
     sparse = cc.Cover.make(pack, balls.members[::3])
-    betas = ball_betas(pack, beta_length_for(pack))
-    for gamma in (balls, sparse):
+    radii = ladder.radii
+    ladders = {
+        "default": ladder,
+        "thinned": cc.ScaleLadder(tuple(sorted(set(radii[::50]) | set(radii[-3:]), reverse=True))),
+        # the first step jumps to the bottom rung, so the next one runs off the ladder
+        "top_and_bottom": cc.ScaleLadder((radii[0], radii[1], radii[-1])),
+    }
+    # three families stop the recursion at step 3 with LadderExhausted
+    beta_seqs = {"full": ball_betas(pack, beta_length_for(pack)), "short": ball_betas(pack, 3)}
+    raised = set()
+    for (lname, lad), (bname, betas), gamma in product(ladders.items(), beta_seqs.items(), (balls, sparse)):
         gamma_with_singletons = cc.Cover.make(pack, [*gamma.members, *cc.singleton_cover(pack).members])
-        want = outcome(oracle_subsequence, pack, ladder, betas, gamma_with_singletons)
-        # the library adds the interior singletons itself, so gamma alone gives the same rungs
+        want = outcome(oracle_subsequence, pack, lad, betas, gamma_with_singletons)
+        if isinstance(want[0], type):
+            raised.add(re.sub(r"\d+", "N", want[1]))
+        # the singletons decide no rung, errors included: a diameter of 0 never
+        # raises a prefix max, and a singleton in the previous tail's star has
+        # depth >= r_prev, so its m'' is at most prev + 1, a bound n_k has anyway
         for with_singletons in (False, True):
-            got = outcome(subsequence_indices, pack, ladder, betas, gamma_with_singletons if with_singletons else gamma)
-            assert got == want, (gamma is sparse, with_singletons)
+            got = outcome(subsequence_indices, pack, lad, betas, gamma_with_singletons if with_singletons else gamma)
+            assert got == want, (lname, bname, gamma is sparse, with_singletons)
+    assert raised == {"beta sequence exhausted at step N", "recursion wants rung N beyond the ladder"}
 
 
 # -- the ladder -------------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Source checks that need no linter: every module-level import in the
-library is used.
+library is used, and every function reads each of its parameters.
 
 A name counts as used when it occurs as a name anywhere in its module
 (calls, attribute bases, annotations).  ``__init__.py`` re-exports by
 importing, so it is left out, and so is ``from __future__ import ...``.
+A parameter counts as read when its body, nested functions included, loads
+the name.  Dunder methods keep the signature their protocol fixes, so they
+are left out.
 """
 
 import ast
@@ -36,3 +39,33 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{name}({p.arg})" for p in params if p.arg not in read]
+    return sorted(out)
+
+
+def test_the_guard_sees_an_unread_parameter():
+    source = (
+        "def f(a, b, *, tol=0.1):\n    b = 2  # a store is no read\n    return a\n"
+        "class C:\n    def __setattr__(self, name, value):\n        raise AttributeError\n"
+        "g = lambda x, y: x\n"
+    )
+    assert unread_parameters(source) == ["<lambda>(y)", "f(b)", "f(tol)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []

@@ -55,6 +55,10 @@ def test_modulus_curve_step_rule(samples):
         assert curve.value_at(t) == v  # exact at samples
     assert curve.value_at(ts[0] * 2) == curve.samples[0][1]  # clamps above
     assert curve.value_at(ts[-1] / 2) == curve.samples[-1][1]  # clamps below
+    probes = [ts[0] * 2, *ts, *(t * 0.999 for t in ts), ts[-1] / 2]
+    many = curve.value_at(np.array(probes))  # one call over an array of scales
+    assert many.shape == (len(probes),)
+    assert many.tolist() == [curve.value_at(t) for t in probes]
 
 
 @settings(max_examples=40, deadline=None)
