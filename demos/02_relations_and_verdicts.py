@@ -19,6 +19,8 @@ print(f"controlled relation: {len(e)} pairs, symmetric = {e.is_symmetric()}, "
 # Its displacement curve decays toward the boundary and accepts.
 verdict = cc.c0_modulus(pack, ladder, e)
 print(f"displacement verdict: accept = {verdict.accept}, floor value = {verdict.floor_value:g}")
+# The curve is a running max, so it keeps only the rungs where its value changes.
+print(f"  curve: {len(verdict.curve.samples)} breakpoints over {len(ladder)} rungs")
 
 # The all-pairs relation drags far-apart boundary points together: reject.
 bad = cc.c0_modulus(pack, ladder, cc.full_relation(pack))

@@ -20,7 +20,7 @@ from .errors import (
     PackMismatch,
 )
 from .packs import DiscretePack, ScaleLadder, read_json
-from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _scale_curve_verdict
+from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _scale_curve_verdict
 
 Family = Sequence[frozenset]
 
@@ -349,11 +349,12 @@ def uniformity_verdict(
     """Mesh-near-boundary curve of a family over the interior.
 
     Value at scale t is the largest diameter among members meeting B(X, t);
-    ACCEPT iff the curve is nondecreasing and decays to unif_tol * k_sup at
-    the effective resolution floor (the smallest rung any member reaches).
+    ACCEPT iff it decays to unif_tol * k_sup at the effective resolution
+    floor (the smallest rung any member reaches).
     Properness is vacuous on finite packs.  A cover over ``pack`` reads its
     own ``stats``, so no ladder or tolerance measures its members again.
     """
+    _check_tol("unif_tol", unif_tol)
     members = _members_of(alpha)
     if not members:
         raise NotACover("empty family has no verdict")

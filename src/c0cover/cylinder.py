@@ -343,11 +343,11 @@ def choose_slab(
     eps: float,
 ) -> tuple[float, float]:
     """(delta1, delta2) from the uniformity curve and the star containment rule."""
-    curve = uniformity_verdict(pack, ladder, alpha).curve
-    fine = np.flatnonzero((curve.values < eps) & (curve.ts <= pack.k_sup))
+    curve, ts = uniformity_verdict(pack, ladder, alpha).curve, ladder.array
+    fine = np.flatnonzero((curve.value_at(ts) < eps) & (ts <= pack.k_sup))
     if not fine.size:
         raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
-    d1 = float(curve.ts[fine[0]])  # the largest such scale: t descends along the curve
+    d1 = float(ts[fine[0]])  # the largest such scale: t descends along the ladder
     levels = sample_levels(pack)
     slice_levels = levels[levels <= d1]
     if not slice_levels.size:

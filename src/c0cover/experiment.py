@@ -9,7 +9,6 @@ tolerance lands in the report so runs are auditable and reproducible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,13 +27,14 @@ from .packs import DiscretePack, PackKind, ScaleLadder, default_ladder, generate
 from .relations import (
     DEFAULT_LIMIT_TOL,
     LambdaSpec,
+    _check_tol,
     ball_cover,
     c0_modulus,
     controlled_E,
     full_relation,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ class ExperimentConfig:
             if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
                 raise BadParams(f"{name} must be a nonnegative integer")
         for name in ("c0_tol", "unif_tol"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise BadParams(f"{name} must be positive and finite")
+            _check_tol(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

@@ -114,9 +114,9 @@ class ModulusCurve:
         v = vs[np.minimum(np.searchsorted(ts, t, side="left"), len(ts) - 1)]
         return v if np.ndim(t) else float(v)
 
-    def is_nondecreasing(self, tol: float = 0.0) -> bool:
+    def is_nondecreasing(self) -> bool:
         v = self.values  # listed along decreasing t
-        return bool(np.all(v[:-1] >= v[1:] - tol))
+        return bool(np.all(v[:-1] >= v[1:]))
 
     def to_csv(self) -> str:
         lines = ["t,value"]

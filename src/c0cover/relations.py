@@ -12,6 +12,8 @@ at the edges: the pair constructor, the JSON files and the ``pairs`` view.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -212,14 +214,21 @@ def map_relation(e: Relation, f: dict[int, int] | list[int], target: DiscretePac
 # -- verdicts -------------------------------------------------------------------
 
 
+def _check_tol(name: str, value) -> None:
+    """BadParams unless a verdict tolerance is a positive, finite number."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
+        raise BadParams(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CurveVerdict:
-    """A sampled modulus curve together with its decay-to-resolution verdict.
+    """A modulus curve, held as its breakpoints, with its decay-to-resolution verdict.
 
     ``floor_t`` is the rung whose value the verdict reads: the bottom rung
     for displacement curves, or the effective resolution floor (smallest
     rung whose conditioning set is nonempty) for mesh curves.  ACCEPT means
-    the curve is nondecreasing and the floor value stays within tol * k_sup.
+    the floor value stays within tol * k_sup.
     """
 
     curve: ModulusCurve
@@ -227,7 +236,6 @@ class CurveVerdict:
     floor_t: float | None
     floor_value: float
     threshold: float
-    monotone: bool
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +243,6 @@ class CurveVerdict:
             "floor_t": self.floor_t,
             "floor_value": self.floor_value,
             "threshold": self.threshold,
-            "monotone": self.monotone,
             "curve": self.curve.array.tolist(),
         }
 
@@ -264,10 +271,11 @@ def _scale_curve_verdict(
         floor = int(np.count_nonzero(cnt)) - 1
     floor_t = float(radii[floor]) if floor >= 0 else None
     floor_value = float(values[floor]) if floor >= 0 else 0.0
-    curve = ModulusCurve(np.column_stack([radii, values]))
-    monotone = curve.is_nondecreasing(tol=1e-12)
-    accept = monotone and floor_value <= threshold
-    return CurveVerdict(curve, accept, floor_t, floor_value, threshold, monotone)
+    # values is a prefix max read at counts that never grow down the ladder: it never
+    # rises as t falls, so the floor decides, and each run's first rung keeps value_at
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
+    curve = ModulusCurve(np.column_stack([radii[keep], values[keep]]))
+    return CurveVerdict(curve, floor_value <= threshold, floor_t, floor_value, threshold)
 
 
 def c0_modulus(
@@ -279,12 +287,13 @@ def c0_modulus(
     """Displacement-near-boundary curve of a relation.
 
     Value at scale t is the largest d(p, q) over pairs whose nearer endpoint
-    is within t of the boundary; ACCEPT iff the curve is nondecreasing and
-    its value at the bottom rung is at most c0_tol * k_sup.  The ladder
-    bottoms out below the sample, so interior-only relations always clear
-    the floor; the verdict has teeth for relations touching the boundary,
-    and the curve itself records the decay for the rest.
+    is within t of the boundary; ACCEPT iff its value at the bottom rung is
+    at most c0_tol * k_sup.  The ladder bottoms out below the sample, so
+    interior-only relations always clear the floor; the verdict has teeth
+    for relations touching the boundary, and the curve itself records the
+    decay for the rest.
     """
+    _check_tol("c0_tol", c0_tol)
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
     # the curve is a running max, so the pairs need no order
@@ -352,6 +361,7 @@ def controlled_E(
     at most lambda_tol * k_sup); the result always passes the c0 verdict on
     generated packs with deep enough ladders.
     """
+    _check_tol("lambda_tol", lambda_tol)
     if float(lam.values.values[-1]) > lambda_tol * pack.k_sup:
         raise LambdaNotDecaying(
             f"lambda bottoms out at {lam.values.values[-1]:.3g} > {lambda_tol * pack.k_sup:.3g}"

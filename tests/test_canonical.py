@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -188,6 +189,13 @@ def test_minimal_canonical_interval(interval_pipeline):
     assert rep.naive_bound_2dim_plus_2 == 4
     assert rep.witness_ok
     assert rep.uniformity["accept"]
+
+
+def test_pipeline_report_is_small(interval_pipeline):
+    # the written form of `cover build --report`: curves as breakpoints, not one sample per rung
+    text = json.dumps(interval_pipeline["report"].to_dict(), sort_keys=True, indent=2)
+    assert interval_pipeline["report"].ladder_rungs > 10_000
+    assert len(text.encode()) < 2_000
 
 
 def test_minimal_canonical_circle(circle_pack):

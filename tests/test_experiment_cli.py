@@ -33,7 +33,7 @@ def test_experiment_finite_passes():
         "negative_controls",
         "lower_bound_sweep",
     ]
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["summary"]["tolerances"] == {"c0_tol": 0.05, "unif_tol": 0.05}
 
 

@@ -81,7 +81,26 @@ def oracle_curve_verdict(ladder, cond, size, threshold, effective_floor=False):
             floor_t, floor_value = float(t), v
     vs = [v for _, v in samples]
     monotone = all(a >= b - 1e-12 for a, b in zip(vs, vs[1:]))
-    return tuple(samples), floor_t, floor_value, monotone and floor_value <= threshold, monotone
+    breakpoints = []  # the first rung of each run of equal values
+    for t, v in samples:
+        if not breakpoints or v != breakpoints[-1][1]:
+            breakpoints.append((t, v))
+    accept = monotone and floor_value <= threshold
+    return tuple(samples), tuple(breakpoints), floor_t, floor_value, accept, monotone
+
+
+def assert_curve_verdict(got, ladder, want):
+    """The library verdict against ``oracle_curve_verdict``: the same value at
+    every rung, breakpoints at the run starts, and a curve that never rises."""
+    samples, breakpoints, floor_t, floor_value, accept, monotone = want
+    assert monotone
+    assert got.curve.value_at(ladder.array).tolist() == [v for _, v in samples]
+    assert (got.curve.samples, got.floor_t, got.floor_value, got.accept) == (
+        breakpoints,
+        floor_t,
+        floor_value,
+        accept,
+    )
 
 
 def oracle_h_profile(pack, ladder):
@@ -346,11 +365,12 @@ def oracle_top_slice_star(pack, alpha, top):
 
 
 def oracle_choose_slab(pack, ladder, alpha, eps):
-    curve = cc.uniformity_verdict(pack, ladder, alpha).curve
-    fine = np.flatnonzero((curve.values < eps) & (curve.ts <= pack.k_sup))
-    if not fine.size:
+    lo, _, diams = oracle_member_stats(pack, alpha.members)
+    samples = oracle_curve_verdict(ladder, np.array(lo), np.array(diams), 0.0, effective_floor=True)[0]
+    fine = [t for t, v in samples if v < eps and t <= pack.k_sup]
+    if not fine:
         raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
-    d1 = float(curve.ts[fine[0]])
+    d1 = fine[0]
     levels = oracle_sample_levels(pack)
     slice_levels = [t for t in levels if t <= d1]
     if not slice_levels:
@@ -460,13 +480,13 @@ def oracle_map_relation(e, f, target):
 
 
 def oracle_c0_modulus(pack, ladder, e, c0_tol=0.05):
-    if not e.pairs:
-        empty = cc.ModulusCurve(np.column_stack([ladder.array, np.zeros(len(ladder))]))
-        return CurveVerdict(empty, True, float(ladder.radii[-1]), 0.0, c0_tol * pack.k_sup, True)
+    threshold = c0_tol * pack.k_sup
     pairs = np.fromiter(chain.from_iterable(e.pairs), dtype=np.intp, count=2 * len(e.pairs))
     ps, qs = pairs[0::2], pairs[1::2]
     bd = pack.boundary_dist
-    return _scale_curve_verdict(ladder, np.minimum(bd[ps], bd[qs]), pack.dist[ps, qs], c0_tol * pack.k_sup)
+    want = oracle_curve_verdict(ladder, np.minimum(bd[ps], bd[qs]), pack.dist[ps, qs], threshold)
+    _, breakpoints, floor_t, floor_value, accept, _ = want
+    return CurveVerdict(cc.ModulusCurve(breakpoints), accept, floor_t, floor_value, threshold)
 
 
 def oracle_diag_nbhd(pack, lam):
@@ -570,16 +590,14 @@ def test_scale_curve_verdict_matches_loop(data, effective_floor):
     size = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=len(cond), max_size=len(cond))))
     threshold = data.draw(st.floats(0.0, 5.0))
     got = _scale_curve_verdict(ladder, cond, size, threshold, effective_floor)
-    want = oracle_curve_verdict(ladder, cond, size, threshold, effective_floor)
-    assert (got.curve.samples, got.floor_t, got.floor_value, got.accept, got.monotone) == want
+    assert_curve_verdict(got, ladder, oracle_curve_verdict(ladder, cond, size, threshold, effective_floor))
 
 
 @pytest.mark.parametrize("effective_floor", [False, True])
 def test_scale_curve_verdict_empty_cond(cyl_ladder, effective_floor):
     empty = np.array([])
     got = _scale_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor)
-    want = oracle_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor)
-    assert (got.curve.samples, got.floor_t, got.floor_value, got.accept, got.monotone) == want
+    assert_curve_verdict(got, cyl_ladder, oracle_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor))
     assert got.floor_t == (None if effective_floor else cyl_ladder.radii[-1])
 
 
@@ -620,7 +638,8 @@ def test_controlled_phi_matches_loop(drawn, lam_kind, data):
 
 def test_c0_modulus_empty_relation(cyl_fixture, cyl_ladder):
     v = cc.c0_modulus(cyl_fixture, cyl_ladder, cc.Relation(cyl_fixture, []))
-    assert v.curve.samples == tuple((t, 0.0) for t in cyl_ladder.radii)
+    assert v.curve.samples == ((cyl_ladder.radii[0], 0.0),)
+    assert not v.curve.value_at(cyl_ladder.array).any()
     assert v.accept and v.floor_t == cyl_ladder.radii[-1]
 
 
@@ -1144,19 +1163,54 @@ def test_slab_matches_loops(kind, data):
 
 # -- whole reports, pinned on the loop implementation -------------------------------------------
 
+# Each config carries two pins: the schema 1 report, which wrote every curve at
+# every ladder rung beside a ``monotone`` flag, and the schema 2 report, which
+# writes each curve as its breakpoints.  Expanding the curves of the schema 2
+# report onto the ladder must give back the schema 1 bytes.
 PINNED_REPORTS = [
     (
         {"kind": "finite_cylinder", "params": {"n_base": 2, "n_levels": 12}, "candidates": 10},
         "b6465b66dcf80a22db1f013615b080c9b3a7dba5eb327981c83f514a43a1ee2b",
+        "bec45566c8908185d1632b9f566a36621a42da775b946d086b0bae7553f00b9c",
     ),
     (
         {"kind": "interval_cylinder", "params": {"n_base": 33, "n_levels": 10}, "candidates": 10},
         "b8e13fe58bed721580ee283764c6d8fe3a0be0c56642f6aabe5d845ef0704171",
+        "b6b5da8dd78dd3a347c45a6758cb297799c3ae978b33230b15e6086e25f6a3e8",
     ),
 ]
 
 
-@pytest.mark.parametrize("config, sha256", PINNED_REPORTS, ids=["small_finite", "interval_33x10"])
-def test_report_bytes_pinned(config, sha256):
-    text = report_to_json(run_experiment(ExperimentConfig(**config)))
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+def expand_curves(node, radii, curves):
+    """The report with every curve read at every rung, beside ``monotone: true``;
+    each curve as written is appended to ``curves``."""
+    if isinstance(node, dict):
+        out = {k: expand_curves(v, radii, curves) for k, v in node.items()}
+        if "curve" in node:
+            curves.append(node["curve"])
+            curve = cc.ModulusCurve(node["curve"])
+            out["curve"] = [[r, curve.value_at(r)] for r in radii]
+            out["monotone"] = True
+        return out
+    if isinstance(node, list):
+        return [expand_curves(v, radii, curves) for v in node]
+    return node
+
+
+def sha256_of(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config, v1_sha256, sha256", PINNED_REPORTS, ids=["small_finite", "interval_33x10"])
+def test_report_bytes_pinned(config, v1_sha256, sha256):
+    report = run_experiment(ExperimentConfig(**config))
+    assert sha256_of(report_to_json(report)) == sha256
+    radii = cc.default_ladder(cc.generate_pack(config["kind"], **config["params"])).radii
+    curves = []
+    v1 = dict(expand_curves(report, radii, curves), schema_version=1)
+    assert sha256_of(report_to_json(v1)) == v1_sha256
+    assert curves
+    for curve in curves:  # breakpoints: from the top rung down, t and value both strictly falling
+        ts, vs = zip(*curve)
+        assert ts[0] == radii[0]
+        assert all(a > b for a, b in zip(ts, ts[1:])) and all(a > b for a, b in zip(vs, vs[1:]))

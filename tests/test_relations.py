@@ -70,8 +70,7 @@ def test_c0_controlled_E_dominated_by_phi(finite_pack):
     verdict = cc.c0_modulus(finite_pack, ladder, e)
     assert verdict.accept
     phi = cc.relations.controlled_phi(finite_pack, ladder, lam)
-    for (t, v), (_, pv) in zip(verdict.curve.samples, phi.samples):
-        assert v <= pv + 1e-12
+    assert np.all(verdict.curve.value_at(ladder.array) <= phi.values + 1e-12)
 
 
 def test_diag_nbhd_tiny_and_huge(line3):
@@ -174,3 +173,29 @@ def test_relation_file_malformed(line3, text):
 def test_relation_file_out_of_range(line3):
     with pytest.raises(PackMismatch):
         relation_from_json(line3, "[[0, 3]]")
+
+
+@pytest.fixture(scope="module")
+def finite_3x10():
+    pack = cc.generate_pack("finite_cylinder", n_base=3, n_levels=10)
+    ladder = cc.default_ladder(pack)
+    e = cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder))
+    return pack, ladder, e, cc.ball_cover(e)
+
+
+TOL_ENTRY_POINTS = {
+    "c0_modulus": lambda pack, ladder, e, gamma, tol: cc.c0_modulus(pack, ladder, e, tol),
+    "uniformity_verdict": lambda pack, ladder, e, gamma, tol: cc.uniformity_verdict(pack, ladder, gamma, tol),
+    "is_canonical": lambda pack, ladder, e, gamma, tol: cc.is_canonical(pack, ladder, gamma, tol),
+    "lower_bound_check": lambda pack, ladder, e, gamma, tol: cc.lower_bound_check(pack, gamma, ladder, tol),
+    "controlled_E": lambda pack, ladder, e, gamma, tol: cc.controlled_E(
+        pack, ladder, cc.LambdaSpec.identity(ladder), tol
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+@pytest.mark.parametrize("tol", [-0.05, 0.0, float("nan"), float("inf")])
+def test_verdict_tolerance_must_be_positive_and_finite(finite_3x10, entry, tol):
+    with pytest.raises(BadParams, match="must be positive and finite"):
+        TOL_ENTRY_POINTS[entry](*finite_3x10, tol)
