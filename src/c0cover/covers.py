@@ -24,33 +24,53 @@ from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _s
 
 Family = Sequence[frozenset]
 
-_GATHER_LIMIT = 1 << 22  # distances gathered at once by member_stats
+_GATHER_LIMIT = 1 << 22  # distances gathered at once by index_stats and refines
 
 
 class Cover:
     """Finite family of nonempty point sets over one target set of a pack.
 
-    Members are deduplicated, order preserved.  ``covers_flag`` records
-    whether the union equals the target; families that deliberately miss the
-    target are legal (refinement machinery needs them).  A cover is not
-    changed after it is made, so it measures its members once (``stats``)
-    for every verdict and recursion that reads them.
+    Members are deduplicated, order preserved, and held as two read-only
+    index arrays: ``ids`` lists every member's point ids in ascending order,
+    one member after another, and member i is ``ids[offsets[i]:offsets[i + 1]]``
+    (``offsets`` has one entry more than there are members).  ``members`` is
+    the same family as a tuple of frozensets, built on first read unless
+    ``make`` already built it.  ``covers_flag`` records whether the union
+    equals the target; families that deliberately miss the target are legal
+    (refinement machinery needs them).  A cover is not changed after it is
+    made, so it measures its members once (``stats``) for every verdict and
+    recursion that reads them.
     """
 
-    __slots__ = ("pack", "members", "target", "target_tag", "_stats")
+    __slots__ = ("pack", "ids", "offsets", "target", "target_tag", "_members", "_stats")
 
-    def __init__(self, pack, members, target, target_tag):
+    def __init__(self, pack, ids, offsets, target, target_tag, members=None):
+        ids.setflags(write=False)
+        offsets.setflags(write=False)
         self.pack = pack
-        self.members = members
+        self.ids = ids
+        self.offsets = offsets
         self.target = target
         self.target_tag = target_tag
+        self._members = members
         self._stats = None
 
     @property
+    def members(self) -> tuple[frozenset, ...]:
+        """The members as frozensets of point ids, in order."""
+        if self._members is None:
+            self._members = tuple(map(frozenset, self._id_lists()))
+        return self._members
+
+    def _id_lists(self) -> list[list[int]]:
+        ids, bounds = self.ids.tolist(), self.offsets.tolist()
+        return [ids[s:e] for s, e in zip(bounds, bounds[1:])]
+
+    @property
     def stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The members' ``member_stats``, read-only, computed on first use."""
+        """The members' ``index_stats``, read-only, computed on first use."""
         if self._stats is None:
-            self._stats = member_stats(self.pack, self.members)
+            self._stats = index_stats(self.pack, self.ids, self.offsets)
             for a in self._stats:
                 a.setflags(write=False)
         return self._stats
@@ -63,6 +83,14 @@ class Cover:
         target: str | Iterable[int] = "interior",
         drop_empty: bool = False,
     ) -> "Cover":
+        """The cover of the given members, deduplicated in order.
+
+        A frozenset member is taken as it is; any other member is read
+        through ``int``.  EmptyMember for an empty member (unless
+        ``drop_empty``) and MemberOutsideTarget for one that leaves the
+        target, whichever comes first; PackMismatch for a custom target that
+        leaves the pack.
+        """
         if target == "interior":
             tset, tag = pack.interior, "interior"
         elif target == "boundary":
@@ -72,20 +100,25 @@ class Cover:
             outside = tset - frozenset(pack.points)
             if outside:
                 raise PackMismatch(f"target point {min(outside)} outside the pack")
-        seen = set()
-        out = []
+        seen: set[frozenset] = set()
+        out: list[frozenset] = []
         for m in members:
-            fm = frozenset(int(p) for p in m)
+            fm = m if type(m) is frozenset else frozenset(map(int, m))
             if not fm:
                 if drop_empty:
                     continue
                 raise EmptyMember("cover members must be nonempty")
-            if not fm <= tset:
-                raise MemberOutsideTarget(f"member {sorted(fm)[:6]}... leaves the target")
             if fm not in seen:
+                if not fm <= tset:
+                    raise MemberOutsideTarget(f"member {sorted(map(int, fm))[:6]}... leaves the target")
                 seen.add(fm)
                 out.append(fm)
-        return cls(pack, tuple(out), tset, tag)
+        flat, offsets = _flatten(out)
+        n = pack.n_points
+        # one sort orders every member: the key puts member i's ids in [i * n, (i + 1) * n)
+        shift = np.repeat(np.arange(len(out), dtype=np.intp) * n, np.diff(offsets))
+        ids = np.sort(flat + shift) - shift
+        return cls(pack, ids, offsets, tset, tag, tuple(out))
 
     def __eq__(self, other):
         return (
@@ -99,29 +132,23 @@ class Cover:
         return hash((id(self.pack), frozenset(self.members), self.target))
 
     def __len__(self):
-        return len(self.members)
+        return len(self.offsets) - 1
 
     def __repr__(self):
-        return f"Cover(<{len(self.members)} members over {self.target_tag}>)"
-
-    @property
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.members:
-            out |= m
-        return frozenset(out)
+        return f"Cover(<{len(self)} members over {self.target_tag}>)"
 
     @property
     def covers_flag(self) -> bool:
-        return self.union == self.target
+        # members lie inside the target: they cover it when they hold as many points
+        return int(np.count_nonzero(np.bincount(self.ids))) == len(self.target)
 
     def require_cover(self) -> "Cover":
         if not self.covers_flag:
-            raise NotACover(f"family of {len(self.members)} members misses the {self.target_tag} target")
+            raise NotACover(f"family of {len(self)} members misses the {self.target_tag} target")
         return self
 
     def to_json_dict(self) -> dict:
-        return {"members": [sorted(m) for m in self.members], "target": self.target_tag}
+        return {"members": self._id_lists(), "target": self.target_tag}
 
 
 def singleton_cover(pack: DiscretePack, target: str = "interior") -> Cover:
@@ -149,6 +176,29 @@ def _members_of(alpha) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
+def _flatten(members) -> tuple[np.ndarray, np.ndarray]:
+    """Plain members as a cover's index arrays: every member's ids in its
+    own order, one member after another, and the offsets (plus the end)."""
+    offsets = np.zeros(len(members) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=len(members)), out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=int(offsets[-1]))
+    return flat, offsets
+
+
+def _index_arrays(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """A family's ids and offsets: a cover's own, or a plain family's deduplicated and flattened."""
+    if isinstance(alpha, Cover):
+        return alpha.ids, alpha.offsets
+    return _flatten(_members_of(alpha))
+
+
+def _incidence(ids: np.ndarray, offsets: np.ndarray, n: int, dtype=bool) -> np.ndarray:
+    """The members x points 0/1 matrix of index arrays over points 0..n-1."""
+    inc = np.zeros((len(offsets) - 1, n), dtype=dtype)
+    inc[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), ids] = 1
+    return inc
+
+
 def mult_at(alpha, p: int) -> int:
     """Number of members containing p."""
     return sum(1 for m in _members_of(alpha) if p in m)
@@ -160,24 +210,33 @@ def mult_on(alpha, s: Iterable[int]) -> int:
     return sum(1 for m in _members_of(alpha) if m & fs)
 
 
-def _point_counts(*families) -> Counter:
-    """For every point, the number of members holding it, summed over the
-    families (each family deduplicated); points are any hashables."""
-    return Counter(p for fam in families for m in _members_of(fam) for p in m)
+def _deepest_point(*families, witness: bool = False) -> tuple[int, object]:
+    """The largest number of members through one point, summed over the
+    families (each deduplicated), and with ``witness`` the lowest point
+    attaining it (else, or when no member holds a point, None).  Covers
+    count their ids in one bincount; plain families, whose points may be any
+    hashables, count theirs one by one."""
+    if families and all(isinstance(f, Cover) for f in families):
+        counts = np.bincount(np.concatenate([f.ids for f in families]))
+        if not len(counts):
+            return 0, None
+        p = int(counts.argmax())  # the first maximum: the lowest id
+        return int(counts[p]), (p if witness else None)
+    counts = Counter(p for fam in families for m in _members_of(fam) for p in m)
+    best = max(counts.values(), default=0)
+    if not (witness and counts):
+        return best, None
+    return best, min(p for p, c in counts.items() if c == best)
 
 
 def multiplicity(alpha) -> int:
     """Largest number of members through one point."""
-    return max(_point_counts(alpha).values(), default=0)
+    return _deepest_point(alpha)[0]
 
 
 def mult_witness(alpha) -> tuple[int, int | None]:
     """(multiplicity, a point attaining it); lowest witnessing id."""
-    counts = _point_counts(alpha)
-    if not counts:
-        return 0, None
-    best = max(counts.values())
-    return best, min(p for p, c in counts.items() if c == best)
+    return _deepest_point(alpha, witness=True)
 
 
 def mult_along(alpha, e: Relation) -> int:
@@ -193,31 +252,26 @@ def mult_along(alpha, e: Relation) -> int:
 
 def common_multiplicity(*families) -> int:
     """max over points of the summed pointwise multiplicities of the families."""
-    return max(_point_counts(*families).values(), default=0)
+    return _deepest_point(*families)[0]
 
 
-def _flatten(members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Members as one index array, with each member's size and start in it."""
-    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=int(sizes.sum()))
-    return flat, sizes, np.cumsum(sizes) - sizes
+def index_stats(
+    pack: DiscretePack, ids: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member of the index arrays (as a ``Cover`` holds them): min and
+    max boundary distance, and diameter.
 
-
-def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per member: min and max boundary distance, and diameter.
-
-    Members are nonempty point sets.  Diameters come from one gathered block
-    per member size (chunked to bound memory); singletons read 0 with no
-    distance lookup.
+    Members are nonempty.  Diameters come from one gathered block per member
+    size (chunked to bound memory); singletons read 0 with no distance lookup.
     """
-    if not len(members):
+    if len(offsets) < 2:
         return np.zeros(0), np.zeros(0), np.zeros(0)
-    flat, sizes, starts = _flatten(members)
-    depth = pack.boundary_dist[flat]
-    diam = np.zeros(len(members))
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    depth = pack.boundary_dist[ids]
+    diam = np.zeros(len(sizes))
     for s in np.unique(sizes[sizes > 1]).tolist():
         which = np.flatnonzero(sizes == s)
-        idx = flat[starts[which, None] + np.arange(s)]  # (members of size s, s)
+        idx = ids[starts[which, None] + np.arange(s)]  # (members of size s, s)
         step = max(1, _GATHER_LIMIT // (s * s))
         for c in range(0, len(which), step):
             block = idx[c : c + step]
@@ -225,11 +279,24 @@ def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, n
     return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), diam
 
 
+def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``index_stats`` of a sequence of nonempty point sets, taken as given."""
+    return index_stats(pack, *_flatten(members))
+
+
+def _stats_of(pack: DiscretePack, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A family's member stats over ``pack``: a cover over ``pack`` reads its own ``stats``."""
+    if isinstance(alpha, Cover) and alpha.pack is pack:
+        return alpha.stats
+    return member_stats(pack, _members_of(alpha))
+
+
 # -- mesh, star, diagonal ----------------------------------------------------------
 
 
 def mesh(pack: DiscretePack, alpha) -> float:
-    return max((pack.diam(m) for m in _members_of(alpha)), default=0.0)
+    """Largest member diameter."""
+    return float(_stats_of(pack, alpha)[2].max(initial=0.0))
 
 
 def star(alpha, s: Iterable[int]) -> frozenset[int]:
@@ -248,10 +315,7 @@ def delta_of(alpha: Cover) -> Relation:
     The member-incidence product: a float sum of 0/1 terms is positive
     exactly when some member holds both points.
     """
-    incidence = np.zeros((len(alpha.members), alpha.pack.n_points), dtype=np.float32)
-    if alpha.members:
-        flat, sizes, _ = _flatten(alpha.members)
-        incidence[np.repeat(np.arange(len(sizes)), sizes), flat] = 1.0
+    incidence = _incidence(alpha.ids, alpha.offsets, alpha.pack.n_points, np.float32)
     return Relation.from_mask(alpha.pack, incidence.T @ incidence > 0)
 
 
@@ -279,28 +343,64 @@ def preimage_family(f: dict[int, int] | Sequence[int], alpha, n_source: int) -> 
 # -- refinement ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementWitness:
-    """For each member V of the finer family, a coarser member containing it."""
+    """For each member V of the finer family, in order, the index of the
+    first coarser member U containing it; ``assignment`` is the same map
+    between the members themselves."""
 
-    assignment: dict
+    finer: object
+    coarser: object
+    index: np.ndarray
+
+    @property
+    def assignment(self) -> dict:
+        coarse = _members_of(self.coarser)
+        return dict(zip(_members_of(self.finer), (coarse[j] for j in self.index.tolist())))
 
     def verify(self) -> bool:
-        return all(v <= u for v, u in self.assignment.items())
+        """Checks V <= U again, point by point, for every pair."""
+        b_ids, b_off = _index_arrays(self.finer)
+        a_ids, a_off = _index_arrays(self.coarser)
+        n = 1 + max(int(b_ids.max(initial=-1)), int(a_ids.max(initial=-1)))
+        in_coarse = _incidence(a_ids, a_off, n)
+        return bool(in_coarse[np.repeat(self.index, np.diff(b_off)), b_ids].all())
 
 
 def refines(beta, alpha) -> RefinementWitness:
-    """Witness that beta refines alpha; raises NotARefinement on the first failure."""
-    a_members = _members_of(alpha)
-    assignment = {}
-    for v in _members_of(beta):
-        for u in a_members:
-            if v <= u:
-                assignment[v] = u
-                break
-        else:
-            raise NotARefinement(v)
-    return RefinementWitness(assignment)
+    """Witness that beta refines alpha; raises NotARefinement on the first failure.
+
+    Every point's coarser members form a row of bits, and V lies in U
+    exactly when U's bit survives the AND of the rows of V's points
+    (|V & U| = |V|); the witness takes the first such U.
+    """
+    # plain families are read once, so the witness's assignment can read them again
+    beta, alpha = (f if isinstance(f, Cover) else _members_of(f) for f in (beta, alpha))
+    b_ids, b_off = _index_arrays(beta)
+    a_ids, a_off = _index_arrays(alpha)
+    n = 1 + max(int(b_ids.max(initial=-1)), int(a_ids.max(initial=-1)))
+    n_a = len(a_off) - 1
+    holders = np.zeros((n, -(-n_a // 64) * 64), dtype=bool)  # holders[p, j]: member j of alpha holds p
+    holders[a_ids, np.repeat(np.arange(n_a), np.diff(a_off))] = True
+    rows = np.packbits(holders, axis=1, bitorder="little").view(np.uint64)  # 64 members per word
+    sizes = np.diff(b_off)
+    common = np.zeros((len(sizes), rows.shape[1]), dtype=np.uint64)
+    # whole members at a time, gathering about _GATHER_LIMIT bytes of rows
+    step = max(1, _GATHER_LIMIT // max(1, 8 * rows.shape[1] * int(sizes.max(initial=1))))
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        block = np.take(rows, b_ids[b_off[lo] : b_off[hi]], axis=0)
+        common[lo:hi] = np.bitwise_and.reduceat(block, b_off[lo:hi] - b_off[lo])
+    # holds[i, j]: member i of beta lies in member j of alpha
+    holds = np.unpackbits(common.view(np.uint8), axis=1, count=n_a, bitorder="little").view(bool)
+    contained = holds.any(axis=1)
+    if not contained.all():
+        first = int(contained.argmin())
+        raise NotARefinement(frozenset(b_ids[b_off[first] : b_off[first + 1]].tolist()))
+    # with no coarser member there is no finer one either: it would have raised
+    index = holds.argmax(axis=1) if n_a else np.zeros(0, dtype=np.intp)
+    index.setflags(write=False)
+    return RefinementWitness(beta, alpha, index)
 
 
 # -- Lebesgue number ------------------------------------------------------------------
@@ -355,11 +455,9 @@ def uniformity_verdict(
     own ``stats``, so no ladder or tolerance measures its members again.
     """
     _check_tol("unif_tol", unif_tol)
-    members = _members_of(alpha)
-    if not members:
+    cond, _, size = _stats_of(pack, alpha)
+    if not len(cond):
         raise NotACover("empty family has no verdict")
-    own = isinstance(alpha, Cover) and alpha.pack is pack
-    cond, _, size = alpha.stats if own else member_stats(pack, members)
     return _scale_curve_verdict(ladder, cond, size, unif_tol * pack.k_sup, effective_floor=True)
 
 
@@ -371,6 +469,7 @@ def is_canonical(
 ) -> bool:
     """Canonical = covers the interior and accepts the uniformity verdict
     (open-ness and local finiteness carry no discrete content)."""
+    _check_tol("unif_tol", unif_tol)
     return alpha.covers_flag and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
 
 

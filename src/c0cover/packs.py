@@ -32,6 +32,7 @@ from .errors import (
 )
 
 DEFAULT_TRIANGLE_TOL = 1e-9
+_BLOCK = 1 << 16  # matrix entries computed at once by _by_row_blocks
 
 #: generator tags with the true covering dimension of the generated boundary
 KNOWN_DIMS = {
@@ -625,6 +626,17 @@ class PackKind:
         return KNOWN_DIMS[self.tag]
 
 
+def _by_row_blocks(n: int, rows_of: Callable[[slice], np.ndarray], dtype=float) -> np.ndarray:
+    """The n x n matrix whose rows ``rows`` are ``rows_of(rows)``, filled a
+    block of about ``_BLOCK`` entries at a time, so no temporary is n x n."""
+    out = np.empty((n, n), dtype=dtype)
+    step = max(1, _BLOCK // n)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        out[rows] = rows_of(rows)
+    return out
+
+
 def _geometric_levels(n_levels: int, ratio: float, top: float = 1.0) -> list[float]:
     if n_levels < 1 or not (0 < ratio < 1) or top <= 0:
         raise BadParams("need n_levels >= 1 and 0 < ratio < 1")
@@ -645,7 +657,7 @@ def _product_pack(
     nb = base_dist.shape[0]
     bo = np.tile(np.arange(nb), len(levels) + 1)
     lv = np.repeat(np.array([0.0, *levels], dtype=float), nb)
-    dist = base_dist[np.ix_(bo, bo)] + np.abs(lv[:, None] - lv[None, :])
+    dist = _by_row_blocks(len(lv), lambda rows: base_dist[np.ix_(bo[rows], bo)] + np.abs(lv[rows, None] - lv[None, :]))
     base_of, level_of = bo.tolist(), lv.tolist()
     meta = dict(meta, levels=[float(l) for l in levels], base_of=base_of, level_of=level_of)
     if base_coords is not None:
@@ -701,7 +713,7 @@ def _gen_circle_in_disk(n_angles: int = 48, n_levels: int = 12, ratio: float = 0
     for t in levels:
         coords.append((1.0 - t) * coords[0])
     pts = np.vstack(coords)
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    dist = _by_row_blocks(len(pts), lambda rows: np.sqrt(((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
     meta = {
         "kind": "circle_in_disk",
         "known_dim": 1,
@@ -747,7 +759,9 @@ def _gen_countable_example(n_y: int = 5):
     bo = np.array(base_of)
     lv = np.array(level_of)
     yv = np.array(ys)[bo]
-    dist = np.abs(yv[:, None] - yv[None, :]) + np.abs(lv[:, None] - lv[None, :])
+    dist = _by_row_blocks(
+        len(yv), lambda rows: np.abs(yv[rows, None] - yv[None, :]) + np.abs(lv[rows, None] - lv[None, :])
+    )
     coords = np.column_stack([yv, lv])
     meta = {
         "kind": "countable_example",

@@ -23,12 +23,13 @@ from .errors import (
     BadParams,
     KEBallsNotRefining,
     LambdaNotDecaying,
+    MemberOutsideTarget,
     MissingDiagonal,
     NotCovering,
     NotSymmetric,
     PackMismatch,
 )
-from .packs import DiscretePack, ModulusCurve, ScaleLadder, h_profile, read_json
+from .packs import DiscretePack, ModulusCurve, ScaleLadder, _by_row_blocks, h_profile, read_json
 
 DEFAULT_LIMIT_TOL = 0.05  # one knob for every decay-to-resolution surrogate
 
@@ -332,12 +333,18 @@ class LambdaSpec:
 
 
 def diag_nbhd_from_lambda(pack: DiscretePack, lam: LambdaSpec) -> Relation:
-    """{(p, q) interior : d(p, q) < lambda(min boundary distance)}; symmetric, contains the diagonal."""
-    idx = np.array(sorted(pack.interior))
-    bd = pack.boundary_dist[idx]
-    gauge = lam.at(np.minimum(bd[:, None], bd[None, :]))
-    mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
-    mask[np.ix_(idx, idx)] = pack.dist[np.ix_(idx, idx)] < gauge
+    """{(p, q) interior : d(p, q) < lambda(min boundary distance)}; symmetric, contains the diagonal.
+
+    lambda is nondecreasing and evaluated by a monotone step lookup, so
+    lambda(min(a, b)) = min(lambda(a), lambda(b)) exactly: the gauge takes one
+    evaluation per point (0 on the boundary, where no distance is below it),
+    and the mask is compared in row blocks.
+    """
+    gauge = lam.at(pack.boundary_dist)
+    gauge[sorted(pack.boundary)] = 0.0
+    mask = _by_row_blocks(
+        pack.n_points, lambda rows: pack.dist[rows] < np.minimum(gauge[rows, None], gauge[None, :]), dtype=bool
+    )
     return Relation._of(pack, mask)
 
 
@@ -374,18 +381,33 @@ def controlled_E(
 
 
 def ball_cover(e: Relation):
-    """The cover K(E) = {E_x : x interior}; needs the diagonal for covering."""
+    """The cover K(E) = {E_x : x interior}; needs the diagonal for covering.
+
+    Built from the interior columns of the mask: identical balls are
+    dropped after their first occurrence, and the ids and offsets come from
+    one ``flatnonzero``.
+    """
     from .covers import Cover
 
     pack = e.pack
     interior = np.array(sorted(pack.interior), dtype=np.intp)
-    cols = e.mask[:, interior]
-    empty = ~cols.any(axis=0)
+    balls = np.ascontiguousarray(e.mask[:, interior].T)  # row i: the ball of interior[i]
+    empty = ~balls.any(axis=1)
     if empty.any():
         raise NotCovering(f"point {interior[empty.argmax()]} has an empty ball")
-    if not cols[interior].any(axis=1).all():
+    if not balls.any(axis=0)[interior].all():
         raise NotCovering("balls do not cover the interior")
-    return Cover.make(pack, _columns(cols), target="interior")
+    leaves = balls[:, sorted(pack.boundary)].any(axis=1)
+    if leaves.any():
+        ball = np.flatnonzero(balls[leaves.argmax()])
+        raise MemberOutsideTarget(f"member {ball[:6].tolist()}... leaves the target")
+    # each ball's bits as one opaque value: unique keeps the first occurrence of each
+    packed = np.packbits(balls, axis=1)
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)
+    member, ids = np.divmod(np.flatnonzero(balls[np.sort(first)]), pack.n_points)
+    offsets = np.zeros(len(first) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(member, minlength=len(first)), out=offsets[1:])
+    return Cover(pack, ids, offsets, pack.interior, "interior")
 
 
 def shrink_cover(e: Relation, alpha):

@@ -40,13 +40,15 @@ def test_experiment_finite_passes():
 def test_experiment_computes_the_ball_cover_verdict_once(monkeypatch):
     gammas, measured = [], []
     monkeypatch.setattr(experiment, "ball_cover", lambda e: gammas.append(cc.ball_cover(e)) or gammas[-1])
-    member_stats = covers.member_stats
-    monkeypatch.setattr(covers, "member_stats", lambda pack, ms: measured.append(ms) or member_stats(pack, ms))
+    index_stats = covers.index_stats
+    monkeypatch.setattr(
+        covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
+    )
     rep = run_experiment(ExperimentConfig(**SMALL_FINITE))
     assert rep["summary"]["all_pass"]
     [gamma] = gammas
     # the ball_cover stage, refine_subsequence and the lower-bound sweep all read gamma's verdict
-    assert sum(ms is gamma.members for ms in measured) == 1
+    assert sum(ids is gamma.ids for ids in measured) == 1
 
 
 def test_experiment_deterministic():

@@ -8,6 +8,7 @@ kernels must agree with them exactly (``==``, no tolerance).
 import hashlib
 import pickle
 import re
+from collections import Counter
 from itertools import chain, product
 from dataclasses import replace
 
@@ -36,8 +37,11 @@ from c0cover.errors import (
     BoundaryInput,
     DegeneratePack,
     EmptyComplement,
+    EmptyMember,
     LadderExhausted,
+    MemberOutsideTarget,
     NotACover,
+    NotARefinement,
     NotBoundarySubset,
     NotCovering,
     PackMismatch,
@@ -48,6 +52,7 @@ from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
 from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, pack_from_json, pack_to_json, sample_levels
 from c0cover.relations import (
     CurveVerdict,
+    _columns,
     _scale_curve_verdict,
     controlled_phi,
     relation_from_json,
@@ -510,6 +515,141 @@ def oracle_ball_cover(e):
     return cc.Cover.make(pack, members, target="interior")
 
 
+class OracleCover:
+    """The tuple-of-frozensets cover the library used before its index arrays."""
+
+    def __init__(self, pack, members, target, target_tag):
+        self.pack = pack
+        self.members = members
+        self.target = target
+        self.target_tag = target_tag
+
+    @classmethod
+    def make(cls, pack, members, target="interior", drop_empty=False):
+        if target == "interior":
+            tset, tag = pack.interior, "interior"
+        elif target == "boundary":
+            tset, tag = pack.boundary, "boundary"
+        else:
+            tset, tag = frozenset(int(p) for p in target), "custom"
+            outside = tset - frozenset(pack.points)
+            if outside:
+                raise PackMismatch(f"target point {min(outside)} outside the pack")
+        seen = set()
+        out = []
+        for m in members:
+            fm = frozenset(int(p) for p in m)
+            if not fm:
+                if drop_empty:
+                    continue
+                raise EmptyMember("cover members must be nonempty")
+            if not fm <= tset:
+                raise MemberOutsideTarget(f"member {sorted(fm)[:6]}... leaves the target")
+            if fm not in seen:
+                seen.add(fm)
+                out.append(fm)
+        return cls(pack, tuple(out), tset, tag)
+
+    @property
+    def covers_flag(self):
+        return frozenset().union(*self.members) == self.target
+
+    def to_json_dict(self):
+        return {"members": [sorted(m) for m in self.members], "target": self.target_tag}
+
+
+def oracle_members(alpha):
+    if isinstance(alpha, (cc.Cover, OracleCover)):
+        return alpha.members
+    seen, out = set(), []
+    for m in alpha:
+        fm = frozenset(m)
+        if fm and fm not in seen:
+            seen.add(fm)
+            out.append(fm)
+    return tuple(out)
+
+
+def oracle_point_counts(*families):
+    return Counter(p for fam in families for m in oracle_members(fam) for p in m)
+
+
+def oracle_multiplicity(alpha):
+    return max(oracle_point_counts(alpha).values(), default=0)
+
+
+def oracle_mult_witness(alpha):
+    counts = oracle_point_counts(alpha)
+    if not counts:
+        return 0, None
+    best = max(counts.values())
+    return best, min(p for p, c in counts.items() if c == best)
+
+
+def oracle_common_multiplicity(*families):
+    return max(oracle_point_counts(*families).values(), default=0)
+
+
+def oracle_refines(beta, alpha):
+    """The assignment V -> first U holding it; NotARefinement on the first V with none."""
+    a_members = oracle_members(alpha)
+    assignment = {}
+    for v in oracle_members(beta):
+        for u in a_members:
+            if v <= u:
+                assignment[v] = u
+                break
+        else:
+            raise NotARefinement(v)
+    return assignment
+
+
+def oracle_star(alpha, s):
+    fs = frozenset(s)
+    out = set()
+    for m in oracle_members(alpha):
+        if m & fs:
+            out |= m
+    return frozenset(out)
+
+
+def oracle_columns_ball_cover(e):
+    """K(E) as the columns of the mask, each a frozenset, through the frozenset cover."""
+    pack = e.pack
+    interior = np.array(sorted(pack.interior), dtype=np.intp)
+    cols = e.mask[:, interior]
+    empty = ~cols.any(axis=0)
+    if empty.any():
+        raise NotCovering(f"point {interior[empty.argmax()]} has an empty ball")
+    if not cols[interior].any(axis=1).all():
+        raise NotCovering("balls do not cover the interior")
+    return OracleCover.make(pack, _columns(cols), target="interior")
+
+
+def oracle_diag_nbhd_mask(pack, lam):
+    """The n x n gauge lambda(min(d(p, X), d(q, X))) over the interior block."""
+    idx = np.array(sorted(pack.interior))
+    bd = pack.boundary_dist[idx]
+    gauge = lam.at(np.minimum(bd[:, None], bd[None, :]))
+    mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
+    mask[np.ix_(idx, idx)] = pack.dist[np.ix_(idx, idx)] < gauge
+    return mask
+
+
+def same_cover(got, want):
+    """A library cover (or error) against the oracle's: the same members in
+    the same order, and index arrays that list each member's ids ascending."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return (
+        got.to_json_dict() == want.to_json_dict()  # written from ids and offsets
+        and got.members == want.members
+        and not got.ids.flags.writeable
+        and not got.offsets.flags.writeable
+        and (got.target, got.target_tag, len(got), got.covers_flag)
+        == (want.target, want.target_tag, len(want.members), want.covers_flag)
+    )
+
 def outcome(fn, *args, **kwargs):
     """The value, or the (type, message) of the library error raised."""
     try:
@@ -825,14 +965,198 @@ def test_cover_measures_its_members_once(monkeypatch):
     ladder = cc.default_ladder(pack)
     gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
     measured = []
-    monkeypatch.setattr(covers, "member_stats", lambda pack, ms: measured.append(ms) or member_stats(pack, ms))
+    index_stats = covers.index_stats
+    monkeypatch.setattr(
+        covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
+    )
     for lad in (ladder, cc.ScaleLadder(ladder.radii[::2])):
         for tol in (0.05, 0.2):
             got = cc.uniformity_verdict(pack, lad, gamma, tol)
             assert got == cc.uniformity_verdict(pack, lad, list(gamma.members), tol)  # the raw path
-    assert sum(ms is gamma.members for ms in measured) == 1
+    assert sum(ids is gamma.ids for ids in measured) == 1
     assert len(measured) == 1 + 4  # the cover once, each raw family every time
     assert not any(a.flags.writeable for a in gamma.stats)
+
+
+# -- covers as index arrays, against the frozenset cover ---------------------------------------
+
+
+def raw_members(rng, pack, universe):
+    """Members as ``make`` receives them: frozensets, reversed lists and numpy
+    arrays, with repeats, an occasional empty member, and an occasional id
+    just outside the pack (-1 or n), which numpy indexing would wrap."""
+    fam = families(rng, pack, universe)
+    fam += [fam[i] for i in rng.integers(0, len(fam), int(rng.integers(0, 3)))]
+    out = []
+    for m in (fam[i] for i in rng.permutation(len(fam))):
+        form = int(rng.integers(0, 3))
+        out.append(m if form == 0 else sorted(m, reverse=True) if form == 1 else np.array(sorted(m)))
+    if rng.uniform() < 0.2:
+        out.insert(int(rng.integers(0, len(out) + 1)), [])
+    if rng.uniform() < 0.2:
+        bad = frozenset(out[0]) | {int(rng.choice([-1, pack.n_points]))}
+        out.insert(int(rng.integers(0, len(out) + 1)), bad)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(packs(), st.sampled_from(["interior", "boundary", "all", "subset", "outside"]), st.booleans())
+def test_cover_make_matches_frozenset_cover(drawn, target_kind, drop_empty):
+    pack, rng = drawn
+    target = {
+        "interior": "interior",
+        "boundary": "boundary",
+        "all": list(pack.points),
+        "subset": sorted(rng.choice(pack.n_points, int(rng.integers(1, pack.n_points + 1)), replace=False).tolist()),
+        "outside": [0, int(rng.choice([-1, pack.n_points]))],
+    }[target_kind]
+    universe = {"interior": pack.interior, "boundary": pack.boundary, "outside": pack.points}.get(target_kind, target)
+    # members mostly inside the target, sometimes anywhere in the pack
+    members = raw_members(rng, pack, universe if rng.uniform() < 0.8 else pack.points)
+    got = outcome(cc.Cover.make, pack, members, target=target, drop_empty=drop_empty)
+    want = outcome(OracleCover.make, pack, members, target=target, drop_empty=drop_empty)
+    assert same_cover(got, want)
+    if isinstance(want, tuple):
+        return
+    # a cover whose frozenset view is built from its arrays reads the same
+    rebuilt = covers.Cover(pack, got.ids.copy(), got.offsets.copy(), got.target, got.target_tag)
+    assert rebuilt.members == want.members and rebuilt == got
+    other = OracleCover.make(pack, families(rng, pack, want.target or pack.points), target=target)
+    other_got = cc.Cover.make(pack, other.members, target=target)
+    plain = families(rng, pack)
+    for alpha in (got, rebuilt):
+        assert cc.multiplicity(alpha) == oracle_multiplicity(want)
+        assert covers.mult_witness(alpha) == oracle_mult_witness(want)
+        assert cc.common_multiplicity(alpha, other_got) == oracle_common_multiplicity(want, other)
+        assert cc.common_multiplicity(alpha, plain) == oracle_common_multiplicity(want, plain)
+        s = frozenset(rng.choice(pack.n_points, size=int(rng.integers(0, pack.n_points + 1)), replace=False).tolist())
+        assert cc.star(alpha, s) == oracle_star(want, s)
+        assert covers.delta_of(alpha) == delta_of_family(pack, want.members)
+
+
+def assert_refines_matches(beta, alpha):
+    try:
+        want = oracle_refines(beta, alpha)
+    except NotARefinement as exc:
+        with pytest.raises(NotARefinement) as got:
+            cc.refines(beta, alpha)
+        assert got.value.member == exc.member and str(got.value) == str(exc)
+        return
+    witness = cc.refines(beta, alpha)
+    assert witness.assignment == want and list(witness.assignment) == list(want)
+    coarse = oracle_members(alpha)
+    assert [coarse[j] for j in witness.index.tolist()] == list(want.values())
+    assert witness.verify()
+
+
+@settings(max_examples=150, deadline=None)
+@given(packs())
+def test_refines_matches_frozenset_loop(drawn):
+    pack, rng = drawn
+    alpha = cc.Cover.make(pack, families(rng, pack), target=pack.points)
+    # shrunk members of alpha refine it; a random family usually does not
+    shrunk = [frozenset(q for q in m if rng.uniform() < 0.7) or frozenset([min(m)]) for m in alpha.members]
+    beta = cc.Cover.make(pack, [shrunk[i] for i in rng.permutation(len(shrunk))], target=pack.points)
+    for finer, coarser in [(beta, alpha), (alpha, beta), (list(beta.members), alpha), (families(rng, pack), alpha),
+                           (alpha, alpha), ([], alpha), (beta, [])]:
+        assert_refines_matches(finer, coarser)
+
+
+def test_refines_gathers_in_chunks(monkeypatch, interval_pipeline):
+    gamma, alpha = interval_pipeline["gamma"], interval_pipeline["alpha"]
+    monkeypatch.setattr(covers, "_GATHER_LIMIT", 500)  # a few members per gather
+    assert_refines_matches(gamma, alpha)
+    assert_refines_matches(alpha, gamma)
+
+
+def test_refinement_witness_verify_sees_a_wrong_pair(rng):
+    pack = random_pack(rng, 8, 2)
+    alpha = cc.Cover.make(pack, [{0, 1, 2}, {2, 3}, {4, 5, 6, 7}], target=pack.points)
+    beta = cc.Cover.make(pack, [{2, 3}, {5, 6}], target=pack.points)
+    witness = cc.refines(beta, alpha)
+    assert witness.index.tolist() == [1, 2] and witness.verify()
+    assert not covers.RefinementWitness(beta, alpha, np.array([0, 2])).verify()
+
+
+@st.composite
+def ball_masks(draw, pack, rng):
+    """Relations whose interior balls repeat one another, with at times an
+    empty ball, a ball that holds a boundary point, or an uncovered point."""
+    n = pack.n_points
+    interior = sorted(pack.interior)
+    mask = np.zeros((n, n), dtype=bool)
+    pool = rng.uniform(size=(n, int(rng.integers(1, 4)))) < 0.5  # a few distinct balls
+    pool[interior[0], :] = True  # every ball holds one interior point
+    mask[:, interior] = pool[:, rng.integers(0, pool.shape[1], len(interior))]
+    mask[interior, interior] = True  # the diagonal: every ball holds its centre
+    if not draw(st.booleans()):  # the balls stay inside the interior
+        mask[sorted(pack.boundary)] = False
+    flaw = draw(st.sampled_from(["none", "empty", "uncovered"]))
+    if flaw == "empty":
+        mask[:, interior[int(rng.integers(0, len(interior)))]] = False
+    elif flaw == "uncovered" and len(interior) > 1:
+        p = interior[-1]
+        mask[p] = False
+        mask[p, interior[0]] = False
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(packs(), st.data())
+def test_ball_cover_matches_columns(drawn, data):
+    pack, rng = drawn
+    e = cc.Relation.from_mask(pack, data.draw(ball_masks(pack, rng)))
+    got = outcome(cc.ball_cover, e)
+    assert isinstance(got, tuple) or got._members is None  # no frozenset on the way
+    assert same_cover(got, outcome(oracle_columns_ball_cover, e))
+    if not isinstance(got, tuple):
+        stats = zip(covers.index_stats(pack, got.ids, got.offsets), oracle_member_stats(pack, got.members))
+        assert all(a.tolist() == list(map(float, b)) for a, b in stats)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+@pytest.mark.parametrize("lam_kind", ["identity", "constant", "custom"])
+def test_diag_nbhd_matches_square_gauge(kind, lam_kind, monkeypatch):
+    pack = generated(kind)
+    rng = np.random.default_rng(len(kind))
+    ladder = cc.default_ladder(pack)
+    if lam_kind == "identity":
+        lam = cc.LambdaSpec.identity(ladder)
+    elif lam_kind == "constant":  # the experiment's "constant:<c>"
+        lam = cc.LambdaSpec.constant(ladder, 0.3 * pack.k_sup)
+    else:  # a ladder of its own, at sample depths and in between, nondecreasing in t
+        depths = np.unique(pack.boundary_dist[pack.boundary_dist > 0])
+        radii = np.unique(np.concatenate([depths, depths * 1.5, [2 * pack.k_sup]]))[::-1]
+        vals = np.sort(rng.uniform(1e-3, pack.k_sup, len(radii)))[::-1]
+        lam = cc.LambdaSpec(cc.ModulusCurve(np.column_stack([radii, vals])))
+    want = oracle_diag_nbhd_mask(pack, lam)
+    assert np.array_equal(cc.diag_nbhd_from_lambda(pack, lam).mask, want)
+    monkeypatch.setattr(cc.packs, "_BLOCK", 50)  # blocks of one to four rows
+    assert np.array_equal(cc.diag_nbhd_from_lambda(pack, lam).mask, want)
+    e = cc.controlled_E(pack, ladder, lam, lambda_tol=1e9) if lam_kind != "custom" else None
+    if e is not None:
+        phi = cc.LambdaSpec(controlled_phi(pack, ladder, lam))
+        assert np.array_equal(e.mask, oracle_diag_nbhd_mask(pack, phi))
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_generators_fill_the_matrix_in_row_blocks(kind, monkeypatch):
+    whole = generated(kind)  # one block at these sizes
+    monkeypatch.setattr(cc.packs, "_BLOCK", 50)  # blocks of one to four rows
+    assert np.array_equal(cc.generate_pack(kind, **GENERATED[kind]).dist, whole.dist)
+
+def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypatch):
+    pack = cc.generate_pack("interval_cylinder", n_base=33, n_levels=10)
+    ladder = cc.default_ladder(pack)
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    measured = []
+    index_stats = covers.index_stats
+    monkeypatch.setattr(
+        covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
+    )
+    cc.minimal_canonical(pack, gamma)
+    assert sum(ids is gamma.ids for ids in measured) == 1
+    assert gamma._members is None
 
 
 @settings(max_examples=150, deadline=None)

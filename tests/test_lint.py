@@ -69,3 +69,38 @@ def test_the_guard_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level functions and classes whose names start with one underscore."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names loaded or stored anywhere, and attributes read off any object."""
+    tree = ast.parse(source)
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_guard_sees_an_unreferenced_private_function():
+    source = "def _used():\n    pass\ndef _kept_for_tests():\n    pass\nclass _Gone:\n    pass\nx = _used()\n"
+    assert [d for d in private_definitions(source) if d not in referenced_names(source)] == [
+        "_kept_for_tests",
+        "_Gone",
+    ]
+
+
+def test_private_definitions_are_referenced_by_library_code():
+    """A private helper that only tests call is dead code kept alive by its tests."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    referenced = set().union(*map(referenced_names, sources))
+    defined = [name for source in sources for name in private_definitions(source)]
+    assert sorted(name for name in defined if name not in referenced) == []

@@ -199,3 +199,12 @@ TOL_ENTRY_POINTS = {
 def test_verdict_tolerance_must_be_positive_and_finite(finite_3x10, entry, tol):
     with pytest.raises(BadParams, match="must be positive and finite"):
         TOL_ENTRY_POINTS[entry](*finite_3x10, tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_is_canonical_checks_the_tolerance_of_a_family_that_misses(finite_3x10, tol):
+    pack, ladder, _, _ = finite_3x10
+    one = cc.Cover.make(pack, [[min(pack.interior)]])
+    assert not one.covers_flag and not cc.is_canonical(pack, ladder, one)
+    with pytest.raises(BadParams, match="must be positive and finite"):
+        cc.is_canonical(pack, ladder, one, tol)
