@@ -20,11 +20,14 @@ from .errors import (
     PackMismatch,
 )
 from .packs import DiscretePack, ScaleLadder, read_json
-from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _scale_curve_verdict
+from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _point_index, _scale_curve_verdict
 
 Family = Sequence[frozenset]
 
-_GATHER_LIMIT = 1 << 22  # distances gathered at once by index_stats and refines
+# distances gathered at once by the per-size diameter gather, and bytes of bit rows
+# gathered at once by refines and by the co-member pair enumeration
+_GATHER_LIMIT = 1 << 22
+_SWEEP = 1 << 12  # co-member pairs per step of the diameter sweep
 
 
 class Cover:
@@ -185,6 +188,16 @@ def _flatten(members) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
+def _flatten_in(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray]:
+    """``_flatten`` of members over ``pack``; PackMismatch for the first id
+    outside it (numpy indexing would wrap a negative one)."""
+    ids, offsets = _flatten(members)
+    outside = (ids < 0) | (ids >= pack.n_points)
+    if outside.any():
+        raise PackMismatch(f"point {int(ids[outside.argmax()])} outside the pack")
+    return ids, offsets
+
+
 def _index_arrays(alpha) -> tuple[np.ndarray, np.ndarray]:
     """A family's ids and offsets: a cover's own, or a plain family's deduplicated and flattened."""
     if isinstance(alpha, Cover):
@@ -197,6 +210,14 @@ def _incidence(ids: np.ndarray, offsets: np.ndarray, n: int, dtype=bool) -> np.n
     inc = np.zeros((len(offsets) - 1, n), dtype=dtype)
     inc[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), ids] = 1
     return inc
+
+
+def _bit_rows(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The n_rows x n_cols 0/1 matrix with ones at (rows, cols), 64 columns
+    to a uint64 word: column j is bit j % 64 of word j // 64."""
+    bits = np.zeros((n_rows, -(-n_cols // 64) * 64), dtype=bool)
+    bits[rows, cols] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
 def mult_at(alpha, p: int) -> int:
@@ -261,13 +282,26 @@ def index_stats(
     """Per member of the index arrays (as a ``Cover`` holds them): min and
     max boundary distance, and diameter.
 
-    Members are nonempty.  Diameters come from one gathered block per member
-    size (chunked to bound memory); singletons read 0 with no distance lookup.
+    Members are nonempty, and singletons read a diameter of 0.  The diameters
+    take one of two exact paths, chosen by how much the members overlap: when
+    the squared member sizes sum to more than 8 u^2, u the number of distinct
+    points held (a ball cover such as gamma), ``_pair_diameters`` reads each
+    co-member pair once; otherwise ``_gathered_diameters`` reads one block per
+    member.
     """
     if len(offsets) < 2:
         return np.zeros(0), np.zeros(0), np.zeros(0)
     starts, sizes = offsets[:-1], np.diff(offsets)
     depth = pack.boundary_dist[ids]
+    held = np.count_nonzero(np.bincount(ids))
+    diameters = _pair_diameters if int(sizes @ sizes) > 8 * held * held else _gathered_diameters
+    return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), diameters(pack.dist, ids, offsets)
+
+
+def _gathered_diameters(dist: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Member diameters from one gathered s x s block per member of size s,
+    a member size at a time (chunked to bound memory)."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
     diam = np.zeros(len(sizes))
     for s in np.unique(sizes[sizes > 1]).tolist():
         which = np.flatnonzero(sizes == s)
@@ -275,13 +309,107 @@ def index_stats(
         step = max(1, _GATHER_LIMIT // (s * s))
         for c in range(0, len(which), step):
             block = idx[c : c + step]
-            diam[which[c : c + step]] = pack.dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
-    return np.minimum.reduceat(depth, starts), np.maximum.reduceat(depth, starts), diam
+            diam[which[c : c + step]] = dist[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
+    return diam
+
+
+def _pair_diameters(dist: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Member diameters from the distinct co-member pairs, each read once.
+
+    The pairs are swept by descending value against the points' 64-member
+    holder words: a member's diameter is the first pair whose two rows both
+    hold it.  The members found last are the narrow ones, and most of them
+    are small: once their blocks hold no more entries than the pairs left to
+    sweep hold words, they are gathered instead.
+    """
+    sizes = np.diff(offsets)
+    diam, rest = _sweep_pairs(sizes, *_co_member_pairs(dist, ids, offsets))
+    starts = np.concatenate(([0], np.cumsum(sizes[rest])))
+    sub = ids[np.repeat(offsets[rest] - starts[:-1], sizes[rest]) + np.arange(starts[-1])]
+    diam[rest] = _gathered_diameters(dist, sub, starts)
+    # a checked matrix may hold self-distances within its tolerance of 0, and a block reads them
+    self_dist = np.maximum.reduceat(np.diagonal(dist)[ids], offsets[:-1])
+    return np.where(sizes > 1, np.maximum(diam, self_dist), 0.0)
+
+
+def _co_member_pairs(
+    dist: np.ndarray, ids: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The holder words of the points the members hold, and the pairs a < b of
+    those points that some member holds (Delta of the family), with the value
+    max(d[p, q], d[q, p]) of each.  Points are numbered 0..u-1 in id order.
+
+    A boolean incidence product: a point's co-members are the OR of the point
+    bits of the members holding it, a block of points at a time.
+    """
+    n_m = len(offsets) - 1
+    member = np.repeat(np.arange(n_m, dtype=np.int32), np.diff(offsets))
+    counts = np.bincount(ids)
+    pts = np.flatnonzero(counts)  # point i is pts[i]
+    u = len(pts)
+    loc = (np.cumsum(counts > 0) - 1)[ids]  # the ids as points 0..u-1
+    holders = _bit_rows(loc, member, u, n_m)  # holders[i]: the members holding point i
+    inside = _bit_rows(member, loc, n_m, u)  # inside[j]: the points member j holds
+    holding = member[np.argsort(ids, kind="stable")]  # the members holding point 0, then 1, ...
+    bounds = np.concatenate(([0], np.cumsum(counts[pts])))
+    per = max(1, _GATHER_LIMIT // (8 * inside.shape[1]))  # member rows ORed per block of points
+    firsts, seconds, values = [], [], []
+    lo = 0
+    while lo < u:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + per, side="right")) - 1)
+        co = np.bitwise_or.reduceat(inside[holding[bounds[lo] : bounds[hi]]], bounds[lo:hi] - bounds[lo])
+        pair = np.unpackbits(co.view(np.uint8), axis=1, count=u, bitorder="little").view(bool)
+        pair &= np.arange(u) > np.arange(lo, hi)[:, None]
+        p, q = np.nonzero(pair)
+        p += lo
+        firsts.append(p.astype(np.int32))
+        seconds.append(q.astype(np.int32))
+        values.append(np.maximum(dist[pts[p], pts[q]], dist[pts[q], pts[p]]))
+        lo = hi
+    value = np.concatenate(values)
+    del values  # one copy of the pairs at a time
+    return holders, np.concatenate(firsts), np.concatenate(seconds), value
+
+
+def _sweep_pairs(
+    sizes: np.ndarray, holders: np.ndarray, a: np.ndarray, b: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diameters the sweep finds, and the members of size > 1 it leaves.
+
+    Within a step of pairs, a running OR of the two rows' common words holds
+    every member found so far; a bit it gains at pair i is a member found there.
+    """
+    n_m = len(sizes)
+    sought = np.zeros(holders.shape[1] * 64, dtype=bool)
+    sought[:n_m] = sizes > 1
+    found = ~np.packbits(sought, bitorder="little").view(np.uint64)  # members found, or not sought
+    diam = np.zeros(len(sought))
+    desc = np.argsort(value)[::-1]
+    # what gathering the members not yet found would read, against what sweeping the rest reads
+    left = int(sizes[sizes > 1] @ sizes[sizes > 1])
+    for c in range(0, len(desc), _SWEEP):
+        if left <= (len(desc) - c) * holders.shape[1]:
+            break
+        step = desc[c : c + _SWEEP]
+        seen = holders[a[step]] & holders[b[step]]
+        seen[0] |= found
+        np.bitwise_or.accumulate(seen, axis=0, out=seen)
+        new = seen.copy()
+        new[1:] &= ~seen[:-1]
+        new[0] &= ~found
+        i, w = np.nonzero(new)
+        r, bit = np.nonzero(np.unpackbits(new[i, w].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"))
+        hit = 64 * w[r] + bit
+        diam[hit] = value[step[i[r]]]
+        left -= int(sizes[hit] @ sizes[hit])
+        found = seen[-1]
+    return diam[:n_m], np.flatnonzero(np.unpackbits(~found.view(np.uint8), count=n_m, bitorder="little"))
 
 
 def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``index_stats`` of a sequence of nonempty point sets, taken as given."""
-    return index_stats(pack, *_flatten(members))
+    """``index_stats`` of a sequence of nonempty point sets, taken as given;
+    PackMismatch for a point outside the pack."""
+    return index_stats(pack, *_flatten_in(pack, members))
 
 
 def _stats_of(pack: DiscretePack, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,9 +508,7 @@ def refines(beta, alpha) -> RefinementWitness:
     a_ids, a_off = _index_arrays(alpha)
     n = 1 + max(int(b_ids.max(initial=-1)), int(a_ids.max(initial=-1)))
     n_a = len(a_off) - 1
-    holders = np.zeros((n, -(-n_a // 64) * 64), dtype=bool)  # holders[p, j]: member j of alpha holds p
-    holders[a_ids, np.repeat(np.arange(n_a), np.diff(a_off))] = True
-    rows = np.packbits(holders, axis=1, bitorder="little").view(np.uint64)  # 64 members per word
+    rows = _bit_rows(a_ids, np.repeat(np.arange(n_a), np.diff(a_off)), n, n_a)  # rows[p]: alpha's members holding p
     sizes = np.diff(b_off)
     common = np.zeros((len(sizes), rows.shape[1]), dtype=np.uint64)
     # whole members at a time, gathering about _GATHER_LIMIT bytes of rows
@@ -417,13 +543,19 @@ def lebesgue_number(
     d(., empty) caps at the target diameter.  Every subset of the target with
     diameter < L embeds in some member.  With skip_uncovered the minimum runs
     over covered points only (used where ties may puncture a cover).
+    PackMismatch for a member or target point outside the pack.
     """
-    tgt = np.array(sorted(frozenset(target)), dtype=np.intp)
+    tgt = np.unique(_point_index(pack, target))
     in_tgt = np.zeros(pack.n_points, dtype=bool)
     in_tgt[tgt] = True
+    if isinstance(beta, Cover) and beta.pack is pack:
+        ids, offsets = beta.ids, beta.offsets
+    else:
+        ids, offsets = _flatten_in(pack, _members_of(beta))
+    bounds = offsets.tolist()
     here = np.full(pack.n_points, -np.inf)  # max over members U holding p of d(p, target \ U)
-    for m in _members_of(beta):
-        pts = np.fromiter(m, dtype=np.intp, count=len(m))
+    for s, e in zip(bounds, bounds[1:]):
+        pts = ids[s:e]
         outside = in_tgt.copy()
         outside[pts] = False
         here[pts] = np.maximum(here[pts], pack.set_dist(pts, np.flatnonzero(outside)))

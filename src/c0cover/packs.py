@@ -200,7 +200,8 @@ class DiscretePack:
     def set_dist(self, pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """For each point of the index array ``pts``, its least distance to
         the index array ``targets``, in one reduction; +inf for no targets."""
-        return self.dist[np.ix_(pts, targets)].min(axis=1, initial=np.inf)
+        # whole rows first: a contiguous read, then a gather within each row
+        return np.take(self.dist[pts], targets, axis=1).min(axis=1, initial=np.inf)
 
     def diam(self, pts: Iterable[int]) -> float:
         idx = sorted(pts)

@@ -131,6 +131,26 @@ def test_lebesgue_not_a_cover():
         cc.lebesgue_number(pack, [frozenset({0, 1})], pack.points)
 
 
+@pytest.mark.parametrize("p", [-1, -3, 20, 99])
+def test_plain_family_ids_outside_the_pack_are_typed(p):
+    """An id past the end would fail untyped, and numpy would wrap a negative one."""
+    pack = cc.generate_pack("interval_cylinder", n_base=5, n_levels=3)
+    ladder = cc.default_ladder(pack)
+    everything = frozenset(pack.points)
+    msg = f"point {p} outside the pack"
+    calls = [
+        lambda: cc.lebesgue_number(pack, [everything, {p}], pack.points),
+        lambda: cc.lebesgue_number(pack, [everything], [*pack.points, p]),
+        lambda: cc.mesh(pack, [{0, p}]),
+        lambda: cc.uniformity_verdict(pack, ladder, [{5, p}]),
+        lambda: cc.covers.member_stats(pack, [[0, 1], [p]]),
+    ]
+    assert pack.n_points == 20
+    for call in calls:
+        with pytest.raises(PackMismatch, match=msg):
+            call()
+
+
 def test_lebesgue_guarantee_random(rng):
     from c0cover.verify import random_family, random_pack
 

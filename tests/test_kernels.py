@@ -9,7 +9,7 @@ import hashlib
 import pickle
 import re
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, combinations, product
 from dataclasses import replace
 
 import numpy as np
@@ -958,6 +958,112 @@ def test_member_stats_chunked_gathers(monkeypatch, rng):
 
 def test_member_stats_empty_family(cyl_fixture):
     assert all(a.size == 0 for a in member_stats(cyl_fixture, []))
+
+
+DIAMETER_PATHS = ("_pair_diameters", "_gathered_diameters")
+_gamma_cache = {}
+
+
+def identity_gamma(kind, **params):
+    """The ball cover of the identity-gauge relation E, as the pipeline builds it."""
+    key = (kind, tuple(sorted(params.items())))
+    if key not in _gamma_cache:
+        pack = cc.generate_pack(kind, **params)
+        ladder = cc.default_ladder(pack)
+        _gamma_cache[key] = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    return _gamma_cache[key]
+
+
+def assert_diameter_paths(monkeypatch, pack, members, path):
+    """``index_stats`` takes ``path`` on the members, and both diameter paths
+    and the whole stats equal the oracle's exactly."""
+    ids, offsets = covers._flatten(members)
+    taken = []
+    with monkeypatch.context() as m:
+        for name in DIAMETER_PATHS:
+            fn = getattr(covers, name)
+            m.setattr(covers, name, lambda *args, fn=fn, name=name: taken.append(name) or fn(*args))
+        got = covers.index_stats(pack, ids, offsets)
+    assert taken[0] == path  # the pair path may then gather the members its sweep leaves
+    want = [np.array(w, dtype=float) for w in oracle_member_stats(pack, members)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for name in DIAMETER_PATHS:
+        assert np.array_equal(getattr(covers, name)(pack.dist, ids, offsets), want[2]), name
+
+
+@pytest.mark.parametrize(
+    "kind, params, path",
+    [
+        ("interval_cylinder", dict(n_base=33, n_levels=10), "_pair_diameters"),
+        ("interval_cylinder", dict(n_base=65, n_levels=12), "_pair_diameters"),
+        ("circle_in_disk", dict(n_angles=32, n_levels=10), "_gathered_diameters"),
+    ],
+)
+def test_gamma_diameter_paths_match_the_oracle(monkeypatch, kind, params, path):
+    gamma = identity_gamma(kind, **params)
+    assert_diameter_paths(monkeypatch, gamma.pack, gamma.members, path)
+
+
+def test_alpha_takes_the_gathered_path(monkeypatch):
+    gamma = identity_gamma("interval_cylinder", n_base=33, n_levels=10)
+    alpha, _ = cc.minimal_canonical(gamma.pack, gamma)
+    assert_diameter_paths(monkeypatch, gamma.pack, alpha.members, "_gathered_diameters")
+
+
+@settings(max_examples=100, deadline=None)
+@given(packs(), st.integers(16, 32))
+def test_pair_diameters_on_heavily_overlapping_families(drawn, n_members):
+    """Members that each hold most points: the squared sizes sum past 8 u^2."""
+    pack, rng = drawn
+    n = pack.n_points
+    fam = [frozenset(rng.choice(n, size=int(rng.integers(max(2, n - 2), n + 1)), replace=False).tolist())]
+    fam += [frozenset(rng.choice(n, size=int(rng.integers(n // 2 + 1, n + 1)), replace=False).tolist()) for _ in range(n_members)]
+    fam += [frozenset([int(p)]) for p in rng.choice(n, size=int(rng.integers(0, 4)))]
+    sizes = np.array(list(map(len, fam)))
+    assume(sizes @ sizes > 8 * len(frozenset().union(*fam)) ** 2)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_diameter_paths(monkeypatch, pack, fam, "_pair_diameters")
+
+
+@pytest.mark.parametrize("sweep", [1, 2, 3, 64, 65])
+def test_pair_sweep_and_enumeration_chunks(monkeypatch, sweep):
+    """Chunk boundaries inside the sweep, and one or two holder rows per block
+    of points.  The sweep finds some members and leaves the rest to the gather."""
+    gamma = identity_gamma("interval_cylinder", n_base=17, n_levels=8)
+    want = np.array(oracle_member_stats(gamma.pack, gamma.members)[2])
+    gathered = []
+    gather = covers._gathered_diameters
+    monkeypatch.setattr(covers, "_gathered_diameters", lambda d, i, o: gathered.append(len(o) - 1) or gather(d, i, o))
+    monkeypatch.setattr(covers, "_SWEEP", sweep)
+    monkeypatch.setattr(covers, "_GATHER_LIMIT", 8 * sweep)
+    assert np.array_equal(covers._pair_diameters(gamma.pack.dist, gamma.ids, gamma.offsets), want)
+    assert len(gathered) == 1 and 0 < gathered[0] < np.count_nonzero(np.diff(gamma.offsets) > 1)
+
+
+def near_symmetric_pack():
+    """A dense pack symmetric only within the checked tolerance: on six points of
+    a line, d[q, p] exceeds d[p, q] by 4e-10 for p < q, and point 3 is 8e-10 from
+    itself but at most 5e-10 from point 4.  Read above the diagonal alone, every member
+    holding both ends, and the member {3, 4}, would get a smaller diameter."""
+    x = np.array([0.0, 1.0, 2.5, 3.0, 3.0 + 1e-10, 4.5])
+    d = np.abs(x[:, None] - x[None, :])
+    d += np.tril(np.full_like(d, 4e-10), -1)
+    d[3, 3] = 8e-10
+    return cc.validate_pack(6, d, [0])
+
+
+def test_diameter_paths_read_both_orientations(monkeypatch):
+    pack = near_symmetric_pack()
+    assert not np.array_equal(pack.dist, pack.dist.T)
+    members = [frozenset(c) for k in (4, 5) for c in combinations(range(6), k)] + [frozenset({3, 4}), frozenset({2})]
+    assert_diameter_paths(monkeypatch, pack, members, "_pair_diameters")
+    _, _, diam = member_stats(pack, members)
+    assert diam[-2] == 8e-10 and diam[0] == pack.dist[3, 0]  # {0, 1, 2, 3}: d[3, 0] > d[0, 3]
+    for fam in (members, [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3, 4, 5})], members[-2:]):
+        for target in (pack.points, [1, 2, 3, 4]):
+            for skip in (False, True):
+                got = outcome(cc.lebesgue_number, pack, fam, target, skip_uncovered=skip)
+                assert got == outcome(oracle_lebesgue, pack, fam, target, skip_uncovered=skip)
 
 
 def test_cover_measures_its_members_once(monkeypatch):
