@@ -179,6 +179,46 @@ def _members_of(alpha) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
+def _interior_cover(pack: DiscretePack, rows: np.ndarray) -> Cover:
+    """The cover of the interior whose members are the nonempty rows of a
+    members x points bool matrix, deduplicated in order.
+
+    MemberOutsideTarget for the first row holding a boundary point.  Each
+    row's bits are packed into one opaque value, so ``unique`` keeps the first
+    occurrence of each member, and the ids and offsets come from one
+    ``flatnonzero``.
+    """
+    held = rows.any(axis=1)
+    if not held.all():
+        rows = rows[held]
+    leaves = rows[:, sorted(pack.boundary)].any(axis=1)
+    if leaves.any():
+        raise MemberOutsideTarget(f"member {np.flatnonzero(rows[leaves.argmax()])[:6].tolist()}... leaves the target")
+    packed = np.packbits(rows, axis=1)
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)
+    member, ids = np.divmod(np.flatnonzero(rows[np.sort(first)]), pack.n_points)
+    offsets = np.zeros(len(first) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(member, minlength=len(first)), out=offsets[1:])
+    return Cover(pack, ids, offsets, pack.interior, "interior")
+
+
+def _measure_together(covers: Sequence[Cover]) -> None:
+    """Measure the members of covers over one pack with one ``index_stats``
+    call over their concatenated index arrays; each cover keeps its read-only
+    slice of the result as its ``stats``."""
+    if not covers:
+        return
+    sizes = np.concatenate([np.diff(c.offsets) for c in covers])
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    stats = index_stats(covers[0].pack, np.concatenate([c.ids for c in covers]), offsets)
+    for a in stats:
+        a.setflags(write=False)
+    bounds = np.cumsum([0, *map(len, covers)]).tolist()
+    for c, lo, hi in zip(covers, bounds, bounds[1:]):
+        c._stats = tuple(a[lo:hi] for a in stats)
+
+
 def _flatten(members) -> tuple[np.ndarray, np.ndarray]:
     """Plain members as a cover's index arrays: every member's ids in its
     own order, one member after another, and the offsets (plus the end)."""
@@ -596,12 +636,18 @@ def uniformity_verdict(
 def is_canonical(
     pack: DiscretePack,
     ladder: ScaleLadder,
-    alpha: Cover,
+    alpha,
     unif_tol: float = DEFAULT_LIMIT_TOL,
 ) -> bool:
     """Canonical = covers the interior and accepts the uniformity verdict
-    (open-ness and local finiteness carry no discrete content)."""
+    (open-ness and local finiteness carry no discrete content).
+
+    A plain family is read through ``Cover.make`` over the interior, so a
+    member leaving it raises MemberOutsideTarget.
+    """
     _check_tol("unif_tol", unif_tol)
+    if not isinstance(alpha, Cover):
+        alpha = Cover.make(pack, alpha)
     return alpha.covers_flag and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
 
 

@@ -8,13 +8,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .covers import (
     Cover,
+    _interior_cover,
+    _measure_together,
     mult_witness,
     star,
     uniformity_verdict,
@@ -457,9 +458,6 @@ def lower_bound_check(
 # -- randomized uniform candidates -------------------------------------------------------
 
 
-_EMPTY_SLOT = frozenset([-1])
-
-
 def _column_structure(pack: DiscretePack):
     """Assign every interior point a (base position index, level index).
 
@@ -493,6 +491,9 @@ def random_uniform_candidates(
     be fatter than the verdict allows); the multiplicity witness lives in
     the shallow slabs.  Block partitions, which accept the verdict but
     discretize no open cover, are deliberately not produced.
+
+    Each member is the block of the slot array of ``_column_structure`` under
+    one base run and one slab; the candidates are measured together.
     """
     if not pack.cylindrical or pack.known_dim not in (0, 1):
         raise NonCylindricalPack("candidate generator needs a cylindrical pack of dim 0 or 1")
@@ -506,6 +507,7 @@ def random_uniform_candidates(
         gap = span / max(nb - 1, 1)
         if round(2 * levels[0] / gap) < 2:
             raise NonCylindricalPack("base sample too sparse to witness overlaps at the top scale")
+    columns = np.column_stack([np.arange(nb), np.ones(nb, dtype=np.intp)])  # one run per base index
     covers = []
     for _ in range(count):
         slabs = []
@@ -517,25 +519,43 @@ def random_uniform_candidates(
                 break
             overlap = int(rng.integers(1, min(3, b - a + 1) + 1))
             a = max(b - overlap + 1, a + 1)  # shares >= 1 level with the previous slab
-        members = []
+        runs = []
         for a, b in slabs:
             width = 1 if pack.known_dim == 0 else max(1, round(2 * levels[a] / gap))
-            if width == 1:  # dimension 0, or too deep for overlapping runs: single columns
-                runs = [[z] for z in range(nb)]
-            else:
-                runs = _base_runs(nb, circular, width, rng)
-            columns = slots[:, a : b + 1].tolist()  # the slab's block, one row per base index
-            for run in runs:
-                members.append(frozenset(chain.from_iterable(map(columns.__getitem__, run))) - _EMPTY_SLOT)
-        cov = Cover.make(pack, members, target="interior", drop_empty=True).require_cover()
-        covers.append(cov)
+            # dimension 0, or too deep for overlapping runs: single columns
+            runs.append(columns if width == 1 else np.array(_base_runs(nb, circular, width, rng)))
+        covers.append(_slot_blocks_cover(pack, slots, slabs, runs).require_cover())
+    _measure_together(covers)
     return covers
 
 
-def _base_runs(nb: int, circular: bool, width: int, rng) -> list[list[int]]:
-    """Overlapping index runs covering 0..nb-1; consecutive runs share >= 1 index.
+def _slot_blocks_cover(
+    pack: DiscretePack, slots: np.ndarray, slabs: list[tuple[int, int]], runs: list[np.ndarray]
+) -> Cover:
+    """The cover with one member per base run of each slab: the points in the
+    slots of base indices start..start + width - 1 (modulo the base count) and
+    levels a..b, for slab (a, b) and its runs' (start, width) rows; empty
+    slots are dropped."""
+    per_slab = [len(r) for r in runs]
+    start, width = np.concatenate(runs).T
+    top = np.repeat([a for a, _ in slabs], per_slab)
+    height = np.repeat([b - a + 1 for a, b in slabs], per_slab)
+    size = width * height
+    member = np.repeat(np.arange(len(size)), size)
+    k = np.arange(len(member)) - np.repeat(np.cumsum(size) - size, size)  # the slot's place in its block
+    h = height[member]
+    pts = slots[(start[member] + k // h) % len(slots), top[member] + k % h]
+    keep = pts >= 0
+    rows = np.zeros((len(size), pack.n_points), dtype=bool)
+    rows[member[keep], pts[keep]] = True
+    return _interior_cover(pack, rows)
 
-    Circular mode wraps and makes the final run overlap the first.
+
+def _base_runs(nb: int, circular: bool, width: int, rng) -> list[tuple[int, int]]:
+    """Overlapping index runs covering 0..nb-1, as (start, width); consecutive
+    runs share >= 1 index.
+
+    Circular mode wraps modulo nb and makes the final run overlap the first.
     """
     width = max(2, min(width, nb))
     runs = []
@@ -544,14 +564,13 @@ def _base_runs(nb: int, circular: bool, width: int, rng) -> list[list[int]]:
     while True:
         w = max(2, min(width + int(rng.integers(-1, 2)), nb))
         if circular:
-            run = sorted({(pos + i) % nb for i in range(w)})
-            runs.append(run)
+            runs.append((pos % nb, w))
             pos += w - 1  # share exactly one index with the next run
             if pos >= start + nb:  # wrapped past the first run: overlap closed
                 break
         else:
             end = min(pos + w - 1, nb - 1)
-            runs.append(list(range(pos, end + 1)))
+            runs.append((pos, end - pos + 1))
             if end >= nb - 1:
                 break
             pos = end  # the shared index

@@ -23,7 +23,6 @@ from .errors import (
     BadParams,
     KEBallsNotRefining,
     LambdaNotDecaying,
-    MemberOutsideTarget,
     MissingDiagonal,
     NotCovering,
     NotSymmetric,
@@ -383,11 +382,10 @@ def controlled_E(
 def ball_cover(e: Relation):
     """The cover K(E) = {E_x : x interior}; needs the diagonal for covering.
 
-    Built from the interior columns of the mask: identical balls are
-    dropped after their first occurrence, and the ids and offsets come from
-    one ``flatnonzero``.
+    Built from the interior columns of the mask by ``_interior_cover``:
+    identical balls are dropped after their first occurrence.
     """
-    from .covers import Cover
+    from .covers import _interior_cover
 
     pack = e.pack
     interior = np.array(sorted(pack.interior), dtype=np.intp)
@@ -397,17 +395,7 @@ def ball_cover(e: Relation):
         raise NotCovering(f"point {interior[empty.argmax()]} has an empty ball")
     if not balls.any(axis=0)[interior].all():
         raise NotCovering("balls do not cover the interior")
-    leaves = balls[:, sorted(pack.boundary)].any(axis=1)
-    if leaves.any():
-        ball = np.flatnonzero(balls[leaves.argmax()])
-        raise MemberOutsideTarget(f"member {ball[:6].tolist()}... leaves the target")
-    # each ball's bits as one opaque value: unique keeps the first occurrence of each
-    packed = np.packbits(balls, axis=1)
-    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)
-    member, ids = np.divmod(np.flatnonzero(balls[np.sort(first)]), pack.n_points)
-    offsets = np.zeros(len(first) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(member, minlength=len(first)), out=offsets[1:])
-    return Cover(pack, ids, offsets, pack.interior, "interior")
+    return _interior_cover(pack, balls)
 
 
 def shrink_cover(e: Relation, alpha):

@@ -54,10 +54,10 @@ def emit_svg(pack: DiscretePack, cover: Cover | None = None) -> str:
     span = np.maximum(hi - lo, 1e-9)
     scale = (1 - 2 * pad) * size / span.max()
 
-    def xy(p: int) -> tuple[float, float]:
-        x = (coords[p, 0] - lo[0]) * scale + pad * size
-        y = size - ((coords[p, 1] - lo[1]) * scale + pad * size)
-        return round(x, 3), round(y, 3)
+    # every point's drawn (x, y), rounded once: point p is at xy[p]
+    px = (coords[:, 0] - lo[0]) * scale + pad * size
+    py = size - ((coords[:, 1] - lo[1]) * scale + pad * size)
+    xy = list(zip(np.round(px, 3).tolist(), np.round(py, 3).tolist()))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:g}" height="{size:g}" '
@@ -67,7 +67,7 @@ def emit_svg(pack: DiscretePack, cover: Cover | None = None) -> str:
     if cover is not None:
         for i, member in enumerate(cover.members):
             color = PALETTE[i % len(PALETTE)]
-            hull = _hull([xy(p) for p in sorted(member)])
+            hull = _hull([xy[p] for p in sorted(member)])
             if len(hull) == 1:
                 x, y = hull[0]
                 parts.append(
@@ -85,8 +85,7 @@ def emit_svg(pack: DiscretePack, cover: Cover | None = None) -> str:
                     f'<polygon points="{pts}" fill="{color}" fill-opacity="0.25" '
                     f'stroke="{color}" stroke-opacity="0.6"/>'
                 )
-    for p in pack.points:
-        x, y = xy(p)
+    for p, (x, y) in enumerate(xy):
         if p in pack.boundary:
             parts.append(f'<circle cx="{x}" cy="{y}" r="3.2" fill="#d62728" stroke="black" stroke-width="0.6"/>')
         else:

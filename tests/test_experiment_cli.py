@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,25 @@ def test_svg_rendering(cyl_fixture, finite_pipeline):
 def test_svg_requires_coordinates(line3):
     with pytest.raises(NoCoordinates):
         emit_svg(line3, None)
+    with pytest.raises(NoCoordinates):  # its coordinates are (x, y, level)
+        emit_svg(cc.generate_pack("cube_face"), None)
+
+
+# sha256 of the documents drawn one point at a time, before the coordinates were rounded in one array operation
+@pytest.mark.parametrize(
+    "kind, params, with_gamma, sha256",
+    [
+        ("interval_cylinder", dict(n_base=33, n_levels=10), True, "b2c067b250ef508e4623ea6848ca885b6d1fe006fbacccd7bd03e98d5bfa00a6"),
+        ("circle_in_disk", dict(n_angles=32, n_levels=10), True, "d9bdbee4bf78c426a79585e41285b76154477b2360fef329646607896ec84bec"),
+        ("finite_cylinder", dict(n_base=3, n_levels=10), True, "9ef2e63194d239cd8de105652835a0182ece84d4bf6b9f8e190a7c6b8e93ea57"),
+        ("countable_example", {}, False, "993029224d430801a176db18f0b1af9d6a830378dd4b0a6b718173b60e12cf94"),
+    ],
+)
+def test_svg_bytes_pinned(kind, params, with_gamma, sha256):
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder))) if with_gamma else None
+    assert hashlib.sha256(emit_svg(pack, gamma).encode()).hexdigest() == sha256
 
 
 def test_cli_pack_gen_and_render(tmp_path):

@@ -40,6 +40,7 @@ from c0cover.errors import (
     EmptyMember,
     LadderExhausted,
     MemberOutsideTarget,
+    NonCylindricalPack,
     NotACover,
     NotARefinement,
     NotBoundarySubset,
@@ -49,7 +50,15 @@ from c0cover.errors import (
     TriangleViolation,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
-from c0cover.packs import _check_metric, _finish_pack, _thin_rungs, pack_from_json, pack_to_json, sample_levels
+from c0cover.packs import (
+    _check_metric,
+    _finish_pack,
+    _thin_rungs,
+    boundary_line,
+    pack_from_json,
+    pack_to_json,
+    sample_levels,
+)
 from c0cover.relations import (
     CurveVerdict,
     _columns,
@@ -1562,6 +1571,158 @@ def test_shared_slots_keep_the_highest_id():
     # points 2 and 3 both sit at distance 1 from the boundary point 0
     pack = cc.validate_pack(4, [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], [0])
     assert column_structure_as_dict(pack) == oracle_column_structure(pack) == ([0], [1.0], {(0, 0): 3})
+
+
+# -- the lower-bound sweep's candidates, against the frozenset generator ---------------------------
+
+
+def oracle_base_runs(nb, circular, width, rng):
+    width = max(2, min(width, nb))
+    runs = []
+    start = int(rng.integers(0, nb)) if circular else 0
+    pos = start
+    while True:
+        w = max(2, min(width + int(rng.integers(-1, 2)), nb))
+        if circular:
+            runs.append(sorted({(pos + i) % nb for i in range(w)}))
+            pos += w - 1
+            if pos >= start + nb:
+                break
+        else:
+            end = min(pos + w - 1, nb - 1)
+            runs.append(list(range(pos, end + 1)))
+            if end >= nb - 1:
+                break
+            pos = end
+    return runs
+
+
+def oracle_random_uniform_candidates(pack, rng, count):
+    """The generator as it was: one frozenset per member, from the slot dict, through ``Cover.make``."""
+    if not pack.cylindrical or pack.known_dim not in (0, 1):
+        raise NonCylindricalPack("candidate generator needs a cylindrical pack of dim 0 or 1")
+    bidx, levels, by_slot = oracle_column_structure(pack)
+    nb, nl = len(bidx), len(levels)
+    circular = pack.kind == "circle_in_disk"
+    if pack.known_dim == 1:
+        positions = boundary_line(pack)
+        span = positions[-1] - positions[0] if not circular else 2 * np.pi
+        gap = span / max(nb - 1, 1)
+        if round(2 * levels[0] / gap) < 2:
+            raise NonCylindricalPack("base sample too sparse to witness overlaps at the top scale")
+    out = []
+    for _ in range(count):
+        slabs = []
+        a = 0
+        while True:
+            b = min(nl - 1, a + int(rng.integers(1, 4)))
+            slabs.append((a, b))
+            if b >= nl - 1:
+                break
+            overlap = int(rng.integers(1, min(3, b - a + 1) + 1))
+            a = max(b - overlap + 1, a + 1)
+        members = []
+        for a, b in slabs:
+            width = 1 if pack.known_dim == 0 else max(1, round(2 * levels[a] / gap))
+            runs = [[z] for z in range(nb)] if width == 1 else oracle_base_runs(nb, circular, width, rng)
+            for run in runs:
+                members.append(frozenset(by_slot[z, l] for z in run for l in range(a, b + 1) if (z, l) in by_slot))
+        out.append(cc.Cover.make(pack, members, target="interior", drop_empty=True).require_cover())
+    return out
+
+
+CANDIDATE_PACKS = [
+    ("finite_cylinder", dict(n_base=3, n_levels=10)),
+    ("finite_cylinder", {}),
+    ("interval_cylinder", dict(n_base=33, n_levels=10)),
+    ("interval_cylinder", dict(n_base=65, n_levels=12)),
+    ("circle_in_disk", dict(n_angles=32, n_levels=10)),
+    ("circle_in_disk", dict(n_angles=48, n_levels=12)),
+]
+
+
+def pack_id(kind, params):
+    return "_".join([kind, *map(str, params.values())]) if params else f"{kind}_defaults"
+
+
+@pytest.mark.parametrize("kind, params", CANDIDATE_PACKS, ids=[pack_id(*c) for c in CANDIDATE_PACKS])
+def test_candidates_match_frozenset_generator(kind, params):
+    pack = cc.generate_pack(kind, **params)
+    for seed in range(5):
+        for count in (0, 1, 40):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cc.random_uniform_candidates(pack, rng, count)
+            want = oracle_random_uniform_candidates(pack, oracle_rng, count)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert len(got) == len(want) == count
+            for g, w in zip(got, want):
+                assert g._members is None  # no frozenset on the way
+                assert np.array_equal(g.ids, w.ids) and np.array_equal(g.offsets, w.offsets)
+                assert g.members == w.members and g.target == w.target and g.target_tag == w.target_tag
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("countable_example", {}), ("cube_face", {}), ("circle_in_disk", dict(n_angles=8, n_levels=4))],
+)
+def test_candidates_refuse_like_frozenset_generator(kind, params):
+    pack = cc.generate_pack(kind, **params)
+    got = outcome(cc.random_uniform_candidates, pack, np.random.default_rng(0), 3)
+    assert got == outcome(oracle_random_uniform_candidates, pack, np.random.default_rng(0), 3)
+    assert got[0] is NonCylindricalPack
+
+
+@pytest.mark.parametrize("kind, params", CANDIDATE_PACKS[::2], ids=[pack_id(*c) for c in CANDIDATE_PACKS[::2]])
+def test_candidates_carry_their_stats(kind, params, monkeypatch):
+    pack = cc.generate_pack(kind, **params)
+    paired = []
+    pair_diameters = covers._pair_diameters
+    monkeypatch.setattr(covers, "_pair_diameters", lambda *a: paired.append(a) or pair_diameters(*a))
+    candidates = cc.random_uniform_candidates(pack, np.random.default_rng(3), 40)
+    assert not paired  # the experiment-mix packs: one block gather for all 40 candidates
+    for cand in candidates:
+        want = covers.index_stats(pack, cand.ids, cand.offsets)
+        assert all(np.array_equal(a, b) for a, b in zip(cand.stats, want))
+        assert not any(a.flags.writeable for a in cand.stats)
+
+
+def test_experiment_measures_its_candidates_in_one_call(monkeypatch):
+    measured = []
+    index_stats = covers.index_stats
+    monkeypatch.setattr(
+        covers, "index_stats", lambda pack, ids, offsets: measured.append(len(offsets) - 1) or index_stats(pack, ids, offsets)
+    )
+    config = {"kind": "interval_cylinder", "params": {"n_base": 33, "n_levels": 10}}
+    calls = []
+    for candidates in (0, 40):
+        measured.clear()
+        run_experiment(ExperimentConfig(**config, candidates=candidates))
+        calls.append(list(measured))
+    # one more call, and it measures every member of the 40 candidates
+    assert len(calls[1]) == len(calls[0]) + 1
+    pack = cc.generate_pack(config["kind"], **config["params"])
+    members = sum(map(len, cc.random_uniform_candidates(pack, np.random.default_rng(0), 40)))
+    assert members in calls[1] and members not in calls[0]
+
+
+def test_shared_cover_builder_keeps_the_ball_cover_errors():
+    pack = cc.generate_pack("interval_cylinder", n_base=3, n_levels=2)  # boundary 0..2, interior 3..8
+    mask = np.eye(9, dtype=bool)
+    mask[0, 4] = mask[1, 4] = True
+    with pytest.raises(MemberOutsideTarget, match=re.escape("member [0, 1, 4]... leaves the target")):
+        cc.ball_cover(cc.Relation.from_mask(pack, mask))
+    mask = np.eye(9, dtype=bool)
+    mask[5, 5] = False
+    with pytest.raises(NotCovering, match="^point 5 has an empty ball$"):
+        cc.ball_cover(cc.Relation.from_mask(pack, mask))
+    mask[4, 5] = True  # the ball of 5 is {4}: no ball holds 5
+    with pytest.raises(NotCovering, match="^balls do not cover the interior$"):
+        cc.ball_cover(cc.Relation.from_mask(pack, mask))
+    # duplicates after their first occurrence and the ids in ascending order, from the bool rows
+    mask = np.eye(9, dtype=bool)
+    mask[3:5, 3:5] = True
+    got = cc.ball_cover(cc.Relation.from_mask(pack, mask))
+    assert got.ids.tolist() == [3, 4, 5, 6, 7, 8] and got.offsets.tolist() == [0, 2, 3, 4, 5, 6]
 
 
 def local_cover(rng, pack):

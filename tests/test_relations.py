@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import c0cover as cc
-from c0cover.errors import BadParams, LambdaNotDecaying, NotCovering, PackMismatch
+from c0cover.errors import BadParams, LambdaNotDecaying, MemberOutsideTarget, NotCovering, PackMismatch
 from c0cover.relations import relation_from_json, relation_to_json
 
 
@@ -208,3 +208,14 @@ def test_is_canonical_checks_the_tolerance_of_a_family_that_misses(finite_3x10, 
     assert not one.covers_flag and not cc.is_canonical(pack, ladder, one)
     with pytest.raises(BadParams, match="must be positive and finite"):
         cc.is_canonical(pack, ladder, one, tol)
+
+
+def test_is_canonical_reads_a_plain_family_as_a_cover():
+    pack = cc.generate_pack("interval_cylinder", n_base=5, n_levels=3)  # boundary 0..4, interior 5..19
+    ladder = cc.default_ladder(pack)
+    assert cc.is_canonical(pack, ladder, [{5, 6}]) is False  # misses the interior
+    singles = [{p} for p in sorted(pack.interior)]
+    assert cc.is_canonical(pack, ladder, singles) == cc.is_canonical(pack, ladder, cc.singleton_cover(pack))
+    for outside in (20, -1, 0):  # past the last point, negative, on the boundary
+        with pytest.raises(MemberOutsideTarget, match="leaves the target"):
+            cc.is_canonical(pack, ladder, [{5, outside}])
