@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Product-space toolbox: the coarse equivalence maps, doubling, slabs.
+"""Product-space toolbox: the coarse equivalence maps, pullbacks, the lower bound.
 
 Run:  python3 demos/04_cylinder_toolbox.py
 """
@@ -23,27 +23,6 @@ for t in (0.9, 0.2, 0.05):
 e = cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder))
 print("f x f image accepts:", cc.fxf_modulus(pack, e).accept)
 
-# Doubling a cover of X x [0,1]: forward and reflected copies merge across
-# the interior slices; multiplicity is preserved exactly.
-gc = cc.grid_cover(1, ["0", "0.4", "0.6", "1"], [
-    [(0, 0), (0, 1), (0, 2)],
-    [(0, 1), (0, 2), (0, 3)],
-])
-out = cc.double_cover(gc, k=2)
-print(f"doubling: {len(gc.members)} members -> {len(out.members)}, "
-      f"multiplicity {cc.multiplicity(gc.members)} -> {cc.multiplicity(out.members)}, "
-      f"end separated = {out.end_separated()}")
-
-# Slab extraction pulls a thin collar out of a cover and rescales it onto
-# [0, 1]; this is the dimension lower bound's working part.
-radii = (1.5, 0.7, 0.35, 0.17, 0.085, 0.042, 0.021, 0.0105, 0.005)
-col = cc.generate_pack("finite_cylinder", n_base=1, n_levels=8, ratio=0.5)
-brick = cc.build_alpha(col, cc.ScaleLadder(radii), [(frozenset(col.points),)] * 7)
-d1, d2 = cc.cylinder.choose_slab(col, cc.ScaleLadder(radii), brick, eps=0.5)
-slab = cc.slab_rescale(col, brick, d1, d2)
-print(f"slab [{d2:g}, {d1:g}]: {len(slab.members)} members, "
-      f"end separated = {slab.end_separated()} (ready for doubling)")
-
 # Pullbacks along embeddings never increase multiplicity.
 host = cc.generate_pack("circle_in_disk")
 emb = cc.collar_embedding(host)
@@ -52,3 +31,9 @@ alpha, _ = cc.minimal_canonical(host, cc.ball_cover(cc.controlled_E(host, lad, c
 beta = cc.pullback_cover(emb, alpha)
 print(f"collar pullback: mult {cc.multiplicity(beta)} <= {cc.multiplicity(alpha)} "
       f"(embedding distortion {emb.distortion:.3f})")
+
+# The lower bound mult >= dim X + 2 compares the multiplicity witness with
+# the bound.  The circle's accepted alpha falls short of it: its base sample
+# is too coarse to resolve the deep witnesses (an open item of ROADMAP.md).
+res = cc.lower_bound_check(host, alpha, lad)
+print(f"lower bound on the circle's alpha: mult {res.mult} >= {res.bound} is {res.holds}")

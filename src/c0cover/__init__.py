@@ -41,18 +41,14 @@ from .canonical import (
 )
 from .cylinder import (
     Embedding,
-    GridCover,
     collar_embedding,
-    double_cover,
     f_map,
     fxf_modulus,
     g_map,
-    grid_cover,
     identity_embedding,
     lower_bound_check,
     pullback_cover,
     random_uniform_candidates,
-    slab_rescale,
 )
 from .errors import C0CoverError
 from .experiment import ExperimentConfig, run_experiment

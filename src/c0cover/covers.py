@@ -275,8 +275,8 @@ def _deepest_point(*families, witness: bool = False) -> tuple[int, object]:
     """The largest number of members through one point, summed over the
     families (each deduplicated), and with ``witness`` the lowest point
     attaining it (else, or when no member holds a point, None).  Covers
-    count their ids in one bincount; plain families, whose points may be any
-    hashables, count theirs one by one."""
+    count their ids in one bincount; plain families count theirs one by
+    one."""
     if families and all(isinstance(f, Cover) for f in families):
         counts = np.bincount(np.concatenate([f.ids for f in families]))
         if not len(counts):
@@ -643,11 +643,14 @@ def is_canonical(
     (open-ness and local finiteness carry no discrete content).
 
     A plain family is read through ``Cover.make`` over the interior, so a
-    member leaving it raises MemberOutsideTarget.
+    member leaving it raises MemberOutsideTarget; a Cover over another pack
+    raises PackMismatch.
     """
     _check_tol("unif_tol", unif_tol)
     if not isinstance(alpha, Cover):
         alpha = Cover.make(pack, alpha)
+    elif alpha.pack is not pack:
+        raise PackMismatch("cover belongs to a different pack")
     return alpha.covers_flag and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
 
 

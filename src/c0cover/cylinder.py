@@ -1,13 +1,12 @@
 """Product-space constructions: the coarse equivalence between a pack's
 interior and the cylinder over its boundary, cover pullbacks along
-embeddings, the cover-doubling trick, slab extraction, and the
-multiplicity lower bound on cylindrical packs."""
+embeddings, the multiplicity lower bound on cylindrical packs, and the
+randomized uniform candidates it is swept over."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,19 +16,15 @@ from .covers import (
     _interior_cover,
     _measure_together,
     mult_witness,
-    star,
     uniformity_verdict,
 )
 from .errors import (
-    BadDeltas,
     BadParams,
     BoundaryInput,
     EmptyOuterSet,
     NonCylindricalPack,
     NotACover,
     PackMismatch,
-    SlabTooThin,
-    StraddlerPrecondition,
     UniformityRejected,
 )
 from .packs import (
@@ -208,206 +203,6 @@ def pullback_cover(embedding: Embedding, alpha: Cover) -> Cover:
     return Cover.make(embedding.source, members, target="interior", drop_empty=True)
 
 
-# -- grid covers of X x [0,1] ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridCover:
-    """Cover of a finite grid base x levels; levels are exact ascending fractions."""
-
-    n_base: int
-    levels: tuple[Fraction, ...]
-    members: tuple[frozenset, ...]  # frozensets of (base, level index)
-
-    def __post_init__(self):
-        if list(self.levels) != sorted(set(self.levels)):
-            raise BadParams("levels must be strictly ascending")
-
-    @property
-    def points(self) -> set:
-        out = set()
-        for m in self.members:
-            out |= m
-        return out
-
-    def level_projection_mesh(self) -> Fraction:
-        best = Fraction(0)
-        for m in self.members:
-            ts = [self.levels[i] for _, i in m]
-            best = max(best, max(ts) - min(ts))
-        return best
-
-    def end_separated(self) -> bool:
-        lo, hi = 0, len(self.levels) - 1
-        return not any(
-            any(i == lo for _, i in m) and any(i == hi for _, i in m) for m in self.members
-        )
-
-    def covers_grid(self) -> bool:
-        want = {(b, i) for b in range(self.n_base) for i in range(len(self.levels))}
-        return self.points == want
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x)) if isinstance(x, str) else Fraction(x).limit_denominator(1 << 62)
-
-
-def grid_cover(n_base: int, levels: Sequence, members: Iterable[Iterable[tuple[int, int]]]) -> GridCover:
-    lv = tuple(sorted({_to_fraction(t) for t in levels}))
-    mem = tuple(frozenset((int(b), int(i)) for b, i in m) for m in members)
-    for m in mem:
-        for b, i in m:
-            if not (0 <= b < n_base and 0 <= i < len(lv)):
-                raise BadParams(f"grid point ({b},{i}) out of range")
-    return GridCover(n_base, lv, mem)
-
-
-def double_cover(gc: GridCover, k: int) -> GridCover:
-    """Repeat a cover of X x [0,1] k times, alternating with its reflection.
-
-    Forward copies go on [2j, 2j+1], reflected copies on [2j+1, 2j+2];
-    members touching interior integer slices merge with their mirror images;
-    everything rescales by 1/(2k).  Multiplicity is preserved exactly and no
-    output member meets both ends.  Level spans shrink by 2k for plain
-    copies and by k for merged pairs, so the projection mesh drops by at
-    least k.
-    """
-    if k < 1:
-        raise BadParams("k must be at least 1")
-    lv = gc.levels
-    lo, hi = lv[0], lv[-1]
-    if hi == lo:
-        raise BadParams("degenerate level range")
-    unit = [(t - lo) / (hi - lo) for t in lv]  # normalized to [0,1]
-    top = len(lv) - 1
-    for m in gc.members:
-        if any(i == 0 for _, i in m) and any(i == top for _, i in m):
-            raise StraddlerPrecondition("a member meets both end slices")
-
-    def fwd(m, j):  # translate by 2j
-        return frozenset((b, unit[i] + 2 * j) for b, i in m)
-
-    def refl(m, j):  # reflect then translate by 2j + 1
-        return frozenset((b, (1 - unit[i]) + 2 * j + 1) for b, i in m)
-
-    meets0 = lambda m: any(i == 0 for _, i in m)
-    meets1 = lambda m: any(i == top for _, i in m)
-    interior_slices = {Fraction(i) for i in range(1, 2 * k)}
-
-    def clean(vm):
-        return not any(t in interior_slices for _, t in vm)
-
-    out = []
-    for m in gc.members:
-        for j in range(k):
-            vm = fwd(m, j)
-            if clean(vm):
-                out.append(vm)
-            vr = refl(m, j)
-            if clean(vr):
-                out.append(vr)
-        if meets1(m):  # tent across each odd slice 2j + 1
-            for j in range(k):
-                out.append(fwd(m, j) | refl(m, j))
-        if meets0(m):  # tent across each even slice 2j + 2
-            for j in range(k - 1):
-                out.append(refl(m, j) | fwd(m, j + 1))
-
-    values = sorted({t for vm in out for _, t in vm})
-    scale = Fraction(1, 2 * k)
-    final_levels = [t * scale for t in values]
-    index = {t: i for i, t in enumerate(values)}
-    members = [frozenset((b, index[t]) for b, t in vm) for vm in out]
-    return grid_cover(gc.n_base, final_levels, members)
-
-
-# -- slab extraction --------------------------------------------------------------------
-
-
-def _top_slice_depth(pack: DiscretePack, alpha: Cover, top: float) -> float:
-    """Smallest boundary distance in the star of the top slice (the interior
-    points within 1e-12 of level ``top``); ``top`` when the star is empty."""
-    bd = pack.boundary_dist
-    slice_pts = frozenset(np.flatnonzero(np.abs(bd - top) < 1e-12).tolist()) - pack.boundary
-    st = star(alpha, slice_pts)
-    return float(bd[list(st)].min()) if st else top
-
-
-def choose_slab(
-    pack: DiscretePack,
-    ladder: ScaleLadder,
-    alpha: Cover,
-    eps: float,
-) -> tuple[float, float]:
-    """(delta1, delta2) from the uniformity curve and the star containment rule."""
-    curve, ts = uniformity_verdict(pack, ladder, alpha).curve, ladder.array
-    fine = np.flatnonzero((curve.value_at(ts) < eps) & (ts <= pack.k_sup))
-    if not fine.size:
-        raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
-    d1 = float(ts[fine[0]])  # the largest such scale: t descends along the ladder
-    levels = sample_levels(pack)
-    slice_levels = levels[levels <= d1]
-    if not slice_levels.size:
-        raise SlabTooThin("no sample level at or below delta1")
-    depth = _top_slice_depth(pack, alpha, float(slice_levels[-1]))
-    # keep one level strictly below the star's reach inside the slab, so
-    # members meeting the top slice stay clear of the bottom retained level
-    below = levels[levels < depth].tolist()
-    if not below:
-        raise SlabTooThin("the star of the top slice reaches the deepest sample")
-    d2 = (below[-2] + below[-1]) / 2.0 if len(below) >= 2 else below[-1] / 2.0
-    if not d2 < d1:
-        raise BadDeltas(f"degenerate slab [{d2}, {d1}]")
-    return d1, d2
-
-
-def slab_rescale(
-    pack: DiscretePack,
-    alpha: Cover,
-    delta1: float,
-    delta2: float,
-) -> GridCover:
-    """Restrict a cover to the slab delta2 <= level <= delta1 and rescale to [0,1].
-
-    Levels map through t -> (delta1 - t)/(delta1 - delta2), so the shallow end
-    becomes 0 and the deep end 1.  Multiplicity cannot grow and, when no
-    member meets both retained extremes, the output is end separated.
-    """
-    if not (0 < delta2 < delta1):
-        raise BadDeltas(f"need 0 < delta2 < delta1, got {delta2}, {delta1}")
-    bd = pack.boundary_dist
-    levels = sample_levels(pack)
-    levels = levels[(levels >= delta2) & (levels <= delta1)]
-    if not levels.size:
-        raise SlabTooThin(f"no sample level inside [{delta2}, {delta1}]")
-    if _top_slice_depth(pack, alpha, float(levels[-1])) < delta2:
-        raise BadDeltas("the star of the top slice escapes below delta2")
-    d1 = _to_fraction(delta1)
-    d2 = _to_fraction(delta2)
-    rescaled = [(d1 - _to_fraction(t)) / (d1 - d2) for t in levels.tolist()]
-    fr_levels = sorted(set(rescaled))
-    level_index = {t: i for i, t in enumerate(fr_levels)}
-    # the grid cell of every point: (base of f(p), index of its rescaled level), level -1 outside the slab
-    row = np.array([level_index[t] for t in rescaled])
-    inside = (bd >= delta2) & (bd <= delta1)
-    cell_level = np.where(inside, row[np.minimum(np.searchsorted(levels, bd), len(levels) - 1)], -1)
-    cell_base = _base_index(pack)
-
-    members = []
-    for u in alpha.members:
-        idx = np.fromiter(u, dtype=np.intp, count=len(u))
-        idx = idx[cell_level[idx] >= 0]
-        if idx.size:
-            members.append(zip(cell_base[idx].tolist(), cell_level[idx].tolist()))
-    if not members:
-        raise SlabTooThin("no member survives the slab restriction")
-    return grid_cover(len(pack.boundary), fr_levels, members)
-
-
 # -- multiplicity lower bound ---------------------------------------------------------
 
 
@@ -432,12 +227,19 @@ def lower_bound_check(
 ) -> LowerBoundResult:
     """Assert multiplicity >= known_dim + 2 on a cylindrical pack.
 
-    Refuses non-cylindrical packs.  A refutation object signals a violation;
-    it must never occur for accepted covers of generated cylindrical packs,
-    and the test suite fails the build if it does.
+    Refuses non-cylindrical packs, and covers over another pack with
+    PackMismatch.  A refutation object signals a violation.  The test suite
+    fails the build on one for the randomized candidates and for the
+    constructed covers of finite_cylinder and interval_cylinder 65x12.  Yet
+    accepted constructed covers are refuted at desk scale: the constructed
+    alpha of circle_in_disk 48x12 and of interval_cylinder 17x12 has
+    multiplicity 2 < 3, and the experiment leaves both out of its sweep
+    because the base sample does not resolve the deep witnesses.
     """
     if not pack.cylindrical or pack.known_dim is None:
         raise NonCylindricalPack(f"pack kind {pack.kind!r} carries no cylinder structure")
+    if alpha.pack is not pack:
+        raise PackMismatch("cover belongs to a different pack")
     if not alpha.covers_flag:
         raise NotACover("lower bound applies to covers of the interior")
     ladder = ladder or default_ladder(pack)

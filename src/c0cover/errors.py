@@ -125,18 +125,6 @@ class EmptyOuterSet(C0CoverError):
     pass
 
 
-class StraddlerPrecondition(C0CoverError):
-    """A member meets both end slices, so the doubling construction does not apply."""
-
-
-class SlabTooThin(C0CoverError):
-    pass
-
-
-class BadDeltas(C0CoverError):
-    pass
-
-
 class NonCylindricalPack(C0CoverError):
     pass
 

@@ -61,6 +61,11 @@ def interval_pipeline(interval_pack):
     return run_pipeline(interval_pack)
 
 
+@pytest.fixture(scope="session")
+def circle_pipeline(circle_pack):
+    return run_pipeline(circle_pack)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

@@ -116,22 +116,6 @@ def test_criterion_7_transfer_lemmas():
     report_line(7, "chain/preimage/shrink multiplicity bounds, 500+ instances each, zero violations")
 
 
-def test_criterion_8_doubling(rng):
-    from test_cylinder import _random_end_separated_grid_cover
-
-    done = 0
-    while done < 50:
-        gc = _random_end_separated_grid_cover(rng)
-        if not gc.covers_grid() or not gc.end_separated():
-            continue
-        k = int(rng.integers(1, 4))
-        out = cc.double_cover(gc, k)
-        assert cc.multiplicity(out.members) == cc.multiplicity(gc.members)
-        assert out.end_separated()
-        done += 1
-    report_line(8, "50 doubled covers: multiplicity preserved exactly, outputs end separated")
-
-
 def test_criterion_9_fg_moduli(finite_pack, interval_pack):
     for pack in (finite_pack, interval_pack):
         ladder = cc.default_ladder(pack)

@@ -1,28 +1,22 @@
 import hashlib
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import c0cover as cc
 from c0cover.cylinder import (
-    GridCover,
-    choose_slab,
     cylinder_over_boundary,
     fg_displacement,
     fxf_image,
     image_density_gap,
     induced_pack,
-    slab_rescale,
 )
 from c0cover.errors import (
-    BadDeltas,
     BoundaryInput,
     EmptyOuterSet,
     NonCylindricalPack,
-    SlabTooThin,
-    StraddlerPrecondition,
+    PackMismatch,
     UniformityRejected,
 )
 
@@ -100,125 +94,15 @@ def test_pullback_identity(finite_pipeline):
     assert cc.pullback_cover(emb, singles) == singles
 
 
-def test_pullback_circle_collar(circle_pack):
-    emb = cc.collar_embedding(circle_pack)
+def test_pullback_circle_collar(circle_pipeline):
+    host, alpha = circle_pipeline["pack"], circle_pipeline["alpha"]
+    emb = cc.collar_embedding(host)
     assert emb.distortion > 0  # chord-sum vs Euclidean differ off the boundary
-    ladder = cc.default_ladder(circle_pack)
-    e = cc.controlled_E(circle_pack, ladder, cc.LambdaSpec.identity(ladder))
-    gamma = cc.ball_cover(e)
-    alpha, _ = cc.minimal_canonical(circle_pack, gamma)
     beta = cc.pullback_cover(emb, alpha)
     assert cc.multiplicity(beta) <= cc.multiplicity(alpha)
     ind = induced_pack(emb)
     lad2 = cc.default_ladder(ind)
     assert cc.uniformity_verdict(ind, lad2, beta).accept
-
-
-def test_double_cover_single_point_example():
-    gc = cc.grid_cover(1, ["0", "0.4", "0.6", "1"], [
-        [(0, 0), (0, 1), (0, 2)],  # [0, 0.6]
-        [(0, 1), (0, 2), (0, 3)],  # [0.4, 1]
-    ])
-    out = cc.double_cover(gc, 1)
-    spans = sorted(
-        (min(out.levels[i] for _, i in m), max(out.levels[i] for _, i in m)) for m in out.members
-    )
-    want = [
-        (Fraction(0), Fraction(3, 10)),
-        (Fraction(1, 5), Fraction(4, 5)),
-        (Fraction(7, 10), Fraction(1)),
-    ]
-    assert spans == want
-    assert cc.multiplicity(out.members) == cc.multiplicity(gc.members) == 2
-    assert out.end_separated()
-    assert out.covers_grid()
-
-
-def test_double_cover_straddler():
-    gc = cc.grid_cover(1, [0, 1], [[(0, 0), (0, 1)]])
-    with pytest.raises(StraddlerPrecondition):
-        cc.double_cover(gc, 1)
-
-
-def _random_end_separated_grid_cover(rng):
-    n_base = int(rng.integers(1, 4))
-    n_lev = int(rng.integers(4, 8))
-    levels = [Fraction(i, n_lev - 1) for i in range(n_lev)]
-    members = []
-    # overlapping level runs per base column guarantee a cover
-    for b in range(n_base):
-        start = 0
-        while True:
-            width = int(rng.integers(2, n_lev))
-            end = min(start + width - 1, n_lev - 1)
-            if start == 0 and end == n_lev - 1:
-                end = n_lev - 2  # keep members off one end
-            members.append(frozenset((b, i) for i in range(start, end + 1)))
-            if end >= n_lev - 1:
-                break
-            start = end - int(rng.integers(0, min(2, end - start) + 1))
-            start = max(start, 1) if end == n_lev - 1 else start
-    # sprinkle extra random rectangles that avoid one end
-    for _ in range(int(rng.integers(0, 4))):
-        b0 = int(rng.integers(0, n_base))
-        lo = int(rng.integers(0, n_lev - 1))
-        hi = int(rng.integers(lo, n_lev - 1))
-        members.append(frozenset((b0, i) for i in range(lo, hi + 1)))
-    return cc.grid_cover(n_base, levels, members)
-
-
-def test_double_cover_randomized(rng):
-    done = 0
-    while done < 50:
-        gc = _random_end_separated_grid_cover(rng)
-        if not gc.covers_grid() or not gc.end_separated():
-            continue
-        k = int(rng.integers(1, 4))
-        out = cc.double_cover(gc, k)
-        assert cc.multiplicity(out.members) == cc.multiplicity(gc.members)
-        assert out.end_separated()
-        assert out.covers_grid()
-        # plain copies shrink by 2k, merged tents by k
-        assert out.level_projection_mesh() * k <= gc.level_projection_mesh()
-        done += 1
-
-
-def test_slab_rescale_example():
-    pack = cc.generate_pack("finite_cylinder", n_base=1, n_levels=4, ratio=0.5)
-    ladder = cc.ScaleLadder((1.5, 0.6, 0.3, 0.1, 0.05))
-    betas = [(frozenset(pack.points),)] * 3
-    alpha = cc.build_alpha(pack, ladder, betas)
-    out = cc.slab_rescale(pack, alpha, 0.6, 0.1)
-    assert cc.multiplicity(out.members) <= cc.multiplicity(alpha)
-    assert cc.multiplicity(out.members) == 2
-    # retained levels 0.5, 0.25, 0.125 map to ascending fractions in [0, 1]
-    assert len(out.levels) == 3
-
-
-def test_slab_rescale_errors(cyl_fixture):
-    alpha = cc.singleton_cover(cyl_fixture)
-    with pytest.raises(BadDeltas):
-        cc.slab_rescale(cyl_fixture, alpha, 0.1, 0.6)
-    with pytest.raises(SlabTooThin):
-        cc.slab_rescale(cyl_fixture, alpha, 0.24, 0.13)  # between adjacent levels
-
-
-def brick_cover():
-    """A brick-wall cover on a deep single column: members span ~2 levels each."""
-    pack = cc.generate_pack("finite_cylinder", n_base=1, n_levels=8, ratio=0.5)
-    radii = (1.5, 0.7, 0.35, 0.17, 0.085, 0.042, 0.021, 0.0105, 0.005)
-    ladder = cc.ScaleLadder(radii)
-    ladder.validate_for(pack)
-    betas = [(frozenset(pack.points),)] * (len(radii) - 2)
-    return pack, ladder, cc.build_alpha(pack, ladder, betas)
-
-
-def test_choose_slab():
-    pack, ladder, alpha = brick_cover()
-    d1, d2 = cc.cylinder.choose_slab(pack, ladder, alpha, eps=0.5)
-    assert 0 < d2 < d1 <= pack.k_sup
-    out = cc.slab_rescale(pack, alpha, d1, d2)
-    assert out.end_separated()
 
 
 def test_lower_bound_examples(interval_pipeline, countable_pack):
@@ -237,6 +121,29 @@ def test_lower_bound_examples(interval_pipeline, countable_pack):
 
     with pytest.raises(UniformityRejected):
         cc.lower_bound_check(pack, cc.whole_space_cover(pack), ladder)
+
+
+def test_cover_checks_refuse_a_cover_over_another_pack():
+    source = cc.generate_pack("interval_cylinder", n_base=33, n_levels=9)
+    pack = cc.generate_pack("interval_cylinder", n_base=33, n_levels=10)
+    ladder = cc.default_ladder(pack)
+    for cand in cc.random_uniform_candidates(source, np.random.default_rng(0), 10):
+        # the ids fit inside the larger pack, but miss a whole level of it
+        assert len(pack.interior - set().union(*cand.members)) == 33
+        with pytest.raises(PackMismatch):
+            cc.is_canonical(pack, ladder, cand)
+        with pytest.raises(PackMismatch):
+            cc.lower_bound_check(pack, cand, ladder)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the circle's accepted alpha has multiplicity 2 < 3, "
+    "and the experiment leaves it out of the sweep through _deep_witness_resolved",
+)
+def test_circle_alpha_holds_the_lower_bound(circle_pipeline):
+    pack, ladder, alpha = circle_pipeline["pack"], circle_pipeline["ladder"], circle_pipeline["alpha"]
+    assert cc.lower_bound_check(pack, alpha, ladder).holds
 
 
 def test_random_candidates_hold_bound(finite_pack, interval_pack, rng):
@@ -316,16 +223,6 @@ def test_fxf_image_pinned(kind, params, pairs_sha256, dist_sha256, gap):
 def test_image_density_gap_pinned_circle():
     pack = cc.generate_pack("circle_in_disk", n_angles=32, n_levels=10)
     assert image_density_gap(pack) == 4.3730281716954246e-14
-
-
-def test_slab_pinned():
-    pack, ladder, alpha = brick_cover()
-    d1, d2 = choose_slab(pack, ladder, alpha, eps=0.5)
-    assert (d1, d2) == (0.35, 0.046875)
-    out = slab_rescale(pack, alpha, d1, d2)
-    den = 2730307274093363
-    assert out.levels == (Fraction(900719925474099, den), Fraction(2026619832316723, den), Fraction(2589569785738035, den))
-    assert sorted(sorted(m) for m in out.members) == [[(0, 0)], [(0, 0), (0, 1)], [(0, 1), (0, 2)], [(0, 2)]]
 
 
 def test_cylinder_over_boundary_is_a_product_pack(finite_pack):

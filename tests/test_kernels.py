@@ -19,19 +19,15 @@ from hypothesis import strategies as st
 
 import c0cover as cc
 from c0cover import covers
-from c0cover.covers import _members_of, member_stats, star
+from c0cover.covers import _members_of, member_stats
 from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
 from c0cover.cylinder import (
     _column_structure,
-    _to_fraction,
-    choose_slab,
     fxf_image,
     image_density_gap,
-    slab_rescale,
 )
 from c0cover.errors import (
     AsymmetricDistance,
-    BadDeltas,
     BadLadder,
     BadParams,
     BoundaryInput,
@@ -46,7 +42,6 @@ from c0cover.errors import (
     NotBoundarySubset,
     NotCovering,
     PackMismatch,
-    SlabTooThin,
     TriangleViolation,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
@@ -371,65 +366,6 @@ def oracle_image_density_gap(pack):
         bound = 3.0 * h.value_at(t)
         worst = max(worst, gap / bound if bound > 0 else np.inf)
     return worst
-
-
-def oracle_top_slice_star(pack, alpha, top):
-    slice_pts = frozenset(p for p in pack.interior if abs(pack.boundary_dist[p] - top) < 1e-12)
-    return star(alpha, slice_pts)
-
-
-def oracle_choose_slab(pack, ladder, alpha, eps):
-    lo, _, diams = oracle_member_stats(pack, alpha.members)
-    samples = oracle_curve_verdict(ladder, np.array(lo), np.array(diams), 0.0, effective_floor=True)[0]
-    fine = [t for t, v in samples if v < eps and t <= pack.k_sup]
-    if not fine:
-        raise BadDeltas(f"no scale keeps boundary-side members below {eps}")
-    d1 = fine[0]
-    levels = oracle_sample_levels(pack)
-    slice_levels = [t for t in levels if t <= d1]
-    if not slice_levels:
-        raise SlabTooThin("no sample level at or below delta1")
-    top = slice_levels[-1]
-    st = oracle_top_slice_star(pack, alpha, top)
-    depth = min((float(pack.boundary_dist[p]) for p in st), default=top)
-    below = [t for t in levels if t < depth]
-    if not below:
-        raise SlabTooThin("the star of the top slice reaches the deepest sample")
-    d2 = (below[-2] + below[-1]) / 2.0 if len(below) >= 2 else below[-1] / 2.0
-    if not d2 < d1:
-        raise BadDeltas(f"degenerate slab [{d2}, {d1}]")
-    return d1, d2
-
-
-def oracle_slab_rescale(pack, alpha, delta1, delta2):
-    if not (0 < delta2 < delta1):
-        raise BadDeltas(f"need 0 < delta2 < delta1, got {delta2}, {delta1}")
-    bd = pack.boundary_dist
-    levels = sorted({float(t) for t in bd if delta2 <= t <= delta1})
-    if not levels:
-        raise SlabTooThin(f"no sample level inside [{delta2}, {delta1}]")
-    if any(bd[p] < delta2 for p in oracle_top_slice_star(pack, alpha, levels[-1])):
-        raise BadDeltas("the star of the top slice escapes below delta2")
-    d1, d2 = _to_fraction(delta1), _to_fraction(delta2)
-    fr_levels = sorted({(d1 - _to_fraction(t)) / (d1 - d2) for t in levels})
-    level_index = {t: i for i, t in enumerate(fr_levels)}
-    bidx = sorted(pack.boundary)
-
-    def to_grid(p):
-        t = float(bd[p])
-        if not (delta2 <= t <= delta1):
-            return None
-        z = bidx[int(np.argmin(pack.dist[p, bidx]))]
-        return bidx.index(z), level_index[(d1 - _to_fraction(t)) / (d1 - d2)]
-
-    members = []
-    for u in alpha.members:
-        m = frozenset(pt for pt in map(to_grid, u) if pt is not None)
-        if m:
-            members.append(m)
-    if not members:
-        raise SlabTooThin("no member survives the slab restriction")
-    return cc.grid_cover(len(bidx), fr_levels, members)
 
 
 class OracleRelation:
@@ -1723,33 +1659,6 @@ def test_shared_cover_builder_keeps_the_ball_cover_errors():
     mask[3:5, 3:5] = True
     got = cc.ball_cover(cc.Relation.from_mask(pack, mask))
     assert got.ids.tolist() == [3, 4, 5, 6, 7, 8] and got.offsets.tolist() == [0, 2, 3, 4, 5, 6]
-
-
-def local_cover(rng, pack):
-    """Interior singletons plus a few balls reaching about one level from their centres."""
-    interior = sorted(pack.interior)
-    members = [{p} for p in interior]
-    for p in rng.choice(interior, size=int(rng.integers(1, 8))):
-        r = rng.uniform(0.1, 1.0) * pack.boundary_dist[p]
-        members.append({q for q in interior if pack.dist[p, q] <= r})
-    return cc.Cover.make(pack, members, target="interior")
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["finite_cylinder", "interval_cylinder", "circle_in_disk", "countable_example"]), st.data())
-def test_slab_matches_loops(kind, data):
-    pack = generated(kind)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    alpha = local_cover(rng, pack)
-    levels = oracle_sample_levels(pack)
-    cuts = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [levels[-1] / 2, 2 * levels[-1]]
-    delta2, delta1 = sorted(data.draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True)))
-    assert outcome(slab_rescale, pack, alpha, delta1, delta2) == outcome(
-        oracle_slab_rescale, pack, alpha, delta1, delta2
-    )
-    ladder = cc.default_ladder(pack)
-    eps = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
-    assert outcome(choose_slab, pack, ladder, alpha, eps) == outcome(oracle_choose_slab, pack, ladder, alpha, eps)
 
 
 # -- whole reports, pinned on the loop implementation -------------------------------------------

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module-level import in the
-library is used, and every function reads each of its parameters.
+library is used, every function reads each of its parameters, and every
+error class is raised somewhere in the library.
 
 A name counts as used when it occurs as a name anywhere in its module
 (calls, attribute bases, annotations).  ``__init__.py`` re-exports by
@@ -104,3 +105,45 @@ def test_private_definitions_are_referenced_by_library_code():
     referenced = set().union(*map(referenced_names, sources))
     defined = [name for source in sources for name in private_definitions(source)]
     assert sorted(name for name in defined if name not in referenced) == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions that ``raise`` statements raise, called or not."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                out.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return out
+
+
+def unraised_classes(errors_source: str, sources: list[str]) -> list[str]:
+    raised = set().union(*map(raised_names, sources))
+    return [
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef) and node.name not in raised
+    ]
+
+
+def test_the_guard_sees_an_error_that_is_never_raised():
+    errors = (
+        "class Base(Exception):\n    pass\n"
+        "class Used(Base):\n    pass\n"
+        "class Named(Base):\n    pass\n"
+        "class Gone(Base):\n    pass\n"
+    )
+    library = (
+        "from . import errors\n"
+        "def f(x):\n    if x:\n        raise Used(Named)  # an argument raises nothing\n"
+        "    raise errors.Base\n"
+        "def g():\n    return Gone()\n"
+    )
+    assert unraised_classes(errors, [library]) == ["Named", "Gone"]
+
+
+def test_every_error_class_is_raised_by_library_code():
+    """An error class no library code raises is a contract nothing can break."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unraised_classes((SRC / "errors.py").read_text(), sources) == []
