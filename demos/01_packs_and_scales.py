@@ -4,8 +4,6 @@
 Run:  python3 demos/01_packs_and_scales.py
 """
 
-import numpy as np
-
 import c0cover as cc
 
 # A pack is a finite metric sample with a distinguished boundary X.

@@ -20,9 +20,7 @@ from .errors import (
     PackMismatch,
 )
 from .packs import DiscretePack, ScaleLadder, read_json
-from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _point_index, _scale_curve_verdict
-
-Family = Sequence[frozenset]
+from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _floor, _point_index, _scale_curve_verdict
 
 # distances gathered at once by the per-size diameter gather, and bytes of bit rows
 # gathered at once by refines and by the co-member pair enumeration
@@ -47,16 +45,16 @@ class Cover:
 
     __slots__ = ("pack", "ids", "offsets", "target", "target_tag", "_members", "_stats")
 
-    def __init__(self, pack, ids, offsets, target, target_tag, members=None):
-        ids.setflags(write=False)
-        offsets.setflags(write=False)
+    def __init__(self, pack, ids, offsets, target, target_tag, members=None, stats=None):
+        for a in (ids, offsets, *(stats or ())):
+            a.setflags(write=False)
         self.pack = pack
         self.ids = ids
         self.offsets = offsets
         self.target = target
         self.target_tag = target_tag
         self._members = members
-        self._stats = None
+        self._stats = stats
 
     @property
     def members(self) -> tuple[frozenset, ...]:
@@ -183,10 +181,9 @@ def _interior_cover(pack: DiscretePack, rows: np.ndarray) -> Cover:
     """The cover of the interior whose members are the nonempty rows of a
     members x points bool matrix, deduplicated in order.
 
-    MemberOutsideTarget for the first row holding a boundary point.  Each
-    row's bits are packed into one opaque value, so ``unique`` keeps the first
-    occurrence of each member, and the ids and offsets come from one
-    ``flatnonzero``.
+    MemberOutsideTarget for the first row holding a boundary point.  The
+    rows are deduplicated by ``_distinct_rows``, keeping the first occurrence
+    of each member, and the ids and offsets come from one ``flatnonzero``.
     """
     held = rows.any(axis=1)
     if not held.all():
@@ -194,29 +191,20 @@ def _interior_cover(pack: DiscretePack, rows: np.ndarray) -> Cover:
     leaves = rows[:, sorted(pack.boundary)].any(axis=1)
     if leaves.any():
         raise MemberOutsideTarget(f"member {np.flatnonzero(rows[leaves.argmax()])[:6].tolist()}... leaves the target")
-    packed = np.packbits(rows, axis=1)
-    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)
+    first, _ = _distinct_rows(np.packbits(rows, axis=1))
     member, ids = np.divmod(np.flatnonzero(rows[np.sort(first)]), pack.n_points)
     offsets = np.zeros(len(first) + 1, dtype=np.intp)
     np.cumsum(np.bincount(member, minlength=len(first)), out=offsets[1:])
     return Cover(pack, ids, offsets, pack.interior, "interior")
 
 
-def _measure_together(covers: Sequence[Cover]) -> None:
-    """Measure the members of covers over one pack with one ``index_stats``
-    call over their concatenated index arrays; each cover keeps its read-only
-    slice of the result as its ``stats``."""
-    if not covers:
-        return
-    sizes = np.concatenate([np.diff(c.offsets) for c in covers])
-    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=offsets[1:])
-    stats = index_stats(covers[0].pack, np.concatenate([c.ids for c in covers]), offsets)
-    for a in stats:
-        a.setflags(write=False)
-    bounds = np.cumsum([0, *map(len, covers)]).tolist()
-    for c, lo, hi in zip(covers, bounds, bounds[1:]):
-        c._stats = tuple(a[lo:hi] for a in stats)
+def _distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a matrix of packed bits, by one ``unique`` that
+    reads each row as one opaque value: the first occurrence of each
+    distinct row, and the distinct row of every row."""
+    rows = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _flatten(members) -> tuple[np.ndarray, np.ndarray]:
@@ -626,11 +614,22 @@ def uniformity_verdict(
     Properness is vacuous on finite packs.  A cover over ``pack`` reads its
     own ``stats``, so no ladder or tolerance measures its members again.
     """
+    return _scale_curve_verdict(ladder, *_uniformity_items(pack, alpha, unif_tol), effective_floor=True)
+
+
+def _uniformity_items(pack: DiscretePack, alpha, unif_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Members' least boundary distances, diameters and unif_tol * k_sup; NotACover if none."""
     _check_tol("unif_tol", unif_tol)
     cond, _, size = _stats_of(pack, alpha)
     if not len(cond):
         raise NotACover("empty family has no verdict")
-    return _scale_curve_verdict(ladder, cond, size, unif_tol * pack.k_sup, effective_floor=True)
+    return cond, size, unif_tol * pack.k_sup
+
+
+def _uniform_at_floor(pack: DiscretePack, ladder: ScaleLadder, alpha, unif_tol: float) -> bool:
+    """``uniformity_verdict(pack, ladder, alpha, unif_tol).accept`` from the floor value alone: no curve is built."""
+    cond, size, threshold = _uniformity_items(pack, alpha, unif_tol)
+    return _floor(ladder.array, cond, size)[1] <= threshold
 
 
 def is_canonical(
@@ -651,7 +650,7 @@ def is_canonical(
         alpha = Cover.make(pack, alpha)
     elif alpha.pack is not pack:
         raise PackMismatch("cover belongs to a different pack")
-    return alpha.covers_flag and uniformity_verdict(pack, ladder, alpha, unif_tol).accept
+    return alpha.covers_flag and _uniform_at_floor(pack, ladder, alpha, unif_tol)
 
 
 # -- scale dimension -------------------------------------------------------------------

@@ -11,13 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .covers import (
-    Cover,
-    _interior_cover,
-    _measure_together,
-    mult_witness,
-    uniformity_verdict,
-)
+from .covers import _GATHER_LIMIT, Cover, _bit_rows, _distinct_rows, _interior_cover, _uniform_at_floor, mult_witness
 from .errors import (
     BadParams,
     BoundaryInput,
@@ -227,14 +221,14 @@ def lower_bound_check(
 ) -> LowerBoundResult:
     """Assert multiplicity >= known_dim + 2 on a cylindrical pack.
 
-    Refuses non-cylindrical packs, and covers over another pack with
-    PackMismatch.  A refutation object signals a violation.  The test suite
-    fails the build on one for the randomized candidates and for the
-    constructed covers of finite_cylinder and interval_cylinder 65x12.  Yet
-    accepted constructed covers are refuted at desk scale: the constructed
-    alpha of circle_in_disk 48x12 and of interval_cylinder 17x12 has
-    multiplicity 2 < 3, and the experiment leaves both out of its sweep
-    because the base sample does not resolve the deep witnesses.
+    Refuses non-cylindrical packs, covers over another pack (PackMismatch)
+    and covers whose uniformity floor value (one masked max over their
+    stats, no curve) exceeds the threshold (UniformityRejected).  A
+    refutation object signals a violation; the tests fail on one for the
+    random candidates and the constructed covers of finite_cylinder and
+    interval_cylinder 65x12.  Yet the accepted constructed alpha of
+    circle_in_disk 48x12 and interval_cylinder 17x12 has multiplicity 2 < 3,
+    left out of the experiment's sweep: the base sample misses deep witnesses.
     """
     if not pack.cylindrical or pack.known_dim is None:
         raise NonCylindricalPack(f"pack kind {pack.kind!r} carries no cylinder structure")
@@ -243,7 +237,7 @@ def lower_bound_check(
     if not alpha.covers_flag:
         raise NotACover("lower bound applies to covers of the interior")
     ladder = ladder or default_ladder(pack)
-    if not uniformity_verdict(pack, ladder, alpha, unif_tol).accept:
+    if not _uniform_at_floor(pack, ladder, alpha, unif_tol):
         raise UniformityRejected("cover fails the uniformity verdict")
     bound = pack.known_dim + 2
     mult, witness = mult_witness(alpha)
@@ -295,13 +289,13 @@ def random_uniform_candidates(
     discretize no open cover, are deliberately not produced.
 
     Each member is the block of the slot array of ``_column_structure`` under
-    one base run and one slab; the candidates are measured together.
+    one base run and one slab; all candidates are drawn first, then built in
+    one batch that gathers and measures each distinct member once.
     """
     if not pack.cylindrical or pack.known_dim not in (0, 1):
         raise NonCylindricalPack("candidate generator needs a cylindrical pack of dim 0 or 1")
-    bidx, levels, slots = _column_structure(pack)
-    nb = len(bidx)
-    nl = len(levels)
+    _, levels, slots = _column_structure(pack)
+    nb, nl = slots.shape
     circular = pack.kind == "circle_in_disk"
     if pack.known_dim == 1:
         positions = boundary_line(pack)
@@ -309,48 +303,71 @@ def random_uniform_candidates(
         gap = span / max(nb - 1, 1)
         if round(2 * levels[0] / gap) < 2:
             raise NonCylindricalPack("base sample too sparse to witness overlaps at the top scale")
-    columns = np.column_stack([np.arange(nb), np.ones(nb, dtype=np.intp)])  # one run per base index
-    covers = []
+    if not count:
+        return []
+    columns = np.arange(nb) * (nb + 1) + 1  # one run of width 1 per base index, keyed
+    runs, slabs, per_cover = [], [], []  # every candidate's run and slab keys, one after another
     for _ in range(count):
-        slabs = []
+        first = len(slabs)
         a = 0
         while True:
             b = min(nl - 1, a + int(rng.integers(1, 4)))
-            slabs.append((a, b))
+            slabs.append(a * (nl + 1) + b - a + 1)
             if b >= nl - 1:
                 break
             overlap = int(rng.integers(1, min(3, b - a + 1) + 1))
             a = max(b - overlap + 1, a + 1)  # shares >= 1 level with the previous slab
-        runs = []
-        for a, b in slabs:
-            width = 1 if pack.known_dim == 0 else max(1, round(2 * levels[a] / gap))
+        for slab in slabs[first:]:
+            width = 1 if pack.known_dim == 0 else max(1, round(2 * levels[slab // (nl + 1)] / gap))
             # dimension 0, or too deep for overlapping runs: single columns
-            runs.append(columns if width == 1 else np.array(_base_runs(nb, circular, width, rng)))
-        covers.append(_slot_blocks_cover(pack, slots, slabs, runs).require_cover())
-    _measure_together(covers)
-    return covers
+            runs.append(columns if width == 1 else np.array(_base_runs(nb, circular, width, rng)) @ (nb + 1, 1))
+        per_cover.append(sum(map(len, runs[first:])))
+    return _slot_block_covers(pack, slots, runs, slabs, per_cover)
 
 
-def _slot_blocks_cover(
-    pack: DiscretePack, slots: np.ndarray, slabs: list[tuple[int, int]], runs: list[np.ndarray]
-) -> Cover:
-    """The cover with one member per base run of each slab: the points in the
-    slots of base indices start..start + width - 1 (modulo the base count) and
-    levels a..b, for slab (a, b) and its runs' (start, width) rows; empty
-    slots are dropped."""
-    per_slab = [len(r) for r in runs]
-    start, width = np.concatenate(runs).T
-    top = np.repeat([a for a, _ in slabs], per_slab)
-    height = np.repeat([b - a + 1 for a, b in slabs], per_slab)
+def _slot_block_covers(pack: DiscretePack, slots: np.ndarray, runs: list, slabs: list, per_cover: list) -> list[Cover]:
+    """The covers of the interior, ``per_cover[c]`` drawn members for cover c,
+    built in one batch.  Slab (a, b), keyed a (nl + 1) + b - a + 1, carries
+    run keys start (nb + 1) + width; a member holds the filled slots of base
+    indices start.. (modulo nb) at levels a..b.  Each distinct member key is
+    gathered once, in bounded blocks, and each distinct point set measured
+    once; a cover keeps its nonempty members in first-occurrence order."""
+    nb, nl = slots.shape
+    key = np.concatenate(runs) * (nl * (nl + 1))  # ravel_multi_index((start, width, a, b - a + 1))
+    key += np.repeat(slabs, list(map(len, runs)))
+    keys = np.unique(key)
+    start, width, top, height = np.unravel_index(keys, (nb, nb + 1, nl, nl + 1))
     size = width * height
-    member = np.repeat(np.arange(len(size)), size)
-    k = np.arange(len(member)) - np.repeat(np.cumsum(size) - size, size)  # the slot's place in its block
-    h = height[member]
-    pts = slots[(start[member] + k // h) % len(slots), top[member] + k % h]
-    keep = pts >= 0
-    rows = np.zeros((len(size), pack.n_points), dtype=bool)
-    rows[member[keep], pts[keep]] = True
-    return _interior_cover(pack, rows)
+    packed = np.empty((len(keys), -(-pack.n_points // 64)), dtype=np.uint64)
+    step = max(1, _GATHER_LIMIT // (pack.n_points + 32 * int(size.max())))  # bool rows, and the slot indices
+    for lo in range(0, len(keys), step):
+        sz = size[lo : lo + step]
+        member = np.repeat(np.arange(len(sz)), sz)
+        k = np.arange(len(member)) - np.repeat(np.cumsum(sz) - sz, sz)  # the slot's place in its block
+        m, h = member + lo, height[lo + member]
+        pts = slots[(start[m] + k // h) % nb, top[m] + k % h]
+        packed[lo : lo + step] = _bit_rows(member[pts >= 0], pts[pts >= 0], len(sz), pack.n_points)
+    first, set_of = _distinct_rows(packed)
+    rep = np.unpackbits(packed[first].view(np.uint8), axis=1, count=pack.n_points, bitorder="little").view(bool)
+    sets = _interior_cover(pack, rep)  # the distinct sets, the empty one (all slots empty) dropped
+    held = rep.any(axis=1)
+    # each drawn member's set, tagged by its cover; the empty ones dropped, then the repeats in a cover
+    sid = np.where(held, np.cumsum(held) - 1, -1)[set_of][np.searchsorted(keys, key)]
+    del key  # one member-sized array at a time beside sid
+    tagged = np.repeat(np.arange(len(per_cover)) * len(sets), per_cover)[sid >= 0] + sid[sid >= 0]
+    del sid
+    cover, sid = np.divmod(tagged[np.sort(np.unique(tagged, return_index=True)[1])], len(sets))
+    sizes = np.diff(sets.offsets)[sid]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    ids = sets.ids[np.repeat(sets.offsets[sid] - offsets[:-1], sizes) + np.arange(offsets[-1])]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cover, minlength=len(per_cover))))).tolist()
+    return [  # every cover shares the one target of the sets, and reads its stats by a gather
+        Cover(
+            pack, ids[offsets[lo] : offsets[hi]], offsets[lo : hi + 1] - offsets[lo], sets.target, "interior",
+            stats=tuple(a[sid[lo:hi]] for a in sets.stats),
+        ).require_cover()
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _base_runs(nb: int, circular: bool, width: int, rng) -> list[tuple[int, int]]:

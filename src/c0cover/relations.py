@@ -247,6 +247,14 @@ class CurveVerdict:
         }
 
 
+def _floor(radii: np.ndarray, cond: np.ndarray, size: np.ndarray) -> tuple[float | None, float]:
+    """The effective floor over a ladder's decreasing radii: the smallest rung r* >= min(cond), and the
+    largest size over the items with cond <= r* (one masked max); (None, 0.0) when no rung reaches min(cond)."""
+    reach = np.count_nonzero(radii >= cond.min(initial=np.inf))  # the rungs r* and above
+    t = radii[reach - 1]
+    return (float(t), float(size.max(where=cond <= t, initial=-np.inf))) if reach else (None, 0.0)
+
+
 def _scale_curve_verdict(
     ladder: ScaleLadder,
     cond: np.ndarray,
@@ -257,20 +265,15 @@ def _scale_curve_verdict(
     """Curve value at rung t = max size over items with cond <= t.
 
     ``cond`` holds each item's activation scale, ``size`` its measured value.
-    With ``effective_floor`` the verdict reads the curve at the smallest rung
-    whose item set is nonempty (rungs below witness nothing); otherwise at
-    the bottom rung.
+    With ``effective_floor`` the verdict reads the curve at ``_floor``, the
+    smallest rung whose item set is nonempty (rungs below witness nothing);
+    otherwise at the bottom rung.
     """
     radii = ladder.array
     order = np.argsort(cond, kind="stable")
     prefix = np.concatenate(([0.0], np.maximum.accumulate(size[order])))
-    cnt = np.searchsorted(cond[order], radii, side="right")  # items active at each rung
-    values = prefix[cnt]
-    floor = len(radii) - 1
-    if effective_floor:  # cnt shrinks down the ladder: the last rung with an item
-        floor = int(np.count_nonzero(cnt)) - 1
-    floor_t = float(radii[floor]) if floor >= 0 else None
-    floor_value = float(values[floor]) if floor >= 0 else 0.0
+    values = prefix[np.searchsorted(cond[order], radii, side="right")]  # read at the items active at each rung
+    floor_t, floor_value = _floor(radii, cond, size) if effective_floor else (float(radii[-1]), float(values[-1]))
     # values is a prefix max read at counts that never grow down the ladder: it never
     # rises as t falls, so the floor decides, and each run's first rung keeps value_at
     keep = np.concatenate(([True], values[1:] != values[:-1]))
@@ -292,16 +295,17 @@ def c0_modulus(
     interior-only relations always clear the floor; the verdict has teeth
     for relations touching the boundary, and the curve itself records the
     decay for the rest.
+
+    A pair is active at t exactly when one endpoint is within t of the
+    boundary, so the items are points, not pairs: each point p a pair touches,
+    with its boundary distance and the largest d over row p and column p of E.
     """
     _check_tol("c0_tol", c0_tol)
     if e.pack is not pack:
         raise PackMismatch("relation belongs to a different pack")
-    # the curve is a running max, so the pairs need no order
-    ps, qs = np.nonzero(e.mask)
-    bd = pack.boundary_dist
-    cond = np.minimum(bd[ps], bd[qs])
-    size = pack.dist[ps, qs]
-    return _scale_curve_verdict(ladder, cond, size, c0_tol * pack.k_sup)
+    size = np.maximum(*(pack.dist.max(axis=a, where=e.mask, initial=-np.inf) for a in (0, 1)))
+    touched = size > -np.inf
+    return _scale_curve_verdict(ladder, pack.boundary_dist[touched], size[touched], c0_tol * pack.k_sup)
 
 
 # -- lambda gauges and controlled relations -------------------------------------

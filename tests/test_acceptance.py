@@ -12,7 +12,6 @@ import pytest
 
 import c0cover as cc
 from c0cover.canonical import default_mesh_targets
-from c0cover.covers import _members_of
 from c0cover.errors import NonCylindricalPack
 from c0cover.verify import (
     check_ext_properties,

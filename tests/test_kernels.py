@@ -22,6 +22,7 @@ from c0cover import covers
 from c0cover.covers import _members_of, member_stats
 from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
 from c0cover.cylinder import (
+    LowerBoundResult,
     _column_structure,
     fxf_image,
     image_density_gap,
@@ -43,6 +44,7 @@ from c0cover.errors import (
     NotCovering,
     PackMismatch,
     TriangleViolation,
+    UniformityRejected,
 )
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
 from c0cover.packs import (
@@ -57,6 +59,7 @@ from c0cover.packs import (
 from c0cover.relations import (
     CurveVerdict,
     _columns,
+    _floor,
     _scale_curve_verdict,
     controlled_phi,
     relation_from_json,
@@ -684,6 +687,48 @@ def test_scale_curve_verdict_empty_cond(cyl_ladder, effective_floor):
     got = _scale_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor)
     assert_curve_verdict(got, cyl_ladder, oracle_curve_verdict(cyl_ladder, empty, empty, 0.1, effective_floor))
     assert got.floor_t == (None if effective_floor else cyl_ladder.radii[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_floor_matches_the_curve_verdict(data):
+    """The floor read by one masked max is the effective floor of the curve
+    verdict, and so is its accept: items above the top rung, items at a rung
+    and single items included."""
+    ladder = data.draw(ladders())
+    top = ladder.radii[0]
+    item = st.one_of(
+        st.sampled_from(ladder.radii),  # at a rung
+        st.floats(0.0, top, allow_nan=False),
+        st.floats(top, 2 * top, allow_nan=False, exclude_min=True),  # above the top rung
+    )
+    cond = np.array(data.draw(st.lists(item, min_size=1, max_size=data.draw(st.sampled_from([1, 20])))))
+    size = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=len(cond), max_size=len(cond))))
+    threshold = data.draw(st.floats(0.0, 5.0))
+    verdict = _scale_curve_verdict(ladder, cond, size, threshold, effective_floor=True)
+    floor_t, floor_value = _floor(ladder.array, cond, size)
+    assert (floor_t, floor_value) == (verdict.floor_t, verdict.floor_value)
+    assert (floor_value <= threshold) == verdict.accept
+    _, _, want_t, want_value, want_accept, _ = oracle_curve_verdict(ladder, cond, size, threshold, True)
+    assert (floor_t, floor_value, floor_value <= threshold) == (want_t, want_value, want_accept)
+
+
+@pytest.mark.parametrize(
+    "cond, size, want",
+    [
+        ([3.0], [0.7], (None, 0.0)),  # one item above the top rung
+        ([1.0], [0.7], (1.0, 0.7)),  # one item at a rung
+        ([0.6, 0.9, 3.0], [0.1, 0.4, 9.0], (1.0, 0.4)),  # the floor is the rung 1.0 above min(cond)
+        ([0.2, 0.2], [0.3, 0.5], (0.25, 0.5)),  # the floor is the bottom rung
+        ([0.1, 1.5], [0.3, 0.9], (0.25, 0.3)),  # an item below the bottom rung: every rung reaches it
+    ],
+)
+def test_floor_cases(cond, size, want):
+    ladder = cc.ScaleLadder((2.0, 1.0, 0.5, 0.25))
+    cond, size = np.array(cond), np.array(size)
+    assert _floor(ladder.array, cond, size) == want
+    verdict = _scale_curve_verdict(ladder, cond, size, 0.45, effective_floor=True)
+    assert (verdict.floor_t, verdict.floor_value, verdict.accept) == (*want, want[1] <= 0.45)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1608,18 +1653,51 @@ def test_candidates_refuse_like_frozenset_generator(kind, params):
     assert got[0] is NonCylindricalPack
 
 
-@pytest.mark.parametrize("kind, params", CANDIDATE_PACKS[::2], ids=[pack_id(*c) for c in CANDIDATE_PACKS[::2]])
-def test_candidates_carry_their_stats(kind, params, monkeypatch):
+# the experiment-mix packs with 40 candidates, and the default interval experiment's 200
+STATS_CASES = [(*c, 40) for c in CANDIDATE_PACKS[::2]] + [("interval_cylinder", dict(n_base=65, n_levels=12), 200)]
+STATS_IDS = [pack_id(k, p) + ("" if c == 40 else f"_{c}_candidates") for k, p, c in STATS_CASES]
+
+
+@pytest.mark.parametrize("kind, params, count", STATS_CASES, ids=STATS_IDS)
+def test_candidates_carry_their_stats(kind, params, count, monkeypatch):
     pack = cc.generate_pack(kind, **params)
     paired = []
     pair_diameters = covers._pair_diameters
     monkeypatch.setattr(covers, "_pair_diameters", lambda *a: paired.append(a) or pair_diameters(*a))
-    candidates = cc.random_uniform_candidates(pack, np.random.default_rng(3), 40)
-    assert not paired  # the experiment-mix packs: one block gather for all 40 candidates
+    candidates = cc.random_uniform_candidates(pack, np.random.default_rng(3), count)
+    assert not paired  # the distinct point sets of all candidates take one block gather
     for cand in candidates:
         want = covers.index_stats(pack, cand.ids, cand.offsets)
         assert all(np.array_equal(a, b) for a, b in zip(cand.stats, want))
         assert not any(a.flags.writeable for a in cand.stats)
+
+
+def oracle_lower_bound_check(pack, alpha, ladder, unif_tol):
+    """``lower_bound_check`` through the curve verdict: the uniformity gate
+    reads ``uniformity_verdict(...).accept``."""
+    if not alpha.covers_flag:
+        raise NotACover("lower bound applies to covers of the interior")
+    if not cc.uniformity_verdict(pack, ladder, alpha, unif_tol).accept:
+        raise UniformityRejected("cover fails the uniformity verdict")
+    bound = pack.known_dim + 2
+    mult, witness = covers.mult_witness(alpha)
+    members = [sorted(m) for m in alpha.members]
+    refutation = None if mult >= bound else {"multiplicity": mult, "bound": bound, "members": members}
+    return LowerBoundResult(mult >= bound, mult, bound, witness, mult, refutation)
+
+
+@pytest.mark.parametrize("kind, params", CANDIDATE_PACKS, ids=[pack_id(*c) for c in CANDIDATE_PACKS])
+def test_lower_bound_check_matches_the_curve_path(kind, params):
+    pack = cc.generate_pack(kind, **params)
+    ladder = cc.default_ladder(pack)
+    candidates = cc.random_uniform_candidates(pack, np.random.default_rng(1), 20)
+    seen = Counter()
+    for unif_tol in (0.01, 0.02, 0.05, 0.1):
+        for cand in candidates:
+            got = outcome(cc.lower_bound_check, pack, cand, ladder, unif_tol)
+            assert got == outcome(oracle_lower_bound_check, pack, cand, ladder, unif_tol)
+            seen[got[0] if isinstance(got, tuple) else got.holds] += 1
+    assert seen[True]  # some candidates pass the gate at every pack
 
 
 def test_experiment_measures_its_candidates_in_one_call(monkeypatch):
@@ -1634,11 +1712,13 @@ def test_experiment_measures_its_candidates_in_one_call(monkeypatch):
         measured.clear()
         run_experiment(ExperimentConfig(**config, candidates=candidates))
         calls.append(list(measured))
-    # one more call, and it measures every member of the 40 candidates
+    # one more call, and it measures each distinct point set of the 40 candidates once
     assert len(calls[1]) == len(calls[0]) + 1
     pack = cc.generate_pack(config["kind"], **config["params"])
-    members = sum(map(len, cc.random_uniform_candidates(pack, np.random.default_rng(0), 40)))
-    assert members in calls[1] and members not in calls[0]
+    candidates = cc.random_uniform_candidates(pack, np.random.default_rng(0), 40)
+    distinct = len({m for cand in candidates for m in cand.members})
+    assert distinct < sum(map(len, candidates))
+    assert distinct in calls[1] and distinct not in calls[0]
 
 
 def test_shared_cover_builder_keeps_the_ball_cover_errors():

@@ -1,6 +1,6 @@
 """Source checks that need no linter: every module-level import in the
-library is used, every function reads each of its parameters, and every
-error class is raised somewhere in the library.
+library, its tests and its demos is used, every library function reads each
+of its parameters, and every error class is raised somewhere in the library.
 
 A name counts as used when it occurs as a name anywhere in its module
 (calls, attribute bases, annotations).  ``__init__.py`` re-exports by
@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "c0cover"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "c0cover"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +39,7 @@ def test_the_guard_sees_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
