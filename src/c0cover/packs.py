@@ -14,7 +14,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -293,20 +296,98 @@ def _derived_pack(cls: type, dist: np.ndarray, boundary: frozenset[int], meta: d
     return _finish_pack(pack, reduction)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_cuts(n: int, parts: int) -> list[int]:
+    """Row cuts 0 = c_0 <= ... <= c_parts = n that give the row ranges
+    [c_w, c_{w+1}) about the same number of pairs i < j (row i has n - 1 - i)."""
+    pairs_to = np.cumsum(np.arange(n - 1, -1, -1))  # the pairs in rows 0..i
+    inner = np.searchsorted(pairs_to, n * (n - 1) // 2 * np.arange(1, parts) / parts) + 1
+    return [0, *inner.tolist(), n]
+
+
+def _defect_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.ndarray, lo: int, hi: int) -> None:
+    """Rows lo..hi-1 of ``via``: min over k of d(i,k) + d(k,j) for each pair i < j;
+    ``buf`` is scratch space for (hi - lo) * n floats."""
+    n = off.shape[0]
+    for j in range(lo + 1, n):
+        top = j if j < hi else hi
+        s = buf[: (top - lo) * n].reshape(top - lo, n)
+        np.add(off[lo:top], off_t[j], out=s)  # s[i, k] = d(i,k) + d(k,j)
+        s.min(axis=1, out=via[lo:top, j])
+
+
+#: the fewest triples (i, k, j) that pay for a thread of their own in
+#: _min_plus_defects.  Measured on a 2-vCPU x86_64 VM (numpy 2.4.6, median of
+#: 40 interleaved checks of planar matrices), two parts against one took
+#: 1.50x the time at n = 160, 1.02x at 200, 0.98x at 230, 0.89x at 250,
+#: 0.65x at 363 and 0.51x at 845.  Small blocks do not overlap: two threads
+#: each taking the row minima of its own 100 x 200 block took twice as long as
+#: one, over 150 x 363 blocks 1.3-1.4 times.  So a split starts at 2 * 4e6
+#: triples (n = 252).
+_PART_TRIPLES = 4_000_000
+
+
 def _min_plus_defects(dist: np.ndarray, off: np.ndarray, off_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) for the pairs i < j; -inf elsewhere.
 
     ``off`` is ``dist`` with +inf on its diagonal, which drops k = i and k = j,
     and ``off_t`` its transpose as a C-contiguous array; ``buf`` is scratch
-    space for at least n * (n - 1) floats.
+    space for at least n * n floats.
+
+    A matrix with the triples for two parts of ``_PART_TRIPLES`` is cut by
+    rows into parts, one per CPU of the process's affinity set while the work
+    pays for them; ``_split_rows`` runs them in threads, each part on its own
+    slice of ``buf``, and re-raises an error of any part once all have
+    joined.  A smaller matrix is one part in the caller's thread.  Every
+    split gives the same bits.
     """
     n = dist.shape[0]
     via = np.full((n, n), np.inf)
-    for j in range(1, n):
-        s = buf[: j * n].reshape(j, n)
-        np.add(off[:j], off_t[j], out=s)  # s[i, k] = d(i,k) + d(k,j)
-        s.min(axis=1, out=via[:j, j])
+    most = n**3 // 2 // _PART_TRIPLES  # the parts this much work pays for
+    if most > 1:
+        _split_rows(off, off_t, via, buf, min(_cpu_count(), most))
+    else:
+        _defect_rows(off, off_t, via, buf, 0, n)
     return np.subtract(dist, via, out=via)
+
+
+def _split_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.ndarray, parts: int) -> None:
+    """All rows of ``via``, as ``_defect_rows`` fills them, in ``parts`` parts of
+    about the same number of pairs.
+
+    Part w takes rows [c_w, c_{w+1}) of ``_row_cuts`` and the slice of ``buf``
+    at those rows, n * n floats in all; it reads ``off`` and ``off_t`` and
+    writes only its own rows of ``via``, with the arithmetic of one part, so
+    the result is the same bits for every split.  The caller's thread runs
+    part 0 and the other parts run in threads.  An exception in any part, the
+    caller's included, re-raises here once every part has joined, since a
+    part that stopped early leaves +inf minima, which read as no defect.
+    """
+    n = off.shape[0]
+    cuts = _row_cuts(n, parts)
+    failed = []
+
+    def part(lo, hi):
+        try:
+            _defect_rows(off, off_t, via, buf[lo * n : hi * n], lo, hi)
+        except BaseException as exc:  # re-raised once every part has joined
+            failed.append(exc)
+
+    threads = [threading.Thread(target=part, args=cut) for cut in zip(cuts[1:-1], cuts[2:]) if cut[0] < cut[1]]
+    for t in threads:
+        t.start()
+    part(0, cuts[1])
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
 
 
 def _check_metric(dist: np.ndarray, tol: float) -> None:
@@ -360,7 +441,15 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-_SEQUENCES = (list, tuple, np.ndarray)
+def _listed(x):
+    """``x`` as a list when it is an array, so a 0-d array is a scalar; anything else as it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _is_list_of(x, ok: Callable, n: int | None = None) -> bool:
+    """``x`` is a list, tuple or array of items that pass ``ok``, n of them unless n is None."""
+    x = _listed(x)
+    return isinstance(x, (list, tuple)) and (n is None or len(x) == n) and all(map(ok, x))
 
 
 def _cylinder_fields(meta: dict, n: int) -> dict:
@@ -370,11 +459,27 @@ def _cylinder_fields(meta: dict, n: int) -> dict:
     if "base_of" not in meta or "level_of" not in meta:
         return {}
     base_of, level_of = meta["base_of"], meta["level_of"]
-    if not (isinstance(base_of, _SEQUENCES) and len(base_of) == n and all(map(_is_int, base_of))):
+    if not _is_list_of(base_of, _is_int, n):
         raise BadParams(f"pack meta base_of must be a list of {n} integer base ids")
-    if not (isinstance(level_of, _SEQUENCES) and len(level_of) == n and all(map(_is_finite_number, level_of))):
+    if not _is_list_of(level_of, _is_finite_number, n):
         raise BadParams(f"pack meta level_of must be a list of {n} finite levels")
-    return {"base_of": tuple(map(int, base_of)), "level_of": tuple(map(float, level_of))}
+    return {"base_of": tuple(map(int, _listed(base_of))), "level_of": tuple(map(float, _listed(level_of)))}
+
+
+def _check_coords(coords, n: int) -> None:
+    """``meta["coords"]`` must be n rows of one width >= 1, each entry a finite number."""
+    rows = _listed(coords)
+    rows = [_listed(row) for row in rows] if isinstance(rows, (list, tuple)) and len(rows) == n else [None]
+    if not ({type(row) for row in rows} <= {list, tuple} and len({len(row) for row in rows}) == 1 and rows[0]):
+        raise BadParams(f"pack meta coords must be {n} rows of one width >= 1")
+    entries = list(chain.from_iterable(rows))
+    plain = {type(x) for x in entries} <= {float, int}  # no bool, string or numpy scalar
+    try:
+        finite = all(map(math.isfinite if plain else _is_finite_number, entries))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise BadParams("pack meta coords must be finite numbers")
 
 
 def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dict:
@@ -383,10 +488,10 @@ def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dic
 
     ``dist`` is a 2-D float array and ``boundary`` a set of integers.  Checks
     the boundary ids and sides, the metric (``_check_metric``, the full
-    triangle check included), ``meta["levels"]`` if present and the cylinder
-    lists in ``meta``, and returns the CylinderPack fields those lists name.
-    With ``_depth_range`` on the boundary reduction this is every check
-    ``validate_pack`` makes.
+    triangle check included), ``meta["levels"]`` and ``meta["coords"]`` if
+    present and the cylinder lists in ``meta``, and returns the CylinderPack
+    fields those lists name.  With ``_depth_range`` on the boundary reduction
+    this is every check ``validate_pack`` makes.
     """
     n = dist.shape[0]
     if boundary and not (min(boundary) >= 0 and max(boundary) < n):
@@ -396,9 +501,10 @@ def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dic
     if len(boundary) == n:
         raise EmptySide("interior X-hat is empty")
     _check_metric(dist, DEFAULT_TRIANGLE_TOL)
-    levels = meta.get("levels", [])
-    if not (isinstance(levels, _SEQUENCES) and all(_is_finite_number(t) and t > 0 for t in levels)):
+    if not _is_list_of(meta.get("levels", []), lambda t: _is_finite_number(t) and t > 0):
         raise BadParams("pack meta levels must be a list of finite positive levels")
+    if meta.get("coords") is not None:  # null coords read as none, as DiscretePack.coords reads them
+        _check_coords(meta["coords"], n)
     return _cylinder_fields(meta, n)
 
 
@@ -416,9 +522,11 @@ def validate_pack(
     ``level_of`` lists makes the pack a CylinderPack.  Raises on the first
     violated invariant: BadParams for a distance matrix that is not a square
     array of finite numbers, a point count that disagrees with it, boundary
-    ids that are not integers in 0..n-1, ``meta["levels"]`` not a list of
-    finite positive numbers, or ``base_of`` and ``level_of`` not one
-    integer base id and one finite level per point;
+    ids that are not integers in 0..n-1, a ``meta`` that is not a dict,
+    ``meta["levels"]`` not a list of finite positive numbers,
+    ``meta["coords"]`` not n rows of one width >= 1 of finite numbers, or
+    ``base_of`` and ``level_of`` not one integer base id and one finite
+    level per point;
     EmptySide for an empty boundary or interior; DegeneratePack for a
     nonzero self-distance, distinct points at distance <= 0 or an interior
     point at distance 0 from the boundary; AsymmetricDistance and
@@ -426,7 +534,7 @@ def validate_pack(
     """
     try:
         dist = np.array(raw_dist, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BadParams("distance matrix must be a square array of numbers") from None
     if dist.ndim != 2:
         raise BadParams("distance matrix must be square")
@@ -447,6 +555,8 @@ def validate_pack(
         boundary = frozenset(int(i) for i in mask)
     else:
         raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points")
+    if meta is not None and not isinstance(meta, dict):
+        raise BadParams("pack meta must be an object")
     meta = dict(meta or {})
     cylinder = _check_fields(dist, boundary, meta)
     return _derived_pack(CylinderPack if cylinder else DiscretePack, dist, boundary, meta, **cylinder)
@@ -579,7 +689,8 @@ def boundary_line(pack: DiscretePack) -> list[float]:
     base: the x coordinate on interval_cylinder, the angle in [0, 2pi) on
     circle_in_disk."""
     coords = pack.coords
-    if coords is None or pack.kind not in ("interval_cylinder", "circle_in_disk"):
+    width = 2 if pack.kind == "circle_in_disk" else 1  # the angle needs x and y
+    if coords is None or pack.kind not in ("interval_cylinder", "circle_in_disk") or coords.shape[1] < width:
         raise ProviderMismatch(f"no 1-dimensional coordinates for kind {pack.kind!r}")
     if pack.kind == "circle_in_disk":
         return [math.atan2(coords[b][1], coords[b][0]) % (2 * math.pi) for b in sorted(pack.boundary)]
@@ -714,7 +825,9 @@ def _gen_circle_in_disk(n_angles: int = 48, n_levels: int = 12, ratio: float = 0
     for t in levels:
         coords.append((1.0 - t) * coords[0])
     pts = np.vstack(coords)
-    dist = _by_row_blocks(len(pts), lambda rows: np.sqrt(((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    # dx^2 + dy^2 in one add: the bits of a sum over the two coordinates, with no (rows, n, 2) temporary
+    dist = _by_row_blocks(len(pts), lambda rows: np.sqrt((x[rows, None] - x) ** 2 + (y[rows, None] - y) ** 2))
     meta = {
         "kind": "circle_in_disk",
         "known_dim": 1,
@@ -885,10 +998,7 @@ def pack_from_json(text: str) -> DiscretePack:
         return _generated_pack(obj)
     if not isinstance(obj, dict) or not {"points", "dist", "boundary"} <= obj.keys():
         raise BadParams("pack file must be an object with points, dist and boundary, or with a generator")
-    meta = obj.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise BadParams("pack meta must be an object")
-    return validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=meta)
+    return validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=obj.get("meta"))
 
 
 def _generated_pack(obj: dict) -> DiscretePack:

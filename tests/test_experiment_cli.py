@@ -256,21 +256,47 @@ def _string_levels_file():
     return json.dumps(obj)
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps({"points": 3, "boundary": [0]}),
-    "{points: 3",
-    "[0, 1]",
-    json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
-    json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [-0.5]}),
-    _short_base_of_file(),
-    _string_levels_file(),
-], ids=["no_dist", "not_json", "not_an_object", "ragged_dist", "fractional_boundary_id", "short_base_of",
-        "string_levels"])
+def _circle_coords_file(coords):
+    obj = cc.generate_pack("circle_in_disk", n_angles=8, n_levels=3).to_json_dict()
+    obj["meta"]["coords"] = coords(obj["meta"]["coords"])
+    return json.dumps(obj)
+
+
+MALFORMED_PACK_FILES = {
+    "no_dist": json.dumps({"points": 3, "boundary": [0]}),
+    "not_json": "{points: 3",
+    "not_an_object": "[0, 1]",
+    "ragged_dist": json.dumps({"points": 2, "dist": [[0, 1], [1]], "boundary": [0]}),
+    "fractional_boundary_id": json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [-0.5]}),
+    "short_base_of": _short_base_of_file(),
+    "string_levels": _string_levels_file(),
+    "string_coords": _circle_coords_file(lambda rows: "x"),
+    "short_coords": _circle_coords_file(lambda rows: rows[:-1]),
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_PACK_FILES.values()), ids=list(MALFORMED_PACK_FILES))
 def test_cli_cover_build_malformed_pack_exits_2(tmp_path, text):
     pack_file = tmp_path / "pack.json"
     pack_file.write_text(text)
     rc = main(["cover", "build", "--pack", str(pack_file), "--out", str(tmp_path / "c.json")])
     assert rc == 2
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_PACK_FILES.values()), ids=list(MALFORMED_PACK_FILES))
+def test_cli_render_malformed_pack_exits_2(tmp_path, text):
+    pack_file = tmp_path / "pack.json"
+    pack_file.write_text(text)
+    assert main(["render", "--pack", str(pack_file), "--out", str(tmp_path / "p.svg")]) == 2
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_cli_cover_build_circle_with_one_coordinate_exits_2(tmp_path):
+    # a circle's boundary angles need x and y; a one-column file is no circle to cover
+    pack_file = tmp_path / "pack.json"
+    pack_file.write_text(_circle_coords_file(lambda rows: [row[:1] for row in rows]))
+    assert main(["cover", "build", "--pack", str(pack_file), "--out", str(tmp_path / "c.json")]) == 2
     assert not (tmp_path / "c.json").exists()
 
 

@@ -8,6 +8,8 @@ kernels must agree with them exactly (``==``, no tolerance).
 import hashlib
 import pickle
 import re
+import sys
+import threading
 from collections import Counter
 from itertools import chain, combinations, product
 from dataclasses import replace
@@ -1241,6 +1243,15 @@ def test_generators_fill_the_matrix_in_row_blocks(kind, monkeypatch):
     monkeypatch.setattr(cc.packs, "_BLOCK", 50)  # blocks of one to four rows
     assert np.array_equal(cc.generate_pack(kind, **GENERATED[kind]).dist, whole.dist)
 
+
+@pytest.mark.parametrize("n_angles, n_levels", [(3, 1), (7, 2), (32, 10), (48, 12), (97, 5)])
+def test_circle_distances_match_the_stacked_formula(n_angles, n_levels):
+    # the (n, n, 2) difference array summed over its last axis, as the circle was first built
+    pack = cc.generate_pack("circle_in_disk", n_angles=n_angles, n_levels=n_levels)
+    pts = np.array(pack.meta["coords"])
+    stacked = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    assert pack.dist.tobytes() == stacked.tobytes()
+
 def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypatch):
     pack = cc.generate_pack("interval_cylinder", n_base=33, n_levels=10)
     ladder = cc.default_ladder(pack)
@@ -1421,28 +1432,34 @@ def metric_outcome(check, dist, tol):
     return None
 
 
-@st.composite
-def metric_matrices(draw):
-    """Planar metrics, small-integer matrices (ties), asymmetry within tol, one inflated entry."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 14))
-    case = draw(st.sampled_from(["planar", "integer", "asymmetric", "inflated"]))
-    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
-    if case == "integer" or (case == "asymmetric" and draw(st.booleans())):
+def metric_matrix(rng, n, case, tol, integer=False):
+    """A planar metric, a small-integer matrix (ties), asymmetry within tol or one inflated entry."""
+    if case == "integer" or integer:
         upper = np.triu(rng.integers(1, 5, (n, n)).astype(float), 1)
         dist = upper + upper.T
     else:
         pts = rng.uniform(0.0, 1.0, (n, 2))
         dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     if case == "asymmetric":
-        tol = max(tol, 1e-9)
         dist += rng.uniform(0.0, tol, (n, n)) * (rng.uniform(size=(n, n)) < 0.3) * (1 - np.eye(n))
     if case == "inflated" and n >= 2:
         a, b = rng.choice(n, 2, replace=False)
         factor = rng.uniform(1.0, 3.0)
         dist[a, b] *= factor
         dist[b, a] *= factor
-    return dist, tol
+    return dist
+
+
+@st.composite
+def metric_matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 14))
+    case = draw(st.sampled_from(["planar", "integer", "asymmetric", "inflated"]))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+    integer = case == "asymmetric" and draw(st.booleans())
+    if case == "asymmetric":
+        tol = max(tol, 1e-9)
+    return metric_matrix(rng, n, case, tol, integer), tol
 
 
 @settings(max_examples=400, deadline=None)
@@ -1450,6 +1467,111 @@ def metric_matrices(draw):
 def test_check_metric_matches_loop(drawn):
     dist, tol = drawn
     assert metric_outcome(_check_metric, dist, tol) == metric_outcome(oracle_check_metric, dist, tol)
+
+
+def _recorded_parts(monkeypatch, cpus, part_triples=None):
+    """Make the kernel read ``cpus`` CPUs (and ``part_triples``), and record the row
+    range of every part it runs, in whichever thread."""
+    monkeypatch.setattr(cc.packs, "_cpu_count", lambda: cpus)
+    if part_triples is not None:
+        monkeypatch.setattr(cc.packs, "_PART_TRIPLES", part_triples)
+    real, ranges = cc.packs._defect_rows, []
+
+    def recorded(off, off_t, via, buf, lo, hi):
+        ranges.append((lo, hi))
+        real(off, off_t, via, buf, lo, hi)
+
+    monkeypatch.setattr(cc.packs, "_defect_rows", recorded)
+    return ranges
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case", ["planar", "integer", "asymmetric", "inflated"])
+def test_split_check_metric_matches_loop(case, cpus, monkeypatch):
+    # one triple a part makes every matrix split into one part per CPU
+    ranges = _recorded_parts(monkeypatch, cpus, part_triples=1)
+    for n, seed in [(64, 1), (101, 2), (160, 3)]:
+        dist = metric_matrix(np.random.default_rng(seed), n, case, 1e-9)
+        ranges.clear()
+        assert metric_outcome(_check_metric, dist, 1e-9) == metric_outcome(oracle_check_metric, dist, 1e-9)
+        passes = 2 if case == "asymmetric" else 1  # the transposed pass splits the same way
+        assert len(ranges) == cpus * passes
+        assert sorted(ranges)[::passes] == list(zip(cc.packs._row_cuts(n, cpus), cc.packs._row_cuts(n, cpus)[1:]))
+
+
+def oracle_min_plus_defects(dist):
+    """d(i,j) - min over k of (d(i,k) + d(k,j)) with d(p,p) read as +inf, row by row, for i < j."""
+    n = len(dist)
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    out = np.full((n, n), -np.inf)
+    for i in range(n):
+        via = (off[i][:, None] + off).min(axis=0)
+        out[i, i + 1 :] = dist[i, i + 1 :] - via[i + 1 :]
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case", ["planar", "integer", "asymmetric"])
+def test_split_defects_match_the_row_oracle(case, cpus, monkeypatch):
+    _recorded_parts(monkeypatch, cpus, part_triples=1)
+    for n in (64, 101):
+        dist = metric_matrix(np.random.default_rng(n), n, case, 1e-9)
+        off = dist.copy()
+        np.fill_diagonal(off, np.inf)
+        got = cc.packs._min_plus_defects(dist, off, np.ascontiguousarray(off.T), np.empty(n * n))
+        assert got.tobytes() == oracle_min_plus_defects(dist).tobytes()
+
+
+def test_split_under_fast_thread_switching(monkeypatch):
+    # more parts than CPUs, switching threads every few bytecodes: no part may touch another's rows
+    _recorded_parts(monkeypatch, 6, part_triples=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            dist = metric_matrix(np.random.default_rng(seed), 90, "integer", 1e-9)
+            off = dist.copy()
+            np.fill_diagonal(off, np.inf)
+            got = cc.packs._min_plus_defects(dist, off, off, np.empty(90 * 90))
+            assert got.tobytes() == oracle_min_plus_defects(dist).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n, parts", [(240, 1), (260, 2), (300, 3)])
+def test_split_starts_where_it_pays(n, parts, monkeypatch):
+    ranges = _recorded_parts(monkeypatch, 3)
+    dist = metric_matrix(np.random.default_rng(n), n, "inflated", 1e-9)
+    assert metric_outcome(_check_metric, dist, 1e-9) == metric_outcome(oracle_check_metric, dist, 1e-9)
+    assert len(ranges) == parts
+
+
+@pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (2, 1), (3, 2), (10, 3), (64, 3), (160, 7)])
+def test_row_cuts_balance_the_pairs(n, parts):
+    cuts = cc.packs._row_cuts(n, parts)
+    assert cuts[0] == 0 and cuts[-1] == n and cuts == sorted(cuts) and len(cuts) == parts + 1
+    pairs = [sum(n - 1 - i for i in range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    assert max(pairs) - min(pairs) <= max(n - 1, 0)  # one row's worth at most
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_failing_part_fails_the_check(failing, monkeypatch):
+    monkeypatch.setattr(cc.packs, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(cc.packs, "_PART_TRIPLES", 1)
+    real = cc.packs._defect_rows
+
+    def flaky(off, off_t, via, buf, lo, hi):
+        if (lo == 0) == (failing == "caller"):
+            raise RuntimeError(f"part {lo}..{hi} failed")
+        real(off, off_t, via, buf, lo, hi)
+
+    monkeypatch.setattr(cc.packs, "_defect_rows", flaky)
+    pack = cc.generate_pack("interval_cylinder", n_base=9, n_levels=4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="failed"):
+        cc.validate_pack(pack.n_points, pack.dist, sorted(pack.boundary))
+    assert threading.active_count() == before
 
 
 def test_triangle_violation_below_the_diagonal():

@@ -72,6 +72,41 @@ def test_validate_malformed_matrix_is_typed(dist):
         cc.validate_pack(2, dist, [0])
 
 
+@pytest.mark.parametrize("meta", ["ab", [1, 2], 5, np.array(3.0)], ids=["string", "list", "number", "array"])
+def test_validate_meta_must_be_a_dict(meta):
+    with pytest.raises(BadParams, match="pack meta must be an object"):
+        cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0], meta=meta)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    ["x", [[0], [1]], [[0], [1], [2, 3]], [[], [], []], [[0], [True], [2]], [[0], [math.nan], [2]],
+     [[0], [10**400], [2]], [[0], ["1"], [2]], [0, 1, 2], np.array(1.0), np.zeros((3, 0))],
+    ids=["string", "short", "ragged", "empty_rows", "bool", "nan", "huge_int", "string_entry", "flat",
+         "scalar_array", "empty_array"],
+)
+def test_validate_malformed_coords_are_typed(coords):
+    with pytest.raises(BadParams, match="coords"):
+        cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0], meta={"coords": coords})
+
+
+@pytest.mark.parametrize(
+    "meta", [{"levels": np.array(0.5)}, {"base_of": np.array(1), "level_of": np.array(1.0)}],
+    ids=["levels", "cylinder_lists"],
+)
+def test_validate_scalar_array_meta_fields_are_typed(meta):
+    with pytest.raises(BadParams, match="pack meta"):
+        cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0], meta=meta)
+
+
+@pytest.mark.parametrize(
+    "coords", [[[0], [1], [2]], [(0, 1.5), (1, 0), (2, 0)], np.arange(9.0).reshape(3, 3), [np.zeros(2)] * 3]
+)
+def test_validate_accepts_coords_of_any_width(coords):
+    pack = cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0], meta={"coords": coords})
+    assert pack.coords.shape == np.shape(coords)
+
+
 def test_validate_empty_side():
     with pytest.raises(EmptySide):
         cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 1, 2])
@@ -355,6 +390,11 @@ MALFORMED_PACKS = {
     "meta_levels_bool": _cylinder_file(levels=[True, 0.2, 0.08]),
     "meta_levels_zero": _cylinder_file(levels=[0.5, 0.0]),
     "meta_levels_infinite": _cylinder_file(levels=[0.5, math.inf]),
+    "meta_coords_string": _cylinder_file(coords="x"),
+    "meta_coords_short": _cylinder_file(coords=_small_cylinder().meta["coords"][:-1]),
+    "meta_coords_ragged": _cylinder_file(coords=[[0.0, 1.0]] * 7 + [[0.0]]),
+    "meta_coords_empty_rows": _cylinder_file(coords=[[]] * 8),
+    "meta_coords_non_numeric": _cylinder_file(coords=[[0.0, "x"]] * 8),
     "generator_unknown_kind": _generator_file(kind="moebius_band"),
     "generator_kind_not_a_string": _generator_file(kind=["finite_cylinder"]),
     "generator_params_not_an_object": _generator_file(params=[2, 3]),
@@ -483,3 +523,102 @@ def test_boundary_line(interval_pack, circle_pack):
         boundary_line(cc.generate_pack("cube_face", n_side=3, n_levels=3))
     with pytest.raises(ProviderMismatch):
         boundary_line(cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2]))
+    # a circle's angle needs two coordinates; one column is no boundary line
+    obj = circle_pack.to_json_dict()
+    obj["meta"]["coords"] = [row[:1] for row in obj["meta"]["coords"]]
+    with pytest.raises(ProviderMismatch):
+        boundary_line(pack_from_json(json.dumps(obj)))
+
+
+# -- validate_pack on arbitrary dense input -------------------------------------------------------
+
+#: entries of every kind a JSON file or a caller could hand over
+ENTRIES = st.one_of(
+    st.floats(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.complex_numbers(max_magnitude=3),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+def _listish(n):
+    """Scalars, short or n-long lists and arrays: what a meta list field might hold."""
+    return st.one_of(
+        ENTRIES,
+        st.lists(ENTRIES, max_size=13),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.01, 1.0), max_size=4).map(np.array),
+        st.just(np.array(0.5)),
+    )
+
+
+def _coords(n):
+    return st.one_of(
+        _listish(n),
+        st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(st.floats(-1, 1), min_size=w, max_size=w),
+                                                     min_size=n, max_size=n)),
+        st.lists(st.lists(ENTRIES, max_size=3), min_size=n, max_size=n),
+        st.integers(0, 3).map(lambda w: np.zeros((n, w))),
+    )
+
+
+@st.composite
+def dense_pack_inputs(draw):
+    """(points, dist, boundary, meta) for validate_pack: a true metric with a valid boundary
+    and meta, with at most two of the arguments (or meta fields) drawn malformed instead."""
+    n = draw(st.integers(0, 12))
+    broken = draw(st.sets(st.sampled_from(["dist", "points", "boundary", "meta", "fields"]), max_size=2))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, (n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).tolist()
+    if "dist" in broken:
+        dist = draw(st.one_of(
+            st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(st.floats(0, 1), max_size=12), min_size=n, max_size=n),  # ragged
+            st.lists(ENTRIES, max_size=12),  # one axis
+            st.just(np.zeros((n, n, 2)).tolist()),  # three axes
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)), ENTRIES).map(
+                lambda ije: [[ije[2] if (i, j) == ije[:2] else d for j, d in enumerate(row)]
+                             for i, row in enumerate(dist)]),  # one bad entry
+        ))
+    points = n
+    if "points" in broken:
+        points = draw(st.one_of(st.integers(-1, 13), st.lists(st.integers(0, 12), max_size=13),
+                                st.text(max_size=3), st.none()))
+    boundary = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=1, max_size=3))
+    if "boundary" in broken:
+        boundary = draw(st.one_of(
+            st.lists(st.booleans(), max_size=13),
+            st.lists(st.one_of(st.integers(-3, 14), st.integers(-(2**70), 2**70), st.booleans(), st.floats()),
+                     max_size=4),
+            st.integers(),
+            st.none(),
+        ))
+    fields = {"levels": st.lists(st.floats(0.01, 1.0), max_size=4),
+              "coords": st.integers(1, 3).map(lambda w: pts[:, :1].repeat(w, axis=1).tolist())}
+    if "fields" in broken:
+        fields = {"levels": _listish(n), "coords": _coords(n), "base_of": _listish(n), "level_of": _listish(n)}
+    meta = draw(st.one_of(st.none(), st.fixed_dictionaries({}, optional=fields)))
+    if "meta" in broken:
+        meta = draw(st.one_of(st.text(max_size=3), st.lists(st.integers(), max_size=3), st.integers(),
+                              st.just(np.array(1.0))))
+    return points, dist, boundary, meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_pack_inputs())
+def test_validate_pack_fuzz_returns_a_pack_or_fails_typed(args):
+    points, dist, boundary, meta = args
+    try:
+        pack = cc.validate_pack(points, dist, boundary, meta=meta)
+    except C0CoverError:
+        return
+    assert isinstance(pack, cc.DiscretePack) and 0 < len(pack.boundary) < pack.n_points
+    if pack.coords is not None:  # what the renderer and boundary_line read
+        assert pack.coords.ndim == 2 and len(pack.coords) == pack.n_points and np.isfinite(pack.coords).all()
+    if isinstance(pack, cc.CylinderPack):
+        assert len(pack.base_of) == len(pack.level_of) == pack.n_points
