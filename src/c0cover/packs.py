@@ -309,7 +309,7 @@ def _row_cuts(n: int, parts: int) -> list[int]:
     [c_w, c_{w+1}) about the same number of pairs i < j (row i has n - 1 - i)."""
     pairs_to = np.cumsum(np.arange(n - 1, -1, -1))  # the pairs in rows 0..i
     inner = np.searchsorted(pairs_to, n * (n - 1) // 2 * np.arange(1, parts) / parts) + 1
-    return [0, *inner.tolist(), n]
+    return [0, *np.minimum(inner, n).tolist(), n]
 
 
 def _defect_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.ndarray, lo: int, hi: int) -> None:
@@ -330,7 +330,8 @@ def _defect_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.nd
 #: 0.65x at 363 and 0.51x at 845.  Small blocks do not overlap: two threads
 #: each taking the row minima of its own 100 x 200 block took twice as long as
 #: one, over 150 x 363 blocks 1.3-1.4 times.  So a split starts at 2 * 4e6
-#: triples (n = 252).
+#: triples (n = 252).  Only two parts against one were measured: whether a
+#: part of 4e6 triples still pays with three or more is open.
 _PART_TRIPLES = 4_000_000
 
 
@@ -366,13 +367,15 @@ def _split_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.nda
     at those rows, n * n floats in all; it reads ``off`` and ``off_t`` and
     writes only its own rows of ``via``, with the arithmetic of one part, so
     the result is the same bits for every split.  The caller's thread runs
-    part 0 and the other parts run in threads.  An exception in any part, the
-    caller's included, re-raises here once every part has joined, since a
-    part that stopped early leaves +inf minima, which read as no defect.
+    part 0 and the other parts run in threads; a part whose thread cannot
+    start runs in the caller's thread.  An exception in any part, the
+    caller's included, re-raises here once every started thread has joined,
+    since a part that stopped early leaves +inf minima, which read as no
+    defect.
     """
     n = off.shape[0]
     cuts = _row_cuts(n, parts)
-    failed = []
+    failed, threads = [], []
 
     def part(lo, hi):
         try:
@@ -380,12 +383,20 @@ def _split_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.nda
         except BaseException as exc:  # re-raised once every part has joined
             failed.append(exc)
 
-    threads = [threading.Thread(target=part, args=cut) for cut in zip(cuts[1:-1], cuts[2:]) if cut[0] < cut[1]]
-    for t in threads:
-        t.start()
-    part(0, cuts[1])
-    for t in threads:
-        t.join()
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            if lo < hi:
+                t = threading.Thread(target=part, args=(lo, hi))
+                try:
+                    t.start()
+                except RuntimeError:  # no thread to spare
+                    part(lo, hi)
+                else:
+                    threads.append(t)
+        part(0, cuts[1])
+    finally:
+        for t in threads:
+            t.join()
     if failed:
         raise failed[0]
 
@@ -432,13 +443,19 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
-def _is_finite_number(x) -> bool:
-    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, (bool, np.bool_)):
+def _finite_numbers(xs: list) -> bool:
+    """Every item of ``xs`` is a finite int or float, numpy's included, and none a bool."""
+    number = (int, float, np.integer, np.floating)
+    if not all(issubclass(t, number) and not issubclass(t, (bool, np.bool_)) for t in set(map(type, xs))):
         return False
     try:
-        return math.isfinite(x)
+        return all(map(math.isfinite, xs))
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _is_finite_number(x) -> bool:
+    return _finite_numbers([x])
 
 
 def _listed(x):
@@ -469,16 +486,11 @@ def _cylinder_fields(meta: dict, n: int) -> dict:
 def _check_coords(coords, n: int) -> None:
     """``meta["coords"]`` must be n rows of one width >= 1, each entry a finite number."""
     rows = _listed(coords)
-    rows = [_listed(row) for row in rows] if isinstance(rows, (list, tuple)) and len(rows) == n else [None]
-    if not ({type(row) for row in rows} <= {list, tuple} and len({len(row) for row in rows}) == 1 and rows[0]):
+    rows = list(map(_listed, rows)) if isinstance(rows, (list, tuple)) else []
+    shaped = set(map(type, rows)) <= {list, tuple} and len(set(map(len, rows))) == 1
+    if not (len(rows) == n and shaped and rows[0]):
         raise BadParams(f"pack meta coords must be {n} rows of one width >= 1")
-    entries = list(chain.from_iterable(rows))
-    plain = {type(x) for x in entries} <= {float, int}  # no bool, string or numpy scalar
-    try:
-        finite = all(map(math.isfinite if plain else _is_finite_number, entries))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not _finite_numbers(list(chain.from_iterable(rows))):
         raise BadParams("pack meta coords must be finite numbers")
 
 

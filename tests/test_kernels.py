@@ -1547,7 +1547,7 @@ def test_split_starts_where_it_pays(n, parts, monkeypatch):
     assert len(ranges) == parts
 
 
-@pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (2, 1), (3, 2), (10, 3), (64, 3), (160, 7)])
+@pytest.mark.parametrize("n, parts", [(0, 1), (0, 2), (1, 1), (1, 3), (2, 1), (3, 2), (10, 3), (64, 3), (160, 7)])
 def test_row_cuts_balance_the_pairs(n, parts):
     cuts = cc.packs._row_cuts(n, parts)
     assert cuts[0] == 0 and cuts[-1] == n and cuts == sorted(cuts) and len(cuts) == parts + 1
@@ -1572,6 +1572,33 @@ def test_a_failing_part_fails_the_check(failing, monkeypatch):
     with pytest.raises(RuntimeError, match="failed"):
         cc.validate_pack(pack.n_points, pack.dist, sorted(pack.boundary))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_a_thread_that_cannot_start(error, monkeypatch):
+    # the second worker's thread fails to start: a RuntimeError ("can't start new
+    # thread") moves its part to the caller; any other error re-raises, and in
+    # both cases the thread that did start has joined
+    ranges = _recorded_parts(monkeypatch, 3, part_triples=1)
+    real_start, starts = threading.Thread.start, []
+
+    def start(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise error("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    dist = metric_matrix(np.random.default_rng(5), 101, "inflated", 1e-9)
+    before = threading.active_count()
+    if error is RuntimeError:
+        assert metric_outcome(_check_metric, dist, 1e-9) == metric_outcome(oracle_check_metric, dist, 1e-9)
+        assert sorted(ranges) == list(zip(cc.packs._row_cuts(101, 3), cc.packs._row_cuts(101, 3)[1:]))
+    else:
+        with pytest.raises(MemoryError):
+            _check_metric(dist, 1e-9)
+    assert threading.active_count() == before
+    assert len(starts) == 2
 
 
 def test_triangle_violation_below_the_diagonal():

@@ -81,9 +81,10 @@ def test_validate_meta_must_be_a_dict(meta):
 @pytest.mark.parametrize(
     "coords",
     ["x", [[0], [1]], [[0], [1], [2, 3]], [[], [], []], [[0], [True], [2]], [[0], [math.nan], [2]],
-     [[0], [10**400], [2]], [[0], ["1"], [2]], [0, 1, 2], np.array(1.0), np.zeros((3, 0))],
+     [[0], [10**400], [2]], [[0], ["1"], [2]], [0, 1, 2], np.array(1.0), np.zeros((3, 0)),
+     [[0.0, 1.5], [1.0, np.bool_(True)], [2.0, 0.5]], [[0], [1j], [2]], [[0.0], [np.float32("inf")], [2.0]]],
     ids=["string", "short", "ragged", "empty_rows", "bool", "nan", "huge_int", "string_entry", "flat",
-         "scalar_array", "empty_array"],
+         "scalar_array", "empty_array", "numpy_bool_among_floats", "complex", "numpy_inf"],
 )
 def test_validate_malformed_coords_are_typed(coords):
     with pytest.raises(BadParams, match="coords"):
@@ -100,7 +101,9 @@ def test_validate_scalar_array_meta_fields_are_typed(meta):
 
 
 @pytest.mark.parametrize(
-    "coords", [[[0], [1], [2]], [(0, 1.5), (1, 0), (2, 0)], np.arange(9.0).reshape(3, 3), [np.zeros(2)] * 3]
+    "coords",
+    [[[0], [1], [2]], [(0, 1.5), (1, 0), (2, 0)], np.arange(9.0).reshape(3, 3), [np.zeros(2)] * 3,
+     [[np.float32(0.5)], [np.int64(1)], [2.0]]],
 )
 def test_validate_accepts_coords_of_any_width(coords):
     pack = cc.validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0], meta={"coords": coords})
