@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +18,10 @@ import numpy as np
 from .covers import (
     Cover,
     RefinementWitness,
+    _distinct_rows,
+    _incidence,
+    _index_arrays,
+    _interior_cover,
     common_multiplicity,
     lebesgue_number,
     mesh,
@@ -40,7 +43,7 @@ from .errors import (
     ProviderMismatch,
     UniformityRejected,
 )
-from .packs import DiscretePack, ScaleLadder, annulus, boundary_line, default_ladder, sample_levels
+from .packs import DiscretePack, ScaleLadder, boundary_line, default_ladder, sample_levels
 from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
 
 
@@ -50,83 +53,80 @@ from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
 def ext(pack: DiscretePack, u: frozenset | set) -> frozenset[int]:
     """v(U) = {p : d(p, U) < d(p, X \\ U)} with d(., empty) = +inf.
 
-    That is v(U) = {p : T(p) <= U} for T(p) the nearest boundary points of
-    p, read off the pack's nearest-point map and tie pairs.  Extends
-    boundary-open sets into the whole pack: v(U) meets X exactly in U, is
-    monotone, and turns finite intersections into intersections.  A point
-    with nearest boundary points both in U and outside it is in neither v(U)
-    nor v(X \\ U).
+    The one-member case of ``ext_family``.  Extends boundary-open sets into
+    the whole pack: v(U) meets X exactly in U, is monotone, and turns finite
+    intersections into intersections.  A point with nearest boundary points
+    both in U and outside it is in neither v(U) nor v(X \\ U).
     """
     u = frozenset(u)
     if not u <= pack.boundary:
         raise NotBoundarySubset("ext wants a subset of the boundary")
-    in_u = np.zeros(pack.n_points, dtype=bool)
-    in_u[np.fromiter(u, dtype=np.intp, count=len(u))] = True
-    inside = in_u[pack.nearest_boundary]
+    in_u = np.zeros((1, pack.n_points), dtype=bool)
+    in_u[0, np.fromiter(u, dtype=np.intp, count=len(u))] = True
+    return frozenset(np.flatnonzero(ext_family(pack, in_u)[0]).tolist())
+
+
+def ext_family(pack: DiscretePack, in_u: np.ndarray) -> np.ndarray:
+    """v(U) = {p : T(p) <= U}, T(p) the nearest boundary points of p, for each
+    row U of a (members x points) bool matrix; only its boundary columns are read."""
+    inside = np.take(in_u, pack.nearest_boundary, axis=1)
     p, x = pack.nearest_ties.T
-    inside[p[~in_u[x]]] = False  # a nearest boundary point outside U
-    return frozenset(np.flatnonzero(inside).tolist())
-
-
-def ext_family(pack: DiscretePack, family) -> tuple[frozenset, ...]:
-    members = family.members if isinstance(family, Cover) else family
-    return tuple(ext(pack, u) for u in members)
+    row, tie = np.nonzero(~in_u[:, x])  # a nearest boundary point outside U
+    inside[row, p[tie]] = False
+    return inside
 
 
 # -- the scale-cover constructor ----------------------------------------------------
 
 
-def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence) -> tuple[list[frozenset], list[int]]:
-    """The nonempty sets U & annulus n for U in betas[n], deduplicated in
+def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty rows U & annulus n for U in betas[n], deduplicated in
     order, each tagged with the first annulus n that produced it."""
     n_ann = len(ladder) - 2
     if len(betas) < n_ann:
         raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
-    if frozenset().union(*betas[0]) != frozenset(pack.points):
+    if not betas[0].any(axis=0).all():
         raise BadParams("betas[0] must be the whole-space family")
-    members, tags, seen = [], [], set()
+    bd, radii = pack.boundary_dist, ladder.array
     for n in range(n_ann):
-        fam = betas[n]
-        if not pack.boundary <= frozenset().union(*fam):
+        if not betas[n][:, bd == 0].any(axis=0).all():
             raise BetaDoesNotCoverBoundary(n)
-        ann = annulus(pack, ladder, n)
-        for u in fam:
-            m = frozenset(u) & ann
-            if m and m not in seen:
-                seen.add(m)
-                members.append(m)
-                tags.append(n)
-    return members, tags
+    # the radii are positive, so annulus n (r_{n+2}, r_n) misses the boundary
+    sliced = [betas[n] & ((bd > radii[n + 2]) & (bd < radii[n])) for n in range(n_ann)]
+    rows = np.concatenate(sliced)
+    tags = np.repeat(np.arange(n_ann), [len(fam) for fam in sliced])
+    keep = np.flatnonzero(rows.any(axis=1))
+    first = np.sort(keep[_distinct_rows(np.packbits(rows[keep], axis=1))[0]])
+    return rows[first], tags[first]
 
 
 def build_alpha(
     pack: DiscretePack,
     ladder: ScaleLadder,
-    betas: Sequence,
+    betas: Sequence[np.ndarray],
 ) -> Cover:
-    """Slices the beta families along the ladder annuli.
+    """Slices the beta families, bool matrices, along the ladder annuli.
 
     Members are U intersected with annulus n, for U in betas[n]; empties are
     dropped.  betas[0] must cover everything and every beta family must cover
     the boundary.  The result is a family over the interior; it covers and is
     uniform when the betas' meshes near the boundary decay jointly.
     """
-    return Cover.make(pack, _slice(pack, ladder, betas)[0], target="interior")
+    return _interior_cover(pack, _slice(pack, ladder, betas)[0])
 
 
-def _complete_orphans(pack: DiscretePack, ladder: ScaleLadder, members: list, tags: Sequence[int]) -> int:
-    """Adds every interior point in no member (an Ext tie) to the first member
-    of the deepest annulus holding it; returns how many points it placed."""
-    orphans = sorted(pack.interior - frozenset().union(*members))
-    first: dict[int, int] = {}
-    for i, n in enumerate(tags):
-        first.setdefault(n, i)
-    for p in orphans:
-        depth = pack.boundary_dist[p]
-        holding = [n for n in range(len(ladder) - 3, -1, -1) if n in first and ladder[n + 2] < depth < ladder[n]]
-        if not holding:
-            raise NotCovering(f"orphan {p} fits no annulus member")
-        members[first[holding[0]]] |= {p}
+def _complete_orphans(pack: DiscretePack, ladder: ScaleLadder, rows: np.ndarray, tags: np.ndarray) -> int:
+    """Adds every interior point in no row (an Ext tie) to the first row of
+    the deepest annulus holding it; returns how many points it placed."""
+    bd, radii = pack.boundary_dist, ladder.array
+    orphans = np.flatnonzero((bd > 0) & ~rows.any(axis=0))
+    tag, first = np.unique(tags, return_index=True)  # the first row of each annulus
+    depth = bd[orphans, None]
+    holding = (radii[tag + 2] < depth) & (depth < radii[tag])  # [i, j]: annulus tag[j] holds orphan i
+    deepest = np.where(holding, np.arange(len(tag)), -1).max(axis=1, initial=-1)
+    if (deepest < 0).any():
+        raise NotCovering(f"orphan {orphans[deepest.argmin()]} fits no annulus member")
+    rows[first[deepest], orphans] = True
     return len(orphans)
 
 
@@ -136,7 +136,7 @@ def _complete_orphans(pack: DiscretePack, ladder: ScaleLadder, members: list, ta
 def subsequence_indices(
     pack: DiscretePack,
     ladder: ScaleLadder,
-    betas: Sequence,
+    betas: Sequence[np.ndarray],
     gamma: Cover,
 ) -> tuple[int, ...]:
     """The rung subsequence n_0 = 0 < n_1 < ... from the refinement recursion.
@@ -179,14 +179,13 @@ def subsequence_indices(
         if k >= len(betas):
             raise LadderExhausted(f"beta sequence exhausted at step {k}")
         beta_k = betas[k]
-        covered = np.zeros(pack.n_points, dtype=bool)
-        covered[np.fromiter(chain.from_iterable(beta_k), dtype=np.intp)] = True
-        lim = bd[~covered].min(initial=np.inf)
-        m = first_rung_below(lim)
+        m = first_rung_below(bd[~beta_k.any(axis=0)].min(initial=np.inf))  # below every point beta_k misses
         if m is None:
             raise LadderExhausted(f"no rung with closed neighborhood inside beta {k}")
-        far = frozenset(np.flatnonzero(bd > radii[m]).tolist())  # the far complement
-        big_l = lebesgue_number(pack, [*beta_k, far], pack.points, skip_uncovered=True)
+        rows = np.vstack([beta_k, bd > radii[m]])  # beta_k plus the far complement
+        member, ids = np.divmod(np.flatnonzero(rows), pack.n_points)
+        helper = Cover(pack, ids, np.searchsorted(member, np.arange(len(rows) + 1)), frozenset(pack.points), "custom")
+        big_l = lebesgue_number(pack, helper, pack.points, skip_uncovered=True)
         # m': the first rung where every member inside W_n is narrower than L
         # (with L <= 0 not even an empty W_n, valued 0, qualifies)
         shrunk = np.flatnonzero(rung_mesh < big_l)
@@ -219,7 +218,7 @@ def subsequence_indices(
 def refine_subsequence(
     pack: DiscretePack,
     ladder: ScaleLadder,
-    betas: Sequence,
+    betas: Sequence[np.ndarray],
     gamma: Cover,
     unif_tol: float = DEFAULT_LIMIT_TOL,
 ) -> tuple[tuple[int, ...], Cover, RefinementWitness, int]:
@@ -234,14 +233,14 @@ def refine_subsequence(
         raise UniformityRejected("gamma fails the uniformity verdict")
     indices = subsequence_indices(pack, ladder, betas, gamma)
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
-    members, tags = _slice(pack, sub, betas)
-    orphans = _complete_orphans(pack, sub, members, tags)
-    alpha = Cover.make(pack, members, target="interior").require_cover()
+    rows, tags = _slice(pack, sub, betas)
+    orphans = _complete_orphans(pack, sub, rows, tags)
+    alpha = _interior_cover(pack, rows).require_cover()
     return indices, alpha, refines(gamma, alpha), orphans
 
 
 class ExtBetas:
-    """Lazy beta sequence of Ext images, each family computed once.
+    """Lazy beta sequence of Ext images, each family computed once as a read-only bool matrix.
 
     Family 0 is Ext({X}), the whole space; family n >= 1 is the Ext image of
     the boundary family ``boundary_family(n)``.
@@ -251,17 +250,18 @@ class ExtBetas:
         self.pack = pack
         self.length = length
         self.boundary_family = boundary_family
-        self._cache: dict[int, tuple[frozenset, ...]] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, n: int) -> tuple[frozenset, ...]:
+    def __getitem__(self, n: int) -> np.ndarray:
         if n < 0 or n >= self.length:
             raise IndexError(n)
         if n not in self._cache:
-            fam = self.boundary_family(n) if n else (self.pack.boundary,)
-            self._cache[n] = ext_family(self.pack, fam)
+            fam = self.boundary_family(n) if n else [self.pack.boundary]
+            self._cache[n] = ext_family(self.pack, _incidence(*_index_arrays(fam), self.pack.n_points))
+            self._cache[n].setflags(write=False)
         return self._cache[n]
 
 

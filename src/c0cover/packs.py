@@ -600,12 +600,12 @@ class ScaleLadder:
     def __post_init__(self):
         try:
             r = np.array(self.radii, dtype=float)
-        except (TypeError, ValueError):
-            raise BadLadder("radii must be numbers") from None
+        except (TypeError, ValueError, OverflowError):  # an int beyond the float range overflows
+            raise BadLadder("radii must be finite numbers") from None
         if r.ndim != 1 or len(r) < 3:
             raise BadLadder("ladder needs at least three rungs")
-        if not (np.all(r > 0) and np.all(r[1:] < r[:-1])):
-            raise BadLadder("radii must be positive and strictly decreasing")
+        if not (np.isfinite(r[0]) and np.all(r > 0) and np.all(r[1:] < r[:-1])):
+            raise BadLadder("radii must be finite, positive and strictly decreasing")
         r.setflags(write=False)
         object.__setattr__(self, "array", r)
 
@@ -1003,14 +1003,22 @@ def pack_from_json(text: str) -> DiscretePack:
     ``validate_pack``, the full triangle check included.
 
     A generator-form file is rebuilt with ``generate_pack`` and then checked;
-    a dense file goes through ``validate_pack``.
+    a dense file goes through ``validate_pack`` once its points are a count
+    or a list of integer ids and its dist is rows of finite numbers.
     """
     obj = read_json(text, "pack file")
     if isinstance(obj, dict) and "generator" in obj:
         return _generated_pack(obj)
     if not isinstance(obj, dict) or not {"points", "dist", "boundary"} <= obj.keys():
         raise BadParams("pack file must be an object with points, dist and boundary, or with a generator")
-    return validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=obj.get("meta"))
+    # validate_pack reads a string of n characters as n points, and numpy parses strings and booleans as distances
+    points, dist = obj["points"], obj["dist"]
+    if not (_is_int(points) or isinstance(points, list) and all(map(_is_int, points))):
+        raise BadParams("pack file points must be a count or a list of integer ids")
+    rows = isinstance(dist, list) and all(isinstance(row, list) for row in dist)
+    if not (rows and _finite_numbers(list(chain.from_iterable(dist)))):
+        raise BadParams("pack file dist must be rows of finite numbers")
+    return validate_pack(points, dist, obj["boundary"], meta=obj.get("meta"))
 
 
 def _generated_pack(obj: dict) -> DiscretePack:
@@ -1034,7 +1042,6 @@ def ladder_from_json(text: str) -> ScaleLadder:
     radii = read_json(text, "ladder file")
     if not isinstance(radii, list):
         raise BadLadder("ladder file must be a JSON array of radii")
-    try:
-        return ScaleLadder(tuple(float(r) for r in radii))
-    except (TypeError, ValueError):
-        raise BadLadder("radii must be numbers") from None
+    if not _finite_numbers(radii):
+        raise BadLadder("radii must be finite numbers")
+    return ScaleLadder(tuple(map(float, radii)))

@@ -43,9 +43,20 @@ def test_ext_properties_exhaustive(line3):
     assert all(r.failures == 0 for r in results)
 
 
+def whole(pack):
+    return np.ones((1, pack.n_points), dtype=bool)
+
+
+def rows_of(pack, members):
+    """The members x points bool matrix of a list of point sets."""
+    rows = np.zeros((len(members), pack.n_points), dtype=bool)
+    for i, m in enumerate(members):
+        rows[i, sorted(m)] = True
+    return rows
+
+
 def test_build_alpha_annuli_only(cyl_fixture, cyl_ladder):
-    all_pts = frozenset(cyl_fixture.points)
-    betas = [(all_pts,)] * 3
+    betas = [whole(cyl_fixture)] * 3
     alpha = cc.build_alpha(cyl_fixture, cyl_ladder, betas)
     got = set(alpha.members)
     want = {cc.annulus(cyl_fixture, cyl_ladder, n) for n in range(3)}
@@ -55,16 +66,14 @@ def test_build_alpha_annuli_only(cyl_fixture, cyl_ladder):
 
 
 def test_build_alpha_beta_not_covering(cyl_fixture, cyl_ladder):
-    all_pts = frozenset(cyl_fixture.points)
-    betas = [(all_pts,), (frozenset(cyl_fixture.interior),), (all_pts,)]
+    betas = [whole(cyl_fixture), rows_of(cyl_fixture, [cyl_fixture.interior]), whole(cyl_fixture)]
     with pytest.raises(BetaDoesNotCoverBoundary):
         cc.build_alpha(cyl_fixture, cyl_ladder, betas)
 
 
 def test_build_alpha_needs_enough_betas(cyl_fixture, cyl_ladder):
-    all_pts = frozenset(cyl_fixture.points)
     with pytest.raises(LadderExhausted):
-        cc.build_alpha(cyl_fixture, cyl_ladder, [(all_pts,)])
+        cc.build_alpha(cyl_fixture, cyl_ladder, [whole(cyl_fixture)])
 
 
 def test_build_alpha_interval_betas_bound(interval_pipeline):
@@ -227,8 +236,9 @@ def test_provider_for_unknown_dim():
 
 
 def test_ext_family_matches_pointwise(line3):
-    fam = [frozenset({0}), frozenset({0, 2})]
-    assert ext_family(line3, fam) == (cc.ext(line3, {0}), cc.ext(line3, {0, 2}))
+    images = ext_family(line3, rows_of(line3, [{0}, {0, 2}]))
+    assert images.dtype == bool and images.shape == (2, 3)
+    assert [set(np.flatnonzero(row).tolist()) for row in images] == [cc.ext(line3, {0}), cc.ext(line3, {0, 2})]
 
 
 # sha256 of cover_to_json(alpha) for both entry points; the cube_face pin is
@@ -260,8 +270,9 @@ def test_alpha_pinned(entry, kind, params, digest):
 
 
 def test_ext_betas_family_zero_is_whole_space(interval_pack):
-    betas = ExtBetas(interval_pack, 2, lambda n: [interval_pack.boundary])
-    assert betas[0] == (frozenset(interval_pack.points),)
+    betas = ExtBetas(interval_pack, 2, lambda n: cc.whole_space_cover(interval_pack, "boundary"))
+    assert betas[0].tolist() == betas[1].tolist() == whole(interval_pack).tolist()
+    assert not betas[1].flags.writeable and betas[1] is betas[1]
     with pytest.raises(IndexError):
         betas[2]
 
@@ -274,23 +285,19 @@ def test_orphan_joins_first_member_of_deepest_annulus(cyl_fixture, cyl_ladder):
     # interior depths 1, 1/2, 1/4, 1/8; the orphan at depth 1/2 lies in
     # annuli 0 (0.3, 1.5) and 1 (0.1, 0.6), not in annulus 2 (0.05, 0.3)
     at = _by_depth(cyl_fixture)
-    members = [frozenset({at[1.0]}), frozenset({at[0.25]}), frozenset({at[0.25], at[0.125]}), frozenset({at[0.125]})]
-    placed = _complete_orphans(cyl_fixture, cyl_ladder, members, [0, 1, 1, 2])
+    rows = rows_of(cyl_fixture, [{at[1.0]}, {at[0.25]}, {at[0.25], at[0.125]}, {at[0.125]}])
+    placed = _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([0, 1, 1, 2]))
     assert placed == 1
-    assert members == [
-        frozenset({at[1.0]}),
-        frozenset({at[0.25], at[0.5]}),
-        frozenset({at[0.25], at[0.125]}),
-        frozenset({at[0.125]}),
-    ]
+    want = [{at[1.0]}, {at[0.25], at[0.5]}, {at[0.25], at[0.125]}, {at[0.125]}]
+    assert rows.tolist() == rows_of(cyl_fixture, want).tolist()
     # with no member in annulus 1 it falls back to annulus 0
-    members = [frozenset({at[1.0]}), frozenset({at[0.25], at[0.125]})]
-    assert _complete_orphans(cyl_fixture, cyl_ladder, members, [0, 2]) == 1
-    assert members[0] == {at[1.0], at[0.5]}
+    rows = rows_of(cyl_fixture, [{at[1.0]}, {at[0.25], at[0.125]}])
+    assert _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([0, 2])) == 1
+    assert rows[0].tolist() == rows_of(cyl_fixture, [{at[1.0], at[0.5]}])[0].tolist()
 
 
 def test_orphan_without_annulus_member_raises(cyl_fixture, cyl_ladder):
     at = _by_depth(cyl_fixture)
-    members = [frozenset({at[1.0], at[0.25], at[0.125]})]
-    with pytest.raises(NotCovering, match=f"orphan {at[0.5]}"):
-        _complete_orphans(cyl_fixture, cyl_ladder, members, [2])
+    rows = rows_of(cyl_fixture, [{at[1.0], at[0.25], at[0.125]}])
+    with pytest.raises(NotCovering, match=f"orphan {at[0.5]} fits"):
+        _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([2]))

@@ -212,6 +212,8 @@ BAD_CONFIGS = {
     "params_list": SMALL_FINITE | {"params": [2, 12]},
     "ladder_string": SMALL_FINITE | {"ladder": "2.0, 1.0, 0.5"},
     "ladder_non_numbers": SMALL_FINITE | {"ladder": [2.0, "1.0", 0.5]},
+    "ladder_overflow": SMALL_FINITE | {"ladder": [10**400, 0.5, 0.25]},
+    "ladder_infinite": SMALL_FINITE | {"ladder": [float("inf"), 0.5, 0.25]},
     "provider_unknown": SMALL_FINITE | {"provider": "interval_dim1"},
     "lambda_constant_garbled": SMALL_FINITE | {"lambda_kind": "constant:abc"},
 }
@@ -342,7 +344,11 @@ def test_cli_cover_build_from_file_matches_in_process(tmp_path, kind, params):
         assert from_file[key] == report.to_dict()[key]
 
 
-@pytest.mark.parametrize("text", ['["a"]', "[2.0, 1.0"], ids=["non_numeric", "not_json"])
+@pytest.mark.parametrize(
+    "text",
+    ['["a"]', "[2.0, 1.0", "[1" + "0" * 400 + ", 0.5, 0.25]", '["1.0", "0.5", "0.25"]', "[true, 0.5, 0.25]"],
+    ids=["non_numeric", "not_json", "overflow", "strings", "booleans"],
+)
 def test_cli_cover_build_malformed_ladder_exits_2(tmp_path, text):
     ladder_file = tmp_path / "ladder.json"
     ladder_file.write_text(text)

@@ -20,9 +20,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import c0cover as cc
-from c0cover import covers
+from c0cover import canonical, covers
 from c0cover.covers import _members_of, member_stats
-from c0cover.canonical import ball_betas, beta_length_for, subsequence_indices
+from c0cover.canonical import _complete_orphans, _slice, ball_betas, beta_length_for, ext_family, subsequence_indices
 from c0cover.cylinder import (
     LowerBoundResult,
     _column_structure,
@@ -33,6 +33,7 @@ from c0cover.errors import (
     AsymmetricDistance,
     BadLadder,
     BadParams,
+    BetaDoesNotCoverBoundary,
     BoundaryInput,
     DegeneratePack,
     EmptyComplement,
@@ -327,6 +328,49 @@ def oracle_ext(pack, u):
     du = pack.dist[:, sorted(u)].min(axis=1)
     dc = pack.dist[:, comp].min(axis=1) if comp else np.full(pack.n_points, np.inf)
     return frozenset(np.flatnonzero(du < dc).tolist())
+
+
+def oracle_ext_family(pack, members):
+    return tuple(oracle_ext(pack, u) for u in members)
+
+
+def oracle_slice(pack, ladder, betas):
+    """The nonempty sets U & annulus n for U in betas[n], deduplicated in
+    order, each tagged with the first annulus n that produced it."""
+    n_ann = len(ladder) - 2
+    if len(betas) < n_ann:
+        raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
+    if frozenset().union(*betas[0]) != frozenset(pack.points):
+        raise BadParams("betas[0] must be the whole-space family")
+    members, tags, seen = [], [], set()
+    for n in range(n_ann):
+        fam = betas[n]
+        if not pack.boundary <= frozenset().union(*fam):
+            raise BetaDoesNotCoverBoundary(n)
+        ann = cc.annulus(pack, ladder, n)
+        for u in fam:
+            m = frozenset(u) & ann
+            if m and m not in seen:
+                seen.add(m)
+                members.append(m)
+                tags.append(n)
+    return members, tags
+
+
+def oracle_complete_orphans(pack, ladder, members, tags):
+    """Adds every interior point in no member to the first member of the
+    deepest annulus holding it, in place; returns how many points it placed."""
+    orphans = sorted(pack.interior - frozenset().union(*members))
+    first = {}
+    for i, n in enumerate(tags):
+        first.setdefault(n, i)
+    for p in orphans:
+        depth = pack.boundary_dist[p]
+        holding = [n for n in range(len(ladder) - 3, -1, -1) if n in first and ladder[n + 2] < depth < ladder[n]]
+        if not holding:
+            raise NotCovering(f"orphan {p} fits no annulus member")
+        members[first[holding[0]]] |= {p}
+    return len(orphans)
 
 
 def oracle_sample_levels(pack):
@@ -647,6 +691,21 @@ def tie_packs(draw):
     return cc.validate_pack(n, upper + upper.T, boundary), rng
 
 
+@st.composite
+def mirror_packs(draw):
+    """Planar packs symmetric about the y axis, with points on the axis: each
+    of those is tied between a boundary point and its mirror image."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_b, n_i, n_axis = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    half = rng.uniform((0.05, 0.0), (1.0, 1.0), (n_b + n_i, 2))
+    axis = np.column_stack([np.zeros(n_axis), rng.uniform(0.0, 1.0, n_axis)])
+    xy = np.concatenate([half, half * (-1.0, 1.0), axis])
+    dist = np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(axis=2))
+    assume((dist + np.eye(len(xy))).min() > 1e-4)
+    boundary = [*range(n_b), *range(n_b + n_i, 2 * n_b + n_i)]
+    return cc.validate_pack(len(xy), dist, boundary), rng
+
+
 def families(rng, pack, pts=None):
     """Random members plus one-point members, sometimes one holding every point."""
     universe = sorted(pack.points if pts is None else pts)
@@ -658,9 +717,9 @@ def families(rng, pack, pts=None):
 
 
 @st.composite
-def ladders(draw, extra=()):
-    """A strictly decreasing positive ladder, often with rungs at the given values."""
-    pool = st.floats(1e-3, 10.0, allow_nan=False)
+def ladders(draw, extra=(), top=10.0):
+    """A strictly decreasing positive ladder below ``top``, often with rungs at the given values."""
+    pool = st.floats(1e-3, top, allow_nan=False)
     if len(extra):
         pool = st.one_of(pool, st.sampled_from([float(x) for x in extra if x > 0] or [1.0]))
     radii = sorted(set(draw(st.lists(pool, min_size=3, max_size=25))), reverse=True)
@@ -1261,9 +1320,24 @@ def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypat
     monkeypatch.setattr(
         covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
     )
-    cc.minimal_canonical(pack, gamma)
+    # the providers make their boundary covers; refine_subsequence makes none
+    refining, made = [False], []
+    make, refine = covers.Cover.make.__func__, canonical.refine_subsequence
+    record = classmethod(lambda cls, *a, **kw: made.append(refining[0]) or make(cls, *a, **kw))
+    monkeypatch.setattr(covers.Cover, "make", record)
+
+    def traced_refine(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(canonical, "refine_subsequence", traced_refine)
+    alpha, _ = cc.minimal_canonical(pack, gamma)
     assert sum(ids is gamma.ids for ids in measured) == 1
-    assert gamma._members is None
+    assert gamma._members is None and alpha._members is None
+    assert made and not any(made)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1321,10 +1395,11 @@ def test_subsequence_indices_matches_loop(kind, params, on_samples):
     }
     # three families stop the recursion at step 3 with LadderExhausted
     beta_seqs = {"full": ball_betas(pack, beta_length_for(pack)), "short": ball_betas(pack, 3)}
+    beta_sets = {name: [as_sets(fam) for fam in betas] for name, betas in beta_seqs.items()}
     raised = set()
     for (lname, lad), (bname, betas), gamma in product(ladders.items(), beta_seqs.items(), (balls, sparse)):
         gamma_with_singletons = cc.Cover.make(pack, [*gamma.members, *cc.singleton_cover(pack).members])
-        want = outcome(oracle_subsequence, pack, lad, betas, gamma_with_singletons)
+        want = outcome(oracle_subsequence, pack, lad, beta_sets[bname], gamma_with_singletons)
         if isinstance(want[0], type):
             raised.add(re.sub(r"\d+", "N", want[1]))
         # the singletons decide no rung, errors included: a diameter of 0 never
@@ -1695,6 +1770,100 @@ def test_ext_matches_reduction_on_default_generators(kind, data):
     pack = cc.generate_pack(kind)
     for u in boundary_subsets(data, pack):
         assert cc.ext(pack, u) == oracle_ext(pack, u)
+
+
+def as_rows(pack, members):
+    """The members x points bool matrix of a list of point sets."""
+    rows = np.zeros((len(members), pack.n_points), dtype=bool)
+    for i, m in enumerate(members):
+        rows[i, sorted(m)] = True
+    return rows
+
+
+def as_sets(rows):
+    return [frozenset(np.flatnonzero(row).tolist()) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(packs(), tie_packs(), mirror_packs()), st.data())
+def test_ext_family_matches_oracle(drawn, data):
+    pack, rng = drawn
+    members = boundary_subsets(data, pack)
+    in_u = as_rows(pack, members)
+    # the interior columns are not read
+    noisy = rng.uniform(size=in_u.shape) < 0.5
+    noisy[:, sorted(pack.boundary)] = in_u[:, sorted(pack.boundary)]
+    for rows in (in_u, noisy):
+        assert as_sets(ext_family(pack, rows)) == list(oracle_ext_family(pack, members))
+
+
+def beta_families(data, pack, length):
+    """Ext images of random boundary families, each but at most one covering
+    the boundary by singletons of the points it misses (so they split ties);
+    family 0 is usually the whole space."""
+    bidx = sorted(pack.boundary)
+    spoilt = data.draw(st.integers(0, 2 * length))
+    fams = []
+    for n in range(length):
+        members = data.draw(st.lists(st.frozensets(st.sampled_from(bidx), min_size=1), max_size=4))
+        if n != spoilt:
+            members += [frozenset([x]) for x in sorted(set(bidx).difference(*members))]
+        fams.append(ext_family(pack, as_rows(pack, members)))
+    if fams and data.draw(st.integers(0, 5)):
+        fams[0] = np.ones((1, pack.n_points), dtype=bool)
+    return fams
+
+
+def assert_slice_and_orphans(pack, ladder, betas):
+    """``_slice`` and ``_complete_orphans`` against their frozenset oracles;
+    returns the number of orphans placed, or None if either raised."""
+    want = outcome(oracle_slice, pack, ladder, [as_sets(fam) for fam in betas])
+    got = outcome(_slice, pack, ladder, betas)
+    if isinstance(want[0], type):
+        assert got == want
+        return None
+    rows, tags = got
+    assert rows.dtype == bool and (as_sets(rows), tags.tolist()) == want
+    members = list(want[0])
+    placed = outcome(_complete_orphans, pack, ladder, rows, tags)
+    assert placed == outcome(oracle_complete_orphans, pack, ladder, members, want[1])
+    if isinstance(placed, int):
+        assert as_sets(rows) == members
+        return placed
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(packs(), tie_packs(), mirror_packs()), st.data())
+def test_slice_and_orphans_match_oracles(drawn, data):
+    pack, _ = drawn
+    ladder = data.draw(ladders(extra=pack.boundary_dist, top=2 * pack.k_sup))
+    short = data.draw(st.integers(0, 5)) == 0
+    betas = beta_families(data, pack, len(ladder) - 2 - short)
+    assert_slice_and_orphans(pack, ladder, betas)
+
+
+def test_slice_completes_tied_orphans():
+    # boundary a, b; interior columns L_y and R_y above them, and M_y on the
+    # bisector, tied between a and b at depth sqrt(1 + y^2)
+    ys = (1.0, 2.0, 4.0)
+    xy = np.array([(-1.0, 0.0), (1.0, 0.0)] + [(x, y) for y in ys for x in (-1.0, 1.0, 0.0)])
+    pack = cc.validate_pack(len(xy), np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(axis=2)), [0, 1])
+    left, right, mid = ({2 + 3 * i + j for i in range(3)} for j in range(3))
+    assert {int(p) for p in pack.nearest_ties[:, 0]} == mid
+    split = ext_family(pack, as_rows(pack, [{0}, {1}]))  # a and b apart: every M_y is left out
+    assert as_sets(split) == [{0} | left, {1} | right]
+    ladder = cc.ScaleLadder((10.0, 6.0, 3.0, 1.5, 0.7, 0.3))
+    betas = [np.ones((1, pack.n_points), dtype=bool), split, split, split]
+    # M_4 lies in annulus 0; M_2 in annuli 1 and 2, M_1 in annuli 2 and 3
+    assert assert_slice_and_orphans(pack, ladder, betas) == 2
+    rows, tags = _slice(pack, ladder, betas)
+    _complete_orphans(pack, ladder, rows, tags)
+    l1, r1, m1, l2, r2, m2, l4, r4, m4 = range(2, 11)
+    assert tags.tolist() == [0, 1, 1, 2, 2, 3, 3]
+    assert as_sets(rows) == [{l4, r4, m4}, {l2, l4}, {r2, r4}, {l1, l2, m2}, {r1, r2}, {l1, m1}, {r1}]
+    assert cc.build_alpha(pack, ladder, betas).covers_flag is False  # without the orphans
+    assert canonical._interior_cover(pack, rows).covers_flag
 
 
 def test_shared_slots_keep_the_highest_id():

@@ -7,10 +7,11 @@ A name counts as used when it occurs as a name anywhere in its module
 importing, so it is left out, and so is ``from __future__ import ...``.
 A parameter counts as read when its body, nested functions included, loads
 the name.  Dunder methods keep the signature their protocol fixes, so they
-are left out.
+are left out.  Every function the benchmark's tracer wraps exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,28 @@ def test_every_error_class_is_raised_by_library_code():
     """An error class no library code raises is a contract nothing can break."""
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unraised_classes((SRC / "errors.py").read_text(), sources) == []
+
+
+def tracer_names() -> dict:
+    """``WRAPPED`` and ``WRAPPED_METHODS`` of ``perfbench/tracer.py``, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("WRAPPED", "WRAPPED_METHODS")
+    }
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # Tracer.install reads each name with no fallback, so a renamed function breaks every traced run
+    names = tracer_names()
+    assert names.keys() == {"WRAPPED", "WRAPPED_METHODS"}
+    for mod, fns in names["WRAPPED"].items():
+        module = importlib.import_module(f"c0cover.{mod}")
+        for fn in fns:
+            assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+    for mod, classes in names["WRAPPED_METHODS"].items():
+        for cls, methods in classes.items():
+            owner = getattr(importlib.import_module(f"c0cover.{mod}"), cls)
+            for m in methods:
+                assert callable(vars(owner).get(m)), f"{mod}.{cls}.{m}"

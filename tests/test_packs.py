@@ -236,6 +236,9 @@ def test_ladder_invariants(finite_pack):
         cc.ScaleLadder((1.0, 1.0, 0.5))
     with pytest.raises(BadLadder):
         cc.ScaleLadder((1.0, 0.5))
+    for radii in ((10**400, 0.5, 0.25), (math.inf, 0.5, 0.25), (1.0, math.nan, 0.25)):
+        with pytest.raises(BadLadder):
+            cc.ScaleLadder(radii)
     lad = cc.ScaleLadder((0.9, 0.5, 0.1))
     with pytest.raises(BadLadder):
         lad.validate_for(finite_pack)  # top rung below k_sup
@@ -379,6 +382,11 @@ MALFORMED_PACKS = {
     "no_dist": json.dumps({"points": 3, "boundary": [0]}),
     "no_points": json.dumps({"dist": [[0, 1], [1, 0]], "boundary": [0]}),
     "no_boundary": json.dumps({"points": 2, "dist": [[0, 1], [1, 0]]}),
+    "points_string": json.dumps({"points": "ab", "dist": [[0, 1], [1, 0]], "boundary": [0]}),
+    "dist_strings": json.dumps(
+        {"points": 3, "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]], "boundary": [0]}
+    ),
+    "dist_booleans": json.dumps({"points": 2, "dist": [[False, True], [True, False]], "boundary": [0]}),
     "meta_not_an_object": json.dumps({"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [0], "meta": 5}),
     "meta_base_of_non_numeric": json.dumps(
         {"points": 2, "dist": [[0, 1], [1, 0]], "boundary": [0], "meta": {"base_of": ["x", 0], "level_of": [0, 1]}}
@@ -507,7 +515,18 @@ def test_generator_form_loads_checked_or_fails_typed(text):
     assert pack_to_json(pack_from_json(pack_to_json(pack))) == pack_to_json(pack)
 
 
-@pytest.mark.parametrize("text", ["[2.0, 1.0", '["a"]', '{"radii": [2, 1, 0.5]}', "[[2], [1], [0.5]]"])
+MALFORMED_LADDERS = [
+    "[2.0, 1.0",
+    '["a"]',
+    '{"radii": [2, 1, 0.5]}',
+    "[[2], [1], [0.5]]",
+    pytest.param("[1" + "0" * 400 + ", 0.5, 0.25]", id="int_beyond_float"),
+    '["1.0", "0.5", "0.25"]',
+    "[true, 0.5, 0.25]",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_LADDERS)
 def test_ladder_from_json_malformed_is_typed(text):
     with pytest.raises((BadParams, BadLadder)):
         cc.packs.ladder_from_json(text)
@@ -625,3 +644,59 @@ def test_validate_pack_fuzz_returns_a_pack_or_fails_typed(args):
         assert pack.coords.ndim == 2 and len(pack.coords) == pack.n_points and np.isfinite(pack.coords).all()
     if isinstance(pack, cc.CylinderPack):
         assert len(pack.base_of) == len(pack.level_of) == pack.n_points
+
+
+# -- the other loaders on arbitrary JSON -------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+ID_LISTS = st.lists(st.one_of(st.integers(-1, 3), JSON_VALUES), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {"members": st.lists(ID_LISTS, max_size=4) | JSON_VALUES},
+        optional={"target": st.sampled_from(["interior", "boundary"]) | ID_LISTS | JSON_VALUES},
+    ),
+))
+def test_cover_from_json_fuzz_returns_a_cover_or_fails_typed(line3, obj):
+    try:
+        alpha = cc.covers.cover_from_json(line3, json.dumps(obj))
+    except C0CoverError:
+        return
+    assert isinstance(alpha, cc.Cover) and alpha.pack is line3
+
+
+RADII = st.one_of(st.floats(), st.integers(), st.just(10**400), JSON_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    JSON_VALUES
+    | st.lists(RADII, min_size=3, max_size=5)
+    | st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=5).map(lambda r: sorted(r, reverse=True))
+)
+def test_ladder_from_json_fuzz_returns_a_ladder_or_fails_typed(obj):
+    try:
+        ladder = cc.packs.ladder_from_json(json.dumps(obj))
+    except C0CoverError:
+        return
+    assert all(isinstance(r, float) and math.isfinite(r) for r in ladder.radii)
+
+
+CONFIG_KEYS = ["kind", "params", "ladder", "lambda_kind", "provider", "candidates", "seed", "c0_tol", "unif_tol"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=4), JSON_VALUES, max_size=5))
+def test_experiment_config_fuzz_returns_a_config_or_fails_typed(obj):
+    try:
+        config = cc.experiment.ExperimentConfig.from_dict(obj)
+    except C0CoverError:
+        return
+    assert isinstance(config.kind, str) and isinstance(config.params, dict)
