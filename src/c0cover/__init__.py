@@ -63,6 +63,7 @@ from .packs import (
     default_ladder,
     generate_pack,
     h_profile,
+    merged_levels,
     sample_levels,
     validate_pack,
 )

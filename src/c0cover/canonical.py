@@ -43,7 +43,7 @@ from .errors import (
     ProviderMismatch,
     UniformityRejected,
 )
-from .packs import DiscretePack, ScaleLadder, boundary_line, default_ladder, sample_levels
+from .packs import DiscretePack, ScaleLadder, boundary_line, default_ladder, merged_levels
 from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
 
 
@@ -285,7 +285,7 @@ def boundary_ball_cover(pack: DiscretePack, rho: float) -> Cover:
 
 
 def beta_length_for(pack: DiscretePack) -> int:
-    n_levels = len(sample_levels(pack))
+    n_levels = len(merged_levels(pack))  # rings, not the float copies of their depths
     paced = math.ceil(math.log(pack.k_sup / pack.delta_res) / math.log(1.4))
     return max(24, 8 + paced, n_levels + 8)
 

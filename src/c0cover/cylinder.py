@@ -28,6 +28,7 @@ from .packs import (
     boundary_line,
     default_ladder,
     h_profile,
+    merged_levels,
     sample_levels,
     _derived_pack,
     _product_pack,
@@ -257,19 +258,21 @@ def lower_bound_check(
 def _column_structure(pack: DiscretePack):
     """Assign every interior point a (base position index, level index).
 
-    Returns the sorted boundary ids, the sample levels (descending) and the
-    (n_base x n_levels) slot array: the point in each slot, or -1 for an
-    empty slot.  Of the points sharing a slot, the highest id wins.
+    Returns the sorted boundary ids, the merged sample levels (descending)
+    and the (n_base x n_levels) slot array: the point in each slot, or -1 for
+    an empty slot.  A point's level is the merged level whose run holds its
+    depth, so float copies of one ring depth share a column.  Of the points
+    sharing a slot, the highest id wins.
     """
     bidx = sorted(pack.boundary)
-    levels = sample_levels(pack)[::-1]
+    levels = merged_levels(pack)
     interior = np.array(sorted(pack.interior), dtype=np.intp)
-    # the nearest level; argmin along the descending levels gives ties to the larger one
-    li = np.abs(pack.boundary_dist[interior, None] - levels[None, :]).argmin(axis=1)
+    # a run starts at its merged level, so the last level <= depth holds it; counted from the top
+    li = len(levels) - np.searchsorted(levels, pack.boundary_dist[interior], side="right")
     z = _base_index(pack)[interior]
     slots = np.full((len(bidx), len(levels)), -1, dtype=np.intp)
     np.maximum.at(slots, (z, li), interior)
-    return bidx, levels.tolist(), slots
+    return bidx, levels[::-1].tolist(), slots
 
 
 def random_uniform_candidates(

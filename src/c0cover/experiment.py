@@ -133,7 +133,7 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
         },
     )
 
-    ladder = ScaleLadder(tuple(config.ladder)) if config.ladder else default_ladder(pack)
+    ladder = ScaleLadder(tuple(config.ladder)) if config.ladder is not None else default_ladder(pack)
     ladder.validate_for(pack)
     stage("ladder", True, {"rungs": len(ladder), "top": ladder[0], "bottom": ladder[-1]})
 

@@ -167,6 +167,12 @@ def test_cover_sequence_validation(interval_pack):
         bad.validate(interval_pack)
 
 
+def test_beta_length_counts_the_circle_rings():
+    # 8 + ceil(log(k_sup / delta_res) / log 1.4) = 33 beats 10 rings + 8; the 50 float-noise depths gave 58
+    pack = cc.generate_pack("circle_in_disk", n_angles=32, n_levels=10)
+    assert cc.canonical.beta_length_for(pack) == 33
+
+
 def test_finite_provider_blocks(finite_pack):
     provider = cc.finite_dim0_provider()
     targets = default_mesh_targets(finite_pack)

@@ -6,6 +6,7 @@ import pytest
 
 import c0cover as cc
 from c0cover.cylinder import (
+    _column_structure,
     cylinder_over_boundary,
     fg_displacement,
     fxf_image,
@@ -146,12 +147,29 @@ def test_circle_alpha_holds_the_lower_bound(circle_pipeline):
     assert cc.lower_bound_check(pack, alpha, ladder).holds
 
 
-def test_random_candidates_hold_bound(finite_pack, interval_pack, rng):
+def test_random_candidates_hold_bound(finite_pack, interval_pack, circle_pack, rng):
     for pack in (finite_pack, interval_pack):
         ladder = cc.default_ladder(pack)
         for cand in cc.random_uniform_candidates(pack, rng, 20):
             res = cc.lower_bound_check(pack, cand, ladder)
             assert res.holds, f"refutation on {pack.kind}: {res.mult} < {res.bound}"
+    # the circle's slabs run over its rings; slabs over the 42 distinct depths of 24x10's
+    # 10 rings could hold part of a ring and refute the bound falsely
+    circles = [cc.generate_pack("circle_in_disk", n_angles=n, n_levels=10) for n in (24, 32)]
+    for pack in (*circles, circle_pack):
+        ladder = cc.default_ladder(pack)
+        for seed in range(5):
+            for cand in cc.random_uniform_candidates(pack, np.random.default_rng(seed), 40):
+                res = cc.lower_bound_check(pack, cand, ladder)
+                assert res.holds, f"refutation on circle seed {seed}: {res.mult} < {res.bound}"
+
+
+@pytest.mark.parametrize("n_angles, n_levels", [(32, 10), (48, 12)])
+def test_circle_slots_are_rings(n_angles, n_levels):
+    pack = cc.generate_pack("circle_in_disk", n_angles=n_angles, n_levels=n_levels)
+    _, levels, slots = _column_structure(pack)
+    assert slots.shape == (n_angles, n_levels) and len(levels) == n_levels
+    assert (slots >= 0).all()  # every (angle, ring) slot holds its point: 320/320 and 576/576
 
 
 def test_candidates_refuse_noncylindrical(countable_pack, rng):
@@ -180,7 +198,7 @@ def _sha(data) -> str:
     [
         ("finite_cylinder", dict(n_base=3, n_levels=10), "0301305929946e46309c33fdbd3074cb057f348469731e1d772e9593ce4e7006"),
         ("interval_cylinder", dict(n_base=33, n_levels=10), "75373b2b822e1ca14361e37b88c1cdaddd23d3e0ffc4b4e071c006972a2031d5"),
-        ("circle_in_disk", dict(n_angles=32, n_levels=10), "24704d2cde01cf7dc1ef7fd6b0f7f8c7cc3ef074035982830900914d35fc8447"),
+        ("circle_in_disk", dict(n_angles=32, n_levels=10), "7ba8d17bb77dd6d822b71a7797e5c98138d1eaee5d939a6b7c44050d7290c7b1"),
     ],
 )
 def test_random_candidates_pinned(kind, params, sha256):

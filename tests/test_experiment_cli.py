@@ -11,7 +11,7 @@ import c0cover as cc
 from c0cover import covers, experiment
 from c0cover.cli import main
 from c0cover.covers import cover_from_json
-from c0cover.errors import NoCoordinates
+from c0cover.errors import BadLadder, NoCoordinates
 from c0cover.experiment import ExperimentConfig, report_to_json, run_experiment
 from c0cover.packs import pack_from_json
 from c0cover.svg import emit_svg
@@ -214,6 +214,7 @@ BAD_CONFIGS = {
     "ladder_non_numbers": SMALL_FINITE | {"ladder": [2.0, "1.0", 0.5]},
     "ladder_overflow": SMALL_FINITE | {"ladder": [10**400, 0.5, 0.25]},
     "ladder_infinite": SMALL_FINITE | {"ladder": [float("inf"), 0.5, 0.25]},
+    "ladder_empty": SMALL_FINITE | {"ladder": []},
     "provider_unknown": SMALL_FINITE | {"provider": "interval_dim1"},
     "lambda_constant_garbled": SMALL_FINITE | {"lambda_kind": "constant:abc"},
 }
@@ -225,6 +226,13 @@ def test_cli_experiment_bad_config_exits_2(tmp_path, config):
     cfg_file.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("ladder", [[], [2.0], [2.0, 1.0]])
+def test_experiment_short_config_ladder_is_refused(ladder):
+    # an empty list is a ladder too short, not a request for the default ladder
+    with pytest.raises(BadLadder):
+        run_experiment(ExperimentConfig(**(SMALL_FINITE | {"ladder": ladder})))
 
 
 def test_cli_experiment_config_not_json_exits_2(tmp_path):

@@ -55,6 +55,7 @@ from c0cover.packs import (
     _finish_pack,
     _thin_rungs,
     boundary_line,
+    merged_levels,
     pack_from_json,
     pack_to_json,
     sample_levels,
@@ -377,15 +378,26 @@ def oracle_sample_levels(pack):
     return sorted({float(t) for t in pack.boundary_dist if t > 0})
 
 
+def oracle_merged_levels(pack):
+    """The attained depths grouped into runs whose consecutive gaps are at most
+    1e-12 k_sup, each run named by its smallest depth; ascending."""
+    runs = []
+    for t in oracle_sample_levels(pack):
+        if runs and t - runs[-1][-1] <= 1e-12 * pack.k_sup:
+            runs[-1].append(t)
+        else:
+            runs.append([t])
+    return [run[0] for run in runs]
+
+
 def oracle_column_structure(pack):
     bidx = sorted(pack.boundary)
-    levels = sorted({float(t) for t in pack.boundary_dist if t > 0}, reverse=True)
-    lev_index = {t: i for i, t in enumerate(levels)}
+    levels = oracle_merged_levels(pack)[::-1]
     by_slot = {}
     for p in sorted(pack.interior):
         d = pack.dist[p, bidx]
         z = int(np.argmin(d))
-        li = lev_index[min(levels, key=lambda t: abs(t - float(pack.boundary_dist[p])))]
+        li = min(i for i, t in enumerate(levels) if t <= pack.boundary_dist[p])  # the run holding the depth
         by_slot[(z, li)] = p
     return bidx, levels, by_slot
 
@@ -1710,6 +1722,7 @@ def assert_f_structure(pack):
     assert ties == oracle_ties(pack)
     assert pack.nearest_ties.tolist() == sorted(pack.nearest_ties.tolist())
     assert sample_levels(pack).tolist() == oracle_sample_levels(pack)
+    assert merged_levels(pack).tolist() == oracle_merged_levels(pack)
     assert column_structure_as_dict(pack) == oracle_column_structure(pack)
 
 

@@ -254,6 +254,22 @@ def test_default_ladder_properties(finite_pack, interval_pack, countable_pack):
         assert not values & set(np.round(lad.radii, 15).tolist())
 
 
+@pytest.mark.parametrize("n_angles, n_levels", [(32, 10), (48, 12), (64, 12), (256, 12)])
+def test_merged_levels_count_the_circle_rings(n_angles, n_levels):
+    pack = cc.generate_pack("circle_in_disk", n_angles=n_angles, n_levels=n_levels)
+    merged = cc.merged_levels(pack)
+    assert len(merged) == n_levels < len(cc.sample_levels(pack))  # copies of one ring depth are float noise
+    assert set(merged.tolist()) <= set(cc.sample_levels(pack).tolist())
+
+
+@pytest.mark.parametrize("kind", ["finite_cylinder", "interval_cylinder", "cube_face", "countable_example"])
+def test_merged_levels_keep_distinct_depths(kind):
+    pack = cc.generate_pack(kind)
+    merged = cc.merged_levels(pack)
+    assert merged.tolist() == cc.sample_levels(pack).tolist()
+    assert np.diff(merged).min() > 1e6 * 1e-12 * pack.k_sup  # far from the merging tolerance
+
+
 def test_w_set_nesting(finite_pack):
     lad = cc.default_ladder(finite_pack)
     prev = None
