@@ -8,11 +8,9 @@ and inequalities of the calculus at desk scale.
 
 from .covers import (
     Cover,
-    DimAtScale,
     RefinementWitness,
     common_multiplicity,
     delta_of,
-    dim_at_scale,
     is_canonical,
     lebesgue_number,
     mesh,
@@ -27,7 +25,6 @@ from .covers import (
     whole_space_cover,
 )
 from .canonical import (
-    CoverSequence,
     Provider,
     build_alpha,
     canonical_refining,

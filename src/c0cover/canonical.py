@@ -9,6 +9,7 @@ most dim X + 2 the output cover achieves that multiplicity bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -37,7 +38,6 @@ from .errors import (
     LadderExhausted,
     MissingDiagonal,
     NotBoundarySubset,
-    NotCovering,
     NotSymmetric,
     PackMismatch,
     ProviderMismatch,
@@ -79,9 +79,8 @@ def ext_family(pack: DiscretePack, in_u: np.ndarray) -> np.ndarray:
 # -- the scale-cover constructor ----------------------------------------------------
 
 
-def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The nonempty rows U & annulus n for U in betas[n], deduplicated in
-    order, each tagged with the first annulus n that produced it."""
+def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray]) -> np.ndarray:
+    """The nonempty rows U & annulus n for U in betas[n], deduplicated in order."""
     n_ann = len(ladder) - 2
     if len(betas) < n_ann:
         raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
@@ -94,10 +93,8 @@ def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray])
     # the radii are positive, so annulus n (r_{n+2}, r_n) misses the boundary
     sliced = [betas[n] & ((bd > radii[n + 2]) & (bd < radii[n])) for n in range(n_ann)]
     rows = np.concatenate(sliced)
-    tags = np.repeat(np.arange(n_ann), [len(fam) for fam in sliced])
     keep = np.flatnonzero(rows.any(axis=1))
-    first = np.sort(keep[_distinct_rows(np.packbits(rows[keep], axis=1))[0]])
-    return rows[first], tags[first]
+    return rows[np.sort(keep[_distinct_rows(np.packbits(rows[keep], axis=1))[0]])]
 
 
 def build_alpha(
@@ -112,22 +109,7 @@ def build_alpha(
     the boundary.  The result is a family over the interior; it covers and is
     uniform when the betas' meshes near the boundary decay jointly.
     """
-    return _interior_cover(pack, _slice(pack, ladder, betas)[0])
-
-
-def _complete_orphans(pack: DiscretePack, ladder: ScaleLadder, rows: np.ndarray, tags: np.ndarray) -> int:
-    """Adds every interior point in no row (an Ext tie) to the first row of
-    the deepest annulus holding it; returns how many points it placed."""
-    bd, radii = pack.boundary_dist, ladder.array
-    orphans = np.flatnonzero((bd > 0) & ~rows.any(axis=0))
-    tag, first = np.unique(tags, return_index=True)  # the first row of each annulus
-    depth = bd[orphans, None]
-    holding = (radii[tag + 2] < depth) & (depth < radii[tag])  # [i, j]: annulus tag[j] holds orphan i
-    deepest = np.where(holding, np.arange(len(tag)), -1).max(axis=1, initial=-1)
-    if (deepest < 0).any():
-        raise NotCovering(f"orphan {orphans[deepest.argmin()]} fits no annulus member")
-    rows[first[deepest], orphans] = True
-    return len(orphans)
+    return _interior_cover(pack, _slice(pack, ladder, betas))
 
 
 # -- the refinement subsequence recursion ---------------------------------------------
@@ -221,22 +203,30 @@ def refine_subsequence(
     betas: Sequence[np.ndarray],
     gamma: Cover,
     unif_tol: float = DEFAULT_LIMIT_TOL,
-) -> tuple[tuple[int, ...], Cover, RefinementWitness, int]:
+) -> tuple[tuple[int, ...], Cover, RefinementWitness]:
     """The canonical cover alpha({beta_n}, {W_n}) that gamma refines.
 
-    Checks gamma's uniformity, runs the recursion on gamma alone, slices
-    the betas along the annuli of the chosen rungs and completes orphans.
-    Returns (subsequence, alpha, the witness that gamma refines alpha, the
-    number of orphans completed).
+    Checks gamma's uniformity, runs the recursion on gamma alone and slices
+    the betas along the annuli of the chosen rungs n_0 = 0 < ... < n_{K-1}.
+    Returns (subsequence, alpha, the witness that gamma refines alpha).
+
+    The sliced rows cover the interior, so no point is left to complete.  Let
+    p have depth d > 0 and j be the largest index with r_{n_j} > d; it exists
+    because r_{n_0} exceeds k_sup.  The recursion stops once
+    r_{n_{K-2}} < delta_res <= d, so j <= K - 3 and annulus j, the open
+    interval (r_{n_{j+2}}, r_{n_j}), exists and holds d, since
+    r_{n_{j+2}} < r_{n_{j+1}} <= d.  beta_0 is the whole space.  For j >= 1,
+    step j picked a rung m below the depth of every point beta_j misses and
+    n_j >= m + 1; had beta_j missed p, then r_{n_j} < r_m < d.  So
+    beta_j & annulus j holds p.  ``require_cover`` turns a broken invariant
+    into a typed NotACover.
     """
     if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
         raise UniformityRejected("gamma fails the uniformity verdict")
     indices = subsequence_indices(pack, ladder, betas, gamma)
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
-    rows, tags = _slice(pack, sub, betas)
-    orphans = _complete_orphans(pack, sub, rows, tags)
-    alpha = _interior_cover(pack, rows).require_cover()
-    return indices, alpha, refines(gamma, alpha), orphans
+    alpha = _interior_cover(pack, _slice(pack, sub, betas)).require_cover()
+    return indices, alpha, refines(gamma, alpha)
 
 
 class ExtBetas:
@@ -332,46 +322,16 @@ def star_expand(
 
 
 @dataclass(frozen=True)
-class CoverSequence:
-    """Boundary covers alpha_0 = {X}, alpha_1, ... with shrinking mesh and a
-    pairwise common-multiplicity bound."""
-
-    covers: tuple[Cover, ...]
-    mesh_targets: tuple[float, ...]
-    common_mult_bound: int
-
-    def validate(self, pack: DiscretePack) -> "CoverSequence":
-        if not self.covers:
-            raise BadParams("empty cover sequence")
-        if set(self.covers[0].members) != {pack.boundary}:
-            raise BadParams("covers[0] must be the one-member family {X}")
-        for i, c in enumerate(self.covers):
-            c.require_cover()
-            if i and mesh(pack, c) > self.mesh_targets[i]:
-                raise BadParams(f"cover {i} exceeds its mesh target")
-        for i in range(len(self.covers) - 1):
-            cm = common_multiplicity(self.covers[i], self.covers[i + 1])
-            if cm > self.common_mult_bound:
-                raise BadParams(
-                    f"common multiplicity {cm} of covers {i},{i + 1} exceeds {self.common_mult_bound}"
-                )
-        return self
-
-    def max_consecutive_common_mult(self, upto: int | None = None) -> int:
-        end = len(self.covers) - 1 if upto is None else min(upto, len(self.covers) - 1)
-        return max(
-            (common_multiplicity(self.covers[i], self.covers[i + 1]) for i in range(end)),
-            default=0,
-        )
-
-
-@dataclass(frozen=True)
 class Provider:
-    """Emits a CoverSequence for a boundary sample and a mesh schedule."""
+    """Makes boundary covers for a boundary sample and a mesh schedule:
+    ``build(pack, targets)`` returns a maker i -> cover i, with cover 0 = {X},
+    cover i of mesh <= targets[i] and consecutive covers of common
+    multiplicity <= ``common_mult_bound``."""
 
     tag: str
     known_dim: int
-    build: Callable[[DiscretePack, tuple[float, ...]], CoverSequence] = field(compare=False)
+    common_mult_bound: int
+    build: Callable[[DiscretePack, tuple[float, ...]], Callable[[int], Cover]] = field(compare=False)
 
 
 def _greedy_blocks(pack: DiscretePack, eps: float) -> list[frozenset]:
@@ -387,11 +347,11 @@ def _greedy_blocks(pack: DiscretePack, eps: float) -> list[frozenset]:
     return [frozenset(b) for b in blocks]
 
 
-def _build_dim0(pack: DiscretePack, targets: tuple[float, ...]) -> CoverSequence:
-    covers = [Cover.make(pack, [pack.boundary], target="boundary")]
-    for eps in targets[1:]:
-        covers.append(Cover.make(pack, _greedy_blocks(pack, eps), target="boundary"))
-    return CoverSequence(tuple(covers), targets, 2).validate(pack)
+def _build_dim0(pack: DiscretePack, targets: tuple[float, ...]) -> Callable[[int], Cover]:
+    def make(i: int) -> Cover:
+        return Cover.make(pack, _greedy_blocks(pack, targets[i]) if i else [pack.boundary], target="boundary")
+
+    return make
 
 
 def _arc_cover(
@@ -435,28 +395,33 @@ def _arc_cover(
     return members
 
 
-def _build_dim1(pack: DiscretePack, targets: tuple[float, ...]) -> CoverSequence:
+def _build_dim1(pack: DiscretePack, targets: tuple[float, ...]) -> Callable[[int], Cover]:
     positions = boundary_line(pack)
     pts = sorted(pack.boundary)
     circular = pack.kind == "circle_in_disk"
     span = 2 * math.pi if circular else max(positions) - min(positions)
-    covers = [Cover.make(pack, [pack.boundary], target="boundary")]
-    offset = 0.0
-    for eps in targets[1:]:
-        length = min(eps, span)
-        members = _arc_cover(pts, positions, span, circular, length, offset)
-        cov = Cover.make(pack, members, target="boundary").require_cover()
-        covers.append(cov)
-        offset = (offset + length / 4.0) % span
-    return CoverSequence(tuple(covers), targets, 3).validate(pack)
+    lengths = [min(eps, span) for eps in targets]
+    # cover i >= 1 starts its arcs at offsets[i - 1], each a quarter arc past the one before,
+    # accumulated over the whole schedule whichever covers are made
+    offsets = list(
+        itertools.accumulate(lengths[1:-1], lambda offset, length: (offset + length / 4.0) % span, initial=0.0)
+    )
+
+    def make(i: int) -> Cover:
+        if not i:
+            return Cover.make(pack, [pack.boundary], target="boundary")
+        members = _arc_cover(pts, positions, span, circular, lengths[i], offsets[i - 1])
+        return Cover.make(pack, members, target="boundary")
+
+    return make
 
 
 def finite_dim0_provider() -> Provider:
-    return Provider("finite_dim0", 0, _build_dim0)
+    return Provider("finite_dim0", 0, 2, _build_dim0)
 
 
 def interval_dim1_provider() -> Provider:
-    return Provider("interval_dim1", 1, _build_dim1)
+    return Provider("interval_dim1", 1, 3, _build_dim1)
 
 
 def provider_for(pack: DiscretePack) -> Provider:
@@ -474,6 +439,48 @@ def default_mesh_targets(pack: DiscretePack) -> tuple[float, ...]:
 # -- the minimal-multiplicity pipeline ------------------------------------------------------
 
 
+class _UsedCovers:
+    """The boundary covers alpha reads: covers 0, skip, skip + 1, ... of the
+    provider's schedule, each made on its first read, in order, and checked
+    once.  Each covers the boundary, cover 0 is {X}, every other one meets
+    its mesh target and has common multiplicity within the provider's bound
+    with its predecessor in the used sequence."""
+
+    def __init__(self, pack: DiscretePack, provider: Provider, targets: tuple[float, ...], skip: int):
+        self.pack, self.targets, self.bound = pack, targets, provider.common_mult_bound
+        self.make = provider.build(pack, targets)
+        self.schedule = (0, *range(skip, len(targets)))
+        self.covers: list[Cover] = []
+        self.common_mults: list[int] = []  # [j]: of used covers j and j + 1
+
+    def __len__(self) -> int:
+        return len(self.schedule)
+
+    def __getitem__(self, j: int) -> Cover:
+        while len(self.covers) <= j:
+            i = self.schedule[len(self.covers)]
+            cover = self.make(i).require_cover()
+            if not self.covers:
+                if set(cover.members) != {self.pack.boundary}:
+                    raise BadParams("cover 0 must be the one-member family {X}")
+            elif mesh(self.pack, cover) > self.targets[i]:
+                raise BadParams(f"cover {i} exceeds its mesh target")
+            else:
+                cm = common_multiplicity(self.covers[-1], cover)
+                if cm > self.bound:
+                    prev = self.schedule[len(self.covers) - 1]
+                    raise BadParams(f"common multiplicity {cm} of covers {prev},{i} exceeds {self.bound}")
+                self.common_mults.append(cm)
+            self.covers.append(cover)
+        return self.covers[j]
+
+    def max_common_mult(self, upto: int) -> int:
+        """The largest common multiplicity of consecutive used covers up to cover ``upto``."""
+        end = min(upto, len(self) - 1)
+        self[end]  # makes and checks the covers up to ``end``
+        return max(self.common_mults[:end], default=0)
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     pack_kind: str | None
@@ -486,7 +493,7 @@ class PipelineReport:
     naive_bound_2dim_plus_2: int | None
     max_common_mult: int
     witness_ok: bool
-    orphans_completed: int
+    orphans_completed: int  # 0 by construction: the sliced rows cover the interior (see refine_subsequence)
     uniformity: dict
 
     def to_dict(self) -> dict:
@@ -506,6 +513,7 @@ def minimal_canonical(
 
     The betas are the Ext images of the provider's boundary covers, fast
     forwarded past the uniformity threshold; refine_subsequence builds alpha.
+    Only the covers alpha and ``max_common_mult`` read are made and checked.
     """
     provider = provider or provider_for(pack)
     if pack.known_dim is None or provider.known_dim != pack.known_dim:
@@ -514,24 +522,15 @@ def minimal_canonical(
         )
     ladder = ladder or default_ladder(pack)
     targets = default_mesh_targets(pack)
-    seq = provider.build(pack, targets)
     # Fast-forward the beta meshes past the uniformity threshold: the deepest
     # annuli inherit the first used family's mesh, so it must already be fine.
     # Consecutive pairs of the used sequence (including {X} against the first
     # fine cover, whose common multiplicity is 1 + its multiplicity) keep the
-    # common-multiplicity bound.  Validating the used sequence checks every
-    # cover alpha reads.
-    skip = next(
-        (i for i in range(1, len(seq.covers)) if targets[i] <= 0.8 * unif_tol * pack.k_sup),
-        1,
-    )
-    seq = CoverSequence(
-        seq.covers[:1] + seq.covers[skip:],
-        targets[:1] + targets[skip:],
-        seq.common_mult_bound,
-    ).validate(pack)
-    betas = ExtBetas(pack, len(seq.covers), seq.covers.__getitem__)
-    indices, alpha, witness, orphans = refine_subsequence(pack, ladder, betas, gamma, unif_tol)
+    # common-multiplicity bound.
+    skip = next((i for i in range(1, len(targets)) if targets[i] <= 0.8 * unif_tol * pack.k_sup), 1)
+    used = _UsedCovers(pack, provider, targets, skip)
+    betas = ExtBetas(pack, len(used), used.__getitem__)
+    indices, alpha, witness = refine_subsequence(pack, ladder, betas, gamma, unif_tol)
     verdict = uniformity_verdict(pack, ladder, alpha, unif_tol)
     mult, witness_pt = mult_witness(alpha)
     report = PipelineReport(
@@ -543,9 +542,9 @@ def minimal_canonical(
         witness_point=witness_pt,
         bound_dim_plus_2=pack.known_dim + 2,
         naive_bound_2dim_plus_2=2 * pack.known_dim + 2,
-        max_common_mult=seq.max_consecutive_common_mult(upto=len(indices)),
+        max_common_mult=used.max_common_mult(len(indices)),
         witness_ok=witness.verify(),
-        orphans_completed=orphans,
+        orphans_completed=0,
         uniformity=verdict.to_dict(),
     )
     return alpha, report

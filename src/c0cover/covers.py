@@ -653,49 +653,6 @@ def is_canonical(
     return alpha.covers_flag and _uniform_at_floor(pack, ladder, alpha, unif_tol)
 
 
-# -- scale dimension -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DimAtScale:
-    value: int
-    exact: bool
-    method: str
-
-    @property
-    def flag(self) -> str:
-        return "EXACT" if self.exact else "UPPER_BOUND"
-
-
-def dim_at_scale(pack: DiscretePack, eps: float) -> DimAtScale:
-    """Scale-eps dimension surrogate of the boundary sample.
-
-    For the 1-dimensional generated families the exact answer comes from
-    interval/arc covering: consecutive-run covers whose hulls cover the
-    underlying continuum must share sample points wherever hulls meet, so the
-    minimum multiplicity is 2 unless one run of mesh <= eps suffices.  For
-    finite (dimension-0) families block partitions give multiplicity 1.
-    Anything else gets a greedy half-eps ball cover as a flagged upper bound.
-    """
-    if eps <= 0:
-        raise BadParams("eps must be positive")
-    bidx = sorted(pack.boundary)
-    kind = pack.kind
-    bdiam = pack.diam(bidx)
-    if kind in ("finite_cylinder", "countable_example"):
-        return DimAtScale(0, True, "block partition")
-    if kind in ("interval_cylinder", "circle_in_disk"):
-        return DimAtScale(0 if eps >= bdiam else 1, True, "interval/arc cover")
-    # greedy ball cover upper bound
-    members: list[frozenset[int]] = []
-    covered: set[int] = set()
-    for p in bidx:
-        if p not in covered:
-            members.append(frozenset(q for q in bidx if pack.d(p, q) <= eps / 2))
-            covered |= members[-1]
-    return DimAtScale(max(multiplicity(members) - 1, 0), False, "greedy ball cover")
-
-
 # -- file formats ------------------------------------------------------------------------
 
 

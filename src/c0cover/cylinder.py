@@ -226,10 +226,13 @@ def lower_bound_check(
     and covers whose uniformity floor value (one masked max over their
     stats, no curve) exceeds the threshold (UniformityRejected).  A
     refutation object signals a violation; the tests fail on one for the
-    random candidates and the constructed covers of finite_cylinder and
-    interval_cylinder 65x12.  Yet the accepted constructed alpha of
-    circle_in_disk 48x12 and interval_cylinder 17x12 has multiplicity 2 < 3,
-    left out of the experiment's sweep: the base sample misses deep witnesses.
+    random candidates and the constructed covers of finite_cylinder,
+    interval_cylinder 65x12 and circle_in_disk 256x12 at unif_tol 0.1
+    (multiplicity 3).  Yet the accepted constructed alpha of the coarser
+    circles (48x12, the default, up to 160x12, and 256x12 at 0.05) and of
+    interval_cylinder 17x12 at 0.05 has multiplicity 2 < 3: the base sample
+    misses deep witnesses.  The experiment leaves the default circle's alpha
+    out of its sweep.
     """
     if not pack.cylindrical or pack.known_dim is None:
         raise NonCylindricalPack(f"pack kind {pack.kind!r} carries no cylinder structure")

@@ -162,11 +162,12 @@ def test_criterion_11_common_multiplicity_bound(finite_pipeline, interval_pipeli
     for pipe in (finite_pipeline, interval_pipeline):
         rep = pipe["report"]
         assert rep.multiplicity <= rep.max_common_mult
-    provider = cc.interval_dim1_provider()
-    seq = provider.build(interval_pack, default_mesh_targets(interval_pack))
-    for i, cov in enumerate(seq.covers):
+    targets = default_mesh_targets(interval_pack)
+    make = cc.interval_dim1_provider().build(interval_pack, targets)
+    covers = [make(i) for i in range(len(targets))]
+    for i, cov in enumerate(covers):
         assert cc.multiplicity(cov) <= 2 or i == 0
-        if i + 1 < len(seq.covers):
-            assert cc.common_multiplicity(cov, seq.covers[i + 1]) <= 3
+        if i + 1 < len(covers):
+            assert cc.common_multiplicity(cov, covers[i + 1]) <= 3
     report_line(11, "pipeline multiplicities within the pairwise common-multiplicity bound; "
                     "interval sequences have mult <= 2 and consecutive common mult <= 3")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,9 +7,8 @@ import pytest
 
 import c0cover as cc
 from c0cover.canonical import (
-    CoverSequence,
     ExtBetas,
-    _complete_orphans,
+    _build_dim0,
     ball_betas,
     boundary_ball_cover,
     default_mesh_targets,
@@ -19,7 +19,6 @@ from c0cover.errors import (
     BetaDoesNotCoverBoundary,
     LadderExhausted,
     NotBoundarySubset,
-    NotCovering,
     ProviderMismatch,
     UniformityRejected,
 )
@@ -84,7 +83,7 @@ def test_refine_subsequence_singletons(finite_pack):
     ladder = cc.default_ladder(finite_pack)
     betas = ball_betas(finite_pack, 40)
     gamma = cc.singleton_cover(finite_pack)
-    indices, alpha, witness, _ = cc.refine_subsequence(finite_pack, ladder, betas, gamma)
+    indices, alpha, witness = cc.refine_subsequence(finite_pack, ladder, betas, gamma)
     assert indices[0] == 0 and all(b > a for a, b in zip(indices, indices[1:]))
     assert witness.verify()
     assert alpha.covers_flag
@@ -94,7 +93,7 @@ def test_refine_subsequence_ball_cover(finite_pipeline):
     pack, ladder = finite_pipeline["pack"], finite_pipeline["ladder"]
     gamma = cc.Cover.make(pack, [*finite_pipeline["gamma"].members, *cc.singleton_cover(pack).members])
     betas = ball_betas(pack, 40)
-    indices, alpha, witness, _ = cc.refine_subsequence(pack, ladder, betas, gamma)
+    indices, alpha, witness = cc.refine_subsequence(pack, ladder, betas, gamma)
     assert witness.verify()
     for v, u in witness.assignment.items():
         assert v <= u
@@ -153,18 +152,23 @@ def test_boundary_ball_cover(interval_pack):
     assert all(interval_pack.diam(m) <= 0.6 for m in cov.members)
 
 
+def provider_covers(provider, pack):
+    """The provider's boundary covers over the whole default mesh schedule, made by index."""
+    targets = default_mesh_targets(pack)
+    make = provider.build(pack, targets)
+    return targets, [make(i) for i in range(len(targets))]
+
+
 def test_cover_sequence_validation(interval_pack):
     provider = cc.interval_dim1_provider()
-    targets = default_mesh_targets(interval_pack)
-    seq = provider.build(interval_pack, targets)
-    seq.validate(interval_pack)
-    for i, cov in enumerate(seq.covers):
+    targets, covers = provider_covers(provider, interval_pack)
+    assert set(covers[0].members) == {interval_pack.boundary}
+    for i, cov in enumerate(covers):
+        assert cov.covers_flag
         assert cc.multiplicity(cov) <= 2
-        if i + 1 < len(seq.covers):
-            assert cc.common_multiplicity(cov, seq.covers[i + 1]) <= 3
-    bad = CoverSequence(seq.covers, seq.mesh_targets, 1)
-    with pytest.raises(BadParams):
-        bad.validate(interval_pack)
+        assert cc.mesh(interval_pack, cov) <= targets[i]
+        if i + 1 < len(covers):
+            assert cc.common_multiplicity(cov, covers[i + 1]) <= provider.common_mult_bound == 3
 
 
 def test_beta_length_counts_the_circle_rings():
@@ -175,18 +179,18 @@ def test_beta_length_counts_the_circle_rings():
 
 def test_finite_provider_blocks(finite_pack):
     provider = cc.finite_dim0_provider()
-    targets = default_mesh_targets(finite_pack)
-    seq = provider.build(finite_pack, targets).validate(finite_pack)
-    for cov in seq.covers[1:]:
+    targets, covers = provider_covers(provider, finite_pack)
+    for i, cov in enumerate(covers[1:], 1):
         assert cc.multiplicity(cov) == 1  # partitions
-    assert seq.max_consecutive_common_mult() <= 2
+        assert cc.mesh(finite_pack, cov) <= targets[i]
+    assert max(map(cc.common_multiplicity, covers, covers[1:])) <= provider.common_mult_bound == 2
 
 
 def test_circle_provider_adapts(circle_pack):
     provider = cc.interval_dim1_provider()
-    targets = default_mesh_targets(circle_pack)
-    seq = provider.build(circle_pack, targets).validate(circle_pack)
-    assert seq.max_consecutive_common_mult() <= 3
+    _, covers = provider_covers(provider, circle_pack)
+    assert all(cov.covers_flag for cov in covers)
+    assert max(map(cc.common_multiplicity, covers, covers[1:])) <= 3
 
 
 def test_minimal_canonical_finite(finite_pipeline):
@@ -227,6 +231,60 @@ def test_minimal_canonical_bound_from_common_mult(finite_pipeline, interval_pipe
     for pipe in (finite_pipeline, interval_pipeline):
         rep = pipe["report"]
         assert rep.multiplicity <= rep.max_common_mult
+
+
+def test_minimal_canonical_makes_only_the_covers_it_reads(monkeypatch):
+    # the mesh schedule has 33 covers; alpha and max_common_mult read covers 0, skip, ... up to the subsequence's length
+    pack = cc.generate_pack("interval_cylinder", n_base=33, n_levels=10)
+    ladder = cc.default_ladder(pack)
+    gamma = cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+    made, make = [], cc.Cover.make.__func__
+    record = classmethod(lambda cls, *a, **kw: made.append(kw.get("target")) or make(cls, *a, **kw))
+    monkeypatch.setattr(cc.Cover, "make", record)
+    _, rep = cc.minimal_canonical(pack, gamma)
+    assert len(default_mesh_targets(pack)) == 33
+    assert 0 < made.count("boundary") <= len(rep.subsequence) + 1
+
+
+def ball_gamma(pack, ladder):
+    return cc.ball_cover(cc.controlled_E(pack, ladder, cc.LambdaSpec.identity(ladder)))
+
+
+def test_circle_128_builds():
+    # the covers past the fast-forward meet the bound; the pair of covers 2 and 3, which alpha never reads, does not
+    pack = cc.generate_pack("circle_in_disk", n_angles=128, n_levels=12)
+    alpha, rep = cc.minimal_canonical(pack, ball_gamma(pack, cc.default_ladder(pack)))
+    assert alpha.covers_flag and rep.witness_ok
+    assert rep.multiplicity <= rep.max_common_mult <= 3
+
+
+def test_circle_256_holds_the_lower_bound():
+    # the resolved circle: the sample is fine enough that alpha reaches dim X + 2 = 3
+    pack = cc.generate_pack("circle_in_disk", n_angles=256, n_levels=12)
+    ladder = cc.default_ladder(pack)
+    alpha, rep = cc.minimal_canonical(pack, ball_gamma(pack, ladder), cc.provider_for(pack), ladder, 0.1)
+    assert rep.multiplicity == cc.multiplicity(alpha) == 3
+    assert cc.is_canonical(pack, ladder, alpha, 0.1)
+    assert cc.lower_bound_check(pack, alpha, ladder, 0.1).holds
+
+
+def shifted_dim0(pack, targets):
+    make = _build_dim0(pack, targets)
+    return lambda i: make(i + 1)  # cover 0 is a block partition, not {X}
+
+
+@pytest.mark.parametrize(
+    "provider, message",
+    [
+        (dataclasses.replace(cc.finite_dim0_provider(), common_mult_bound=1), "common multiplicity 2 of covers 0,"),
+        (cc.Provider("whole", 0, 2, lambda pack, _: lambda i: cc.whole_space_cover(pack, "boundary")), "mesh target"),
+        (cc.Provider("shifted", 0, 2, shifted_dim0), "cover 0 must be the one-member family"),
+    ],
+    ids=["bound_1", "mesh", "cover_0"],
+)
+def test_minimal_canonical_checks_the_covers_it_reads(finite_pipeline, provider, message):
+    with pytest.raises(BadParams, match=message):
+        cc.minimal_canonical(finite_pipeline["pack"], finite_pipeline["gamma"], provider)
 
 
 def test_provider_mismatch(finite_pack):
@@ -281,29 +339,3 @@ def test_ext_betas_family_zero_is_whole_space(interval_pack):
     assert not betas[1].flags.writeable and betas[1] is betas[1]
     with pytest.raises(IndexError):
         betas[2]
-
-
-def _by_depth(pack):
-    return {round(float(pack.boundary_dist[p]), 6): p for p in pack.interior}
-
-
-def test_orphan_joins_first_member_of_deepest_annulus(cyl_fixture, cyl_ladder):
-    # interior depths 1, 1/2, 1/4, 1/8; the orphan at depth 1/2 lies in
-    # annuli 0 (0.3, 1.5) and 1 (0.1, 0.6), not in annulus 2 (0.05, 0.3)
-    at = _by_depth(cyl_fixture)
-    rows = rows_of(cyl_fixture, [{at[1.0]}, {at[0.25]}, {at[0.25], at[0.125]}, {at[0.125]}])
-    placed = _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([0, 1, 1, 2]))
-    assert placed == 1
-    want = [{at[1.0]}, {at[0.25], at[0.5]}, {at[0.25], at[0.125]}, {at[0.125]}]
-    assert rows.tolist() == rows_of(cyl_fixture, want).tolist()
-    # with no member in annulus 1 it falls back to annulus 0
-    rows = rows_of(cyl_fixture, [{at[1.0]}, {at[0.25], at[0.125]}])
-    assert _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([0, 2])) == 1
-    assert rows[0].tolist() == rows_of(cyl_fixture, [{at[1.0], at[0.5]}])[0].tolist()
-
-
-def test_orphan_without_annulus_member_raises(cyl_fixture, cyl_ladder):
-    at = _by_depth(cyl_fixture)
-    rows = rows_of(cyl_fixture, [{at[1.0], at[0.25], at[0.125]}])
-    with pytest.raises(NotCovering, match=f"orphan {at[0.5]} fits"):
-        _complete_orphans(cyl_fixture, cyl_ladder, rows, np.array([2]))

@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -202,50 +201,6 @@ def test_uniformity_preserved_under_refinement(finite_pipeline, rng):
     fine = cc.uniformity_verdict(pack, ladder, beta)
     assert fine.accept
     assert np.all(fine.curve.value_at(ladder.array) <= base.curve.value_at(ladder.array) + 1e-12)
-
-
-def test_dim_at_scale_examples(finite_pack, interval_pack, countable_pack):
-    r = cc.dim_at_scale(finite_pack, 0.5)  # below the base spacing
-    assert (r.value, r.exact) == (0, True)
-    r = cc.dim_at_scale(interval_pack, 0.1)
-    assert (r.value, r.exact, r.flag) == (1, True, "EXACT")
-    r = cc.dim_at_scale(interval_pack, 2.0)  # one member suffices
-    assert (r.value, r.exact) == (0, True)
-    cube = cc.generate_pack("cube_face", n_side=4, n_levels=3)
-    r = cc.dim_at_scale(cube, 0.4)
-    assert not r.exact and r.flag == "UPPER_BOUND"
-    r = cc.dim_at_scale(cube, 1.2)  # overlapping balls at a workable scale
-    assert r.flag == "UPPER_BOUND" and r.value >= 1
-
-
-def test_dim_at_scale_interval_oracle():
-    """Brute-force check of the arc-cover fact behind the exact answer.
-
-    Discrete-interval covers whose hulls cover the continuum: minimum
-    multiplicity is 1 when one run of mesh <= eps spans everything, else 2.
-    """
-    positions = [0.0, 0.25, 0.5, 0.75, 1.0]
-    eps = 0.3
-    n = len(positions)
-    runs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if positions[j] - positions[i] <= eps
-    ]
-    best = None
-    for r in range(1, 6):
-        for combo in itertools.combinations(runs, r):
-            hull_ok = min(i for i, _ in combo) == 0 and max(j for _, j in combo) == n - 1
-            if not hull_ok:
-                continue
-            ivs = sorted(combo)
-            if any(b[0] > a[1] for a, b in zip(ivs, ivs[1:])):
-                continue  # hulls leave a continuum gap
-            counts = [sum(1 for (i, j) in combo if i <= p <= j) for p in range(n)]
-            mult = max(counts)
-            best = mult if best is None else min(best, mult)
-    assert best == 2  # matches the exact oracle for eps < diameter
 
 
 def test_cover_construction_checks(cyl_fixture):

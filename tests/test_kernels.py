@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import c0cover as cc
 from c0cover import canonical, covers
 from c0cover.covers import _members_of, member_stats
-from c0cover.canonical import _complete_orphans, _slice, ball_betas, beta_length_for, ext_family, subsequence_indices
+from c0cover.canonical import _slice, ball_betas, beta_length_for, ext_family, subsequence_indices
 from c0cover.cylinder import (
     LowerBoundResult,
     _column_structure,
@@ -336,14 +336,13 @@ def oracle_ext_family(pack, members):
 
 
 def oracle_slice(pack, ladder, betas):
-    """The nonempty sets U & annulus n for U in betas[n], deduplicated in
-    order, each tagged with the first annulus n that produced it."""
+    """The nonempty sets U & annulus n for U in betas[n], deduplicated in order."""
     n_ann = len(ladder) - 2
     if len(betas) < n_ann:
         raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
     if frozenset().union(*betas[0]) != frozenset(pack.points):
         raise BadParams("betas[0] must be the whole-space family")
-    members, tags, seen = [], [], set()
+    members = []
     for n in range(n_ann):
         fam = betas[n]
         if not pack.boundary <= frozenset().union(*fam):
@@ -351,27 +350,9 @@ def oracle_slice(pack, ladder, betas):
         ann = cc.annulus(pack, ladder, n)
         for u in fam:
             m = frozenset(u) & ann
-            if m and m not in seen:
-                seen.add(m)
+            if m and m not in members:
                 members.append(m)
-                tags.append(n)
-    return members, tags
-
-
-def oracle_complete_orphans(pack, ladder, members, tags):
-    """Adds every interior point in no member to the first member of the
-    deepest annulus holding it, in place; returns how many points it placed."""
-    orphans = sorted(pack.interior - frozenset().union(*members))
-    first = {}
-    for i, n in enumerate(tags):
-        first.setdefault(n, i)
-    for p in orphans:
-        depth = pack.boundary_dist[p]
-        holding = [n for n in range(len(ladder) - 3, -1, -1) if n in first and ladder[n + 2] < depth < ladder[n]]
-        if not holding:
-            raise NotCovering(f"orphan {p} fits no annulus member")
-        members[first[holding[0]]] |= {p}
-    return len(orphans)
+    return members
 
 
 def oracle_sample_levels(pack):
@@ -1332,10 +1313,10 @@ def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypat
     monkeypatch.setattr(
         covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
     )
-    # the providers make their boundary covers; refine_subsequence makes none
+    # the boundary covers are made as alpha reads them, inside refine_subsequence; it makes no other cover
     refining, made = [False], []
     make, refine = covers.Cover.make.__func__, canonical.refine_subsequence
-    record = classmethod(lambda cls, *a, **kw: made.append(refining[0]) or make(cls, *a, **kw))
+    record = classmethod(lambda cls, *a, **kw: made.append((refining[0], kw.get("target"))) or make(cls, *a, **kw))
     monkeypatch.setattr(covers.Cover, "make", record)
 
     def traced_refine(*args):
@@ -1349,7 +1330,8 @@ def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypat
     alpha, _ = cc.minimal_canonical(pack, gamma)
     assert sum(ids is gamma.ids for ids in measured) == 1
     assert gamma._members is None and alpha._members is None
-    assert made and not any(made)
+    inside = [target for refining, target in made if refining]
+    assert inside and set(inside) == {"boundary"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -1827,33 +1809,48 @@ def beta_families(data, pack, length):
     return fams
 
 
-def assert_slice_and_orphans(pack, ladder, betas):
-    """``_slice`` and ``_complete_orphans`` against their frozenset oracles;
-    returns the number of orphans placed, or None if either raised."""
+def assert_slice(pack, ladder, betas):
+    """``_slice`` against its frozenset oracle; returns the sliced rows, or
+    None if both raised the same error."""
     want = outcome(oracle_slice, pack, ladder, [as_sets(fam) for fam in betas])
     got = outcome(_slice, pack, ladder, betas)
-    if isinstance(want[0], type):
+    if isinstance(want, tuple):
         assert got == want
         return None
-    rows, tags = got
-    assert rows.dtype == bool and (as_sets(rows), tags.tolist()) == want
-    members = list(want[0])
-    placed = outcome(_complete_orphans, pack, ladder, rows, tags)
-    assert placed == outcome(oracle_complete_orphans, pack, ladder, members, want[1])
-    if isinstance(placed, int):
-        assert as_sets(rows) == members
-        return placed
-    return None
+    assert got.dtype == bool and as_sets(got) == want
+    return got
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(packs(), tie_packs(), mirror_packs()), st.data())
 def test_slice_and_orphans_match_oracles(drawn, data):
+    """The sliced rows, and so the interior points they leave out, match the oracle's."""
     pack, _ = drawn
     ladder = data.draw(ladders(extra=pack.boundary_dist, top=2 * pack.k_sup))
     short = data.draw(st.integers(0, 5)) == 0
     betas = beta_families(data, pack, len(ladder) - 2 - short)
-    assert_slice_and_orphans(pack, ladder, betas)
+    assert_slice(pack, ladder, betas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(packs(), tie_packs(), mirror_packs()), st.data())
+def test_sliced_rows_cover_the_interior(drawn, data):
+    """On the recursion's rungs the sliced rows cover the interior, tied
+    points included: no point is left to complete (the proof is in
+    ``refine_subsequence``).  Singletons decide no rung, so the betas alone
+    bound the rungs, the case the proof is about."""
+    pack, _ = drawn
+    ladder = cc.default_ladder(pack)
+    betas = beta_families(data, pack, data.draw(st.integers(2, 30)))
+    if data.draw(st.booleans()):  # the Ext image of the boundary singletons misses every tied point
+        betas[1:] = [ext_family(pack, as_rows(pack, [{x} for x in pack.boundary]))] * 60
+    indices = outcome(subsequence_indices, pack, ladder, betas, cc.singleton_cover(pack))
+    if isinstance(indices[0], type):  # the ladder or the betas ran out
+        return
+    rows = outcome(_slice, pack, cc.ScaleLadder(tuple(ladder[i] for i in indices)), betas)
+    if isinstance(rows, tuple):  # betas[0] is not the whole space, or a family misses the boundary
+        return
+    assert rows[:, sorted(pack.interior)].any(axis=0).all()
 
 
 def test_slice_completes_tied_orphans():
@@ -1866,17 +1863,22 @@ def test_slice_completes_tied_orphans():
     assert {int(p) for p in pack.nearest_ties[:, 0]} == mid
     split = ext_family(pack, as_rows(pack, [{0}, {1}]))  # a and b apart: every M_y is left out
     assert as_sets(split) == [{0} | left, {1} | right]
-    ladder = cc.ScaleLadder((10.0, 6.0, 3.0, 1.5, 0.7, 0.3))
     betas = [np.ones((1, pack.n_points), dtype=bool), split, split, split]
-    # M_4 lies in annulus 0; M_2 in annuli 1 and 2, M_1 in annuli 2 and 3
-    assert assert_slice_and_orphans(pack, ladder, betas) == 2
-    rows, tags = _slice(pack, ladder, betas)
-    _complete_orphans(pack, ladder, rows, tags)
+    # on a hand-picked ladder M_4 lies in annulus 0, but M_2 (annuli 1 and 2)
+    # and M_1 (annuli 2 and 3) lie only where split leaves them out
+    ladder = cc.ScaleLadder((10.0, 6.0, 3.0, 1.5, 0.7, 0.3))
     l1, r1, m1, l2, r2, m2, l4, r4, m4 = range(2, 11)
-    assert tags.tolist() == [0, 1, 1, 2, 2, 3, 3]
-    assert as_sets(rows) == [{l4, r4, m4}, {l2, l4}, {r2, r4}, {l1, l2, m2}, {r1, r2}, {l1, m1}, {r1}]
-    assert cc.build_alpha(pack, ladder, betas).covers_flag is False  # without the orphans
-    assert canonical._interior_cover(pack, rows).covers_flag
+    rows = assert_slice(pack, ladder, betas)
+    assert as_sets(rows) == [{l4, r4, m4}, {l2, l4}, {r2, r4}, {l1, l2}, {r1, r2}, {l1}, {r1}]
+    assert cc.build_alpha(pack, ladder, betas).covers_flag is False
+    # the recursion's first rung lies below every point split misses, so the
+    # whole-space family's annulus 0 holds every M_y
+    ladder = cc.default_ladder(pack)
+    indices = subsequence_indices(pack, ladder, betas, cc.singleton_cover(pack))
+    assert ladder[indices[1]] < pack.boundary_dist[m1] == min(pack.boundary_dist[p] for p in mid)
+    sub = cc.ScaleLadder(tuple(ladder[i] for i in indices))
+    assert mid <= as_sets(assert_slice(pack, sub, betas))[0]
+    assert cc.build_alpha(pack, sub, betas).covers_flag
 
 
 def test_shared_slots_keep_the_highest_id():
