@@ -50,7 +50,6 @@ from .cylinder import (
 from .errors import C0CoverError
 from .experiment import ExperimentConfig, run_experiment
 from .packs import (
-    CylinderPack,
     DiscretePack,
     ModulusCurve,
     PackKind,

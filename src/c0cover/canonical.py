@@ -167,7 +167,8 @@ def subsequence_indices(
         rows = np.vstack([beta_k, bd > radii[m]])  # beta_k plus the far complement
         member, ids = np.divmod(np.flatnonzero(rows), pack.n_points)
         helper = Cover(pack, ids, np.searchsorted(member, np.arange(len(rows) + 1)), frozenset(pack.points), "custom")
-        big_l = lebesgue_number(pack, helper, pack.points, skip_uncovered=True)
+        # the far complement holds every point beta_k misses, so the helper covers
+        big_l = lebesgue_number(pack, helper, pack.points)
         # m': the first rung where every member inside W_n is narrower than L
         # (with L <= 0 not even an empty W_n, valued 0, qualifies)
         shrunk = np.flatnonzero(rung_mesh < big_l)
@@ -225,7 +226,7 @@ def refine_subsequence(
         raise UniformityRejected("gamma fails the uniformity verdict")
     indices = subsequence_indices(pack, ladder, betas, gamma)
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
-    alpha = _interior_cover(pack, _slice(pack, sub, betas)).require_cover()
+    alpha = build_alpha(pack, sub, betas).require_cover()
     return indices, alpha, refines(gamma, alpha)
 
 

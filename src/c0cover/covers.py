@@ -564,14 +564,12 @@ def lebesgue_number(
     pack: DiscretePack,
     beta,
     target: Iterable[int],
-    skip_uncovered: bool = False,
 ) -> float:
     """L = min over p of max over members U containing p of d(p, target \\ U).
 
     d(., empty) caps at the target diameter.  Every subset of the target with
-    diameter < L embeds in some member.  With skip_uncovered the minimum runs
-    over covered points only (used where ties may puncture a cover).
-    PackMismatch for a member or target point outside the pack.
+    diameter < L embeds in some member.  NotACover for a target point in no
+    member, PackMismatch for a member or target point outside the pack.
     """
     tgt = np.unique(_point_index(pack, target))
     in_tgt = np.zeros(pack.n_points, dtype=bool)
@@ -589,11 +587,11 @@ def lebesgue_number(
         here[pts] = np.maximum(here[pts], pack.set_dist(pts, np.flatnonzero(outside)))
     here = here[tgt]
     covered = here > -np.inf
-    if not skip_uncovered and not covered.all():
+    if not covered.all():
         raise NotACover(f"point {int(tgt[np.argmin(covered)])} lies in no member")
-    best = float(here[covered].min(initial=np.inf))
+    best = float(here.min(initial=np.inf))
     # a finite d(p, target \ U) is at most the target diameter, so the cap
-    # only binds when every covered point sits in a member holding the target
+    # only binds when every point sits in a member holding the target
     return best if best < np.inf else pack.diam(tgt)
 
 

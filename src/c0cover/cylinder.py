@@ -22,7 +22,6 @@ from .errors import (
     UniformityRejected,
 )
 from .packs import (
-    CylinderPack,
     DiscretePack,
     ScaleLadder,
     boundary_line,
@@ -66,7 +65,7 @@ def fg_displacement(pack: DiscretePack, z: int, t: float) -> float:
     return float(pack.d(z, z2) + abs(t - t2))
 
 
-def cylinder_over_boundary(pack: DiscretePack, levels: Sequence[float]) -> CylinderPack:
+def cylinder_over_boundary(pack: DiscretePack, levels: Sequence[float]) -> DiscretePack:
     """The exact sum-metric cylinder over the pack's boundary at the given levels."""
     levels = sorted({float(t) for t in levels if t > 0}, reverse=True)
     if not levels:
@@ -81,7 +80,7 @@ def _base_index(pack: DiscretePack) -> np.ndarray:
     return np.searchsorted(np.array(sorted(pack.boundary)), pack.nearest_boundary)
 
 
-def _f_image(pack: DiscretePack) -> tuple[CylinderPack, np.ndarray]:
+def _f_image(pack: DiscretePack) -> tuple[DiscretePack, np.ndarray]:
     """The cylinder over the boundary at the sample levels, and f as a point
     map into it: entry p is the cylinder point f(p), or -1 on the boundary."""
     levels = sample_levels(pack)
@@ -94,7 +93,7 @@ def _f_image(pack: DiscretePack) -> tuple[CylinderPack, np.ndarray]:
     return cyl, point
 
 
-def fxf_image(pack: DiscretePack, e: Relation) -> tuple[CylinderPack, Relation]:
+def fxf_image(pack: DiscretePack, e: Relation) -> tuple[DiscretePack, Relation]:
     """Transport a relation through f into the cylinder over the boundary.
 
     Returns the induced cylinder (levels are the attained boundary distances)
@@ -125,7 +124,7 @@ def image_density_gap(pack: DiscretePack) -> float:
     cyl, point_of = _f_image(pack)
     h = h_profile(pack, default_ladder(pack))
     img = np.unique(point_of[point_of >= 0])
-    level = np.array(cyl.level_of)
+    level = cyl.boundary_dist  # a cylinder point's level, exactly
     slots = np.flatnonzero(level != 0.0)
     gap = cyl.dist[np.ix_(slots, img)].min(axis=1)
     bound = 3.0 * h.value_at(level[slots])
@@ -187,7 +186,7 @@ def induced_pack(embedding: Embedding) -> DiscretePack:
     mp = np.array(embedding.mapping)
     src = embedding.source
     meta = {"kind": "induced", "cylindrical": src.cylindrical}
-    return _derived_pack(DiscretePack, embedding.host.dist[np.ix_(mp, mp)], src.boundary, meta)
+    return _derived_pack(embedding.host.dist[np.ix_(mp, mp)], src.boundary, meta)
 
 
 def pullback_cover(embedding: Embedding, alpha: Cover) -> Cover:

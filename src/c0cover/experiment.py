@@ -142,9 +142,10 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
     c0 = c0_modulus(pack, ladder, e, config.c0_tol)
     stage("controlled_relation", c0.accept, {"pairs": len(e), "c0": c0.to_dict()})
 
-    if config.kind == "countable_example":
-        # the countable pack's story is the counterexample: the singleton
-        # cover is canonical with multiplicity 1 and no lower bound applies
+    if not pack.cylindrical:
+        # a pack with no cylinder structure (countable_example) tells the
+        # counterexample: the singleton cover is canonical with multiplicity 1
+        # and no lower bound applies
         singles = singleton_cover(pack)
         sv = uniformity_verdict(pack, ladder, singles, config.unif_tol)
         smult = multiplicity(singles)
@@ -180,31 +181,30 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
     rejects["whole_space_rejects"] = not wv.accept
     stage("negative_controls", not fv.accept and not wv.accept, rejects)
 
-    if pack.cylindrical:
-        rng = np.random.default_rng(config.seed)
-        resolved = _deep_witness_resolved(pack, config.unif_tol)
-        constructed = [alpha, gamma] if resolved else []
-        results = []
-        holds = True
-        for cov in constructed:
-            res = lower_bound_check(pack, cov, ladder, config.unif_tol)
-            holds = holds and res.holds
-            results.append(res.to_dict() | {"source": "constructed"})
-        for cand in random_uniform_candidates(pack, rng, config.candidates):
-            res = lower_bound_check(pack, cand, ladder, config.unif_tol)
-            holds = holds and res.holds
-            if not res.holds:
-                results.append(res.to_dict() | {"source": "random"})
-        stage(
-            "lower_bound_sweep",
-            holds,
-            {
-                "candidates": config.candidates,
-                "deep_witness_resolved": resolved,
-                "violations": [r for r in results if not r["holds"]],
-                "constructed": [r for r in results if r.get("source") == "constructed"],
-            },
-        )
+    rng = np.random.default_rng(config.seed)
+    resolved = _deep_witness_resolved(pack, config.unif_tol)
+    constructed = [alpha, gamma] if resolved else []
+    results = []
+    holds = True
+    for cov in constructed:
+        res = lower_bound_check(pack, cov, ladder, config.unif_tol)
+        holds = holds and res.holds
+        results.append(res.to_dict() | {"source": "constructed"})
+    for cand in random_uniform_candidates(pack, rng, config.candidates):
+        res = lower_bound_check(pack, cand, ladder, config.unif_tol)
+        holds = holds and res.holds
+        if not res.holds:
+            results.append(res.to_dict() | {"source": "random"})
+    stage(
+        "lower_bound_sweep",
+        holds,
+        {
+            "candidates": config.candidates,
+            "deep_witness_resolved": resolved,
+            "violations": [r for r in results if not r["holds"]],
+            "constructed": [r for r in results if r.get("source") == "constructed"],
+        },
+    )
 
     report = _final_report(
         config,

@@ -46,8 +46,6 @@ KNOWN_DIMS = {
     "countable_example": 0,
 }
 
-CYLINDRICAL_KINDS = {"finite_cylinder", "interval_cylinder", "circle_in_disk", "cube_face"}
-
 
 class ModulusCurve:
     """Sampled scale -> value function, t strictly decreasing, values >= 0.
@@ -226,26 +224,6 @@ class DiscretePack:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderPack(DiscretePack):
-    """Exact product pack X x levels with the sum metric d_X(x,y) + |t-s|.
-
-    ``base_of`` maps every point to its boundary base id, ``level_of`` to its
-    level (0.0 on the boundary).  Boundary distance equals the level exactly.
-    """
-
-    base_of: tuple[int, ...] = ()
-    level_of: tuple[float, ...] = ()
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        """The positive levels, descending."""
-        return tuple(sorted({t for t in self.level_of if t > 0}, reverse=True))
-
-    def point_at(self, base: int, level: float) -> int:
-        return self._grid[(base, level)]
-
-
 def _nearest_boundary(dist: np.ndarray, boundary: frozenset[int]) -> tuple[np.ndarray, ...]:
     """The one reduction over the boundary columns: d(p, X), the lowest
     nearest boundary id and the tie pairs, as ``DiscretePack`` stores them."""
@@ -273,9 +251,6 @@ def _finish_pack(pack: DiscretePack, reduction=None) -> DiscretePack:
     object.__setattr__(pack, "_bdist", bdist)
     object.__setattr__(pack, "_near", near)
     object.__setattr__(pack, "_ties", ties)
-    if isinstance(pack, CylinderPack):
-        grid = {(b, l): p for p, (b, l) in enumerate(zip(pack.base_of, pack.level_of))}
-        object.__setattr__(pack, "_grid", grid)
     return pack
 
 
@@ -288,12 +263,11 @@ def _depth_range(bdist: np.ndarray, boundary: frozenset[int]) -> tuple[float, fl
     return float(depth.max()), float(depth.min())
 
 
-def _derived_pack(cls: type, dist: np.ndarray, boundary: frozenset[int], meta: dict, **extra) -> DiscretePack:
+def _derived_pack(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> DiscretePack:
     """A finished pack whose ``k_sup`` and ``delta_res`` are read off its boundary reduction."""
     reduction = _nearest_boundary(dist, boundary)
     k_sup, delta_res = _depth_range(reduction[0], boundary)
-    pack = cls(dist=dist, boundary=boundary, k_sup=k_sup, delta_res=delta_res, meta=meta, **extra)
-    return _finish_pack(pack, reduction)
+    return _finish_pack(DiscretePack(dist, boundary, k_sup, delta_res, meta), reduction)
 
 
 def _cpu_count() -> int:
@@ -469,20 +443,6 @@ def _is_list_of(x, ok: Callable, n: int | None = None) -> bool:
     return isinstance(x, (list, tuple)) and (n is None or len(x) == n) and all(map(ok, x))
 
 
-def _cylinder_fields(meta: dict, n: int) -> dict:
-    """The CylinderPack fields that ``meta`` names: ``base_of`` and ``level_of``
-    when it holds both, one integer base id and one finite level per point;
-    ``{}`` when it holds neither list, or only one."""
-    if "base_of" not in meta or "level_of" not in meta:
-        return {}
-    base_of, level_of = meta["base_of"], meta["level_of"]
-    if not _is_list_of(base_of, _is_int, n):
-        raise BadParams(f"pack meta base_of must be a list of {n} integer base ids")
-    if not _is_list_of(level_of, _is_finite_number, n):
-        raise BadParams(f"pack meta level_of must be a list of {n} finite levels")
-    return {"base_of": tuple(map(int, _listed(base_of))), "level_of": tuple(map(float, _listed(level_of)))}
-
-
 def _check_coords(coords, n: int) -> None:
     """``meta["coords"]`` must be n rows of one width >= 1, each entry a finite number."""
     rows = _listed(coords)
@@ -494,16 +454,17 @@ def _check_coords(coords, n: int) -> None:
         raise BadParams("pack meta coords must be finite numbers")
 
 
-def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dict:
+def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> None:
     """The invariants of a pack's fields, for ``validate_pack`` and for
     generator-form pack files alike.
 
     ``dist`` is a 2-D float array and ``boundary`` a set of integers.  Checks
     the boundary ids and sides, the metric (``_check_metric``, the full
-    triangle check included), ``meta["levels"]`` and ``meta["coords"]`` if
-    present and the cylinder lists in ``meta``, and returns the CylinderPack
-    fields those lists name.  With ``_depth_range`` on the boundary reduction
-    this is every check ``validate_pack`` makes.
+    triangle check included), and ``meta["levels"]`` and ``meta["coords"]``
+    if present.  A ``meta`` holding both cylinder lists ``base_of`` and
+    ``level_of`` must give one integer base id and one finite level per
+    point; the lists stay in ``meta`` as given.  With ``_depth_range`` on the
+    boundary reduction this is every check ``validate_pack`` makes.
     """
     n = dist.shape[0]
     if boundary and not (min(boundary) >= 0 and max(boundary) < n):
@@ -517,7 +478,11 @@ def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> dic
         raise BadParams("pack meta levels must be a list of finite positive levels")
     if meta.get("coords") is not None:  # null coords read as none, as DiscretePack.coords reads them
         _check_coords(meta["coords"], n)
-    return _cylinder_fields(meta, n)
+    if "base_of" in meta and "level_of" in meta:
+        if not _is_list_of(meta["base_of"], _is_int, n):
+            raise BadParams(f"pack meta base_of must be a list of {n} integer base ids")
+        if not _is_list_of(meta["level_of"], _is_finite_number, n):
+            raise BadParams(f"pack meta level_of must be a list of {n} finite levels")
 
 
 def validate_pack(
@@ -530,8 +495,10 @@ def validate_pack(
 
     ``raw_points`` is the point count or a sequence of that many ids;
     ``boundary_mask`` is either a boolean sequence over the points or a
-    sequence of integer boundary ids.  A ``meta`` holding ``base_of`` and
-    ``level_of`` lists makes the pack a CylinderPack.  Raises on the first
+    sequence of integer boundary ids.  The pack is a ``DiscretePack`` whatever
+    ``meta`` holds: a cylinder file's ``base_of`` and ``level_of`` lists are
+    checked and kept in ``meta`` as given, and a point's base and level are
+    read off the boundary reduction.  Raises on the first
     violated invariant: BadParams for a distance matrix that is not a square
     array of finite numbers, a point count that disagrees with it, boundary
     ids that are not integers in 0..n-1, a ``meta`` that is not a dict,
@@ -570,8 +537,8 @@ def validate_pack(
     if meta is not None and not isinstance(meta, dict):
         raise BadParams("pack meta must be an object")
     meta = dict(meta or {})
-    cylinder = _check_fields(dist, boundary, meta)
-    return _derived_pack(CylinderPack if cylinder else DiscretePack, dist, boundary, meta, **cylinder)
+    _check_fields(dist, boundary, meta)
+    return _derived_pack(dist, boundary, meta)
 
 
 def boundary_distance(pack: DiscretePack, p: int) -> float:
@@ -788,30 +755,23 @@ def _product_pack(
     base_dist: np.ndarray,
     levels: Sequence[float],
     meta: dict,
-) -> CylinderPack:
-    """Assemble X x levels with the sum metric; boundary is X at level 0.
+) -> DiscretePack:
+    """Assemble X x levels with the sum metric d_X(x, y) + |t - s|; boundary is X at level 0.
 
     Point ``nb * (i + 1) + b`` is base point b at ``levels[i]``, and points
-    0..nb-1 are the boundary.  Coordinates go into meta when the base has them.
+    0..nb-1 are the boundary.  ``meta`` lists every point's base id and level
+    as ``base_of`` and ``level_of``.  ``boundary_dist`` is the level exactly,
+    and ``nearest_boundary`` the base id unless a base distance vanishes in
+    float beside a level.  Coordinates go into meta when the base has them.
     """
     nb = base_dist.shape[0]
     bo = np.tile(np.arange(nb), len(levels) + 1)
     lv = np.repeat(np.array([0.0, *levels], dtype=float), nb)
     dist = _by_row_blocks(len(lv), lambda rows: base_dist[np.ix_(bo[rows], bo)] + np.abs(lv[rows, None] - lv[None, :]))
-    base_of, level_of = bo.tolist(), lv.tolist()
-    meta = dict(meta, levels=[float(l) for l in levels], base_of=base_of, level_of=level_of)
+    meta = dict(meta, levels=[float(l) for l in levels], base_of=bo.tolist(), level_of=lv.tolist())
     if base_coords is not None:
         meta["coords"] = np.column_stack([base_coords[bo], lv]).tolist()
-    pack = CylinderPack(
-        dist=dist,
-        boundary=frozenset(range(nb)),
-        k_sup=float(max(levels)),
-        delta_res=float(min(levels)),
-        meta=meta,
-        base_of=tuple(base_of),
-        level_of=tuple(level_of),
-    )
-    return _finish_pack(pack)
+    return _finish_pack(DiscretePack(dist, frozenset(range(nb)), float(max(levels)), float(min(levels)), meta))
 
 
 def _gen_finite_cylinder(n_base: int = 3, n_levels: int = 6, spacing: float = 2.0, ratio: float = 0.4):

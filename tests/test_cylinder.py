@@ -26,7 +26,7 @@ def test_f_map_examples(line3, cyl_fixture):
     # fixed point on exact cylinders
     p = next(q for q in cyl_fixture.interior if cyl_fixture.boundary_dist[q] == 0.25)
     z, t = cc.f_map(cyl_fixture, p)
-    assert (z, t) == (cyl_fixture.base_of[p], 0.25)
+    assert (z, t) == (cyl_fixture.meta["base_of"][p], 0.25)
     # lowest-id tiebreak on the line
     assert cc.f_map(line3, 1) == (0, 1.0)
     with pytest.raises(BoundaryInput):
@@ -182,8 +182,10 @@ def test_cylinder_over_boundary_structure(line3):
     assert cyl.n_points == 2 + 4
     assert cyl.k_sup == 1.0
     b_idx = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
-    p = cyl.point_at(b_idx[0], 0.5)
+    grid = list(zip(cyl.meta["base_of"], cyl.meta["level_of"]))
+    p = grid.index((b_idx[0], 0.5))
     assert cyl.boundary_dist[p] == 0.5
+    assert cyl.nearest_boundary[p] == b_idx[0]
 
 
 # -- outputs pinned on the per-point loops that computed f and the levels before ------------------
@@ -245,8 +247,10 @@ def test_image_density_gap_pinned_circle():
 
 def test_cylinder_over_boundary_is_a_product_pack(finite_pack):
     # the induced cylinder over an exact cylinder is the generator's pack again
-    cyl = cylinder_over_boundary(finite_pack, finite_pack.levels)
-    for name in ("k_sup", "delta_res", "base_of", "level_of", "boundary"):
+    cyl = cylinder_over_boundary(finite_pack, finite_pack.meta["levels"])
+    for name in ("k_sup", "delta_res", "boundary"):
         assert getattr(cyl, name) == getattr(finite_pack, name)
+    for name in ("levels", "base_of", "level_of"):
+        assert cyl.meta[name] == finite_pack.meta[name]
     assert cyl.dist.tobytes() == finite_pack.dist.tobytes()
     assert cyl.meta["source_boundary"] == sorted(finite_pack.boundary)

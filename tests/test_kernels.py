@@ -149,7 +149,7 @@ def oracle_phi(pack, ladder, lam):
     return tuple(samples)
 
 
-def oracle_lebesgue(pack, beta, target, skip_uncovered=False):
+def oracle_lebesgue(pack, beta, target):
     tgt = sorted(frozenset(target))
     tset = frozenset(tgt)
     members = [m & tset for m in _members_of(beta)]
@@ -162,8 +162,6 @@ def oracle_lebesgue(pack, beta, target, skip_uncovered=False):
             if p in m:
                 here = max(here, oracle_set_dist(pack, p, tset - m))
         if here == -np.inf:
-            if skip_uncovered:
-                continue
             raise NotACover(f"point {p} lies in no member")
         best = min(best, here)
     if best == np.inf:
@@ -239,7 +237,7 @@ def oracle_subsequence(pack, ladder, betas, gamma):
         if m is None:
             raise LadderExhausted(f"no rung with closed neighborhood inside beta {k}")
         helper = list(betas[k]) + [frozenset(p for p in all_pts if bd[p] > radii[m])]
-        big_l = oracle_lebesgue(pack, helper, all_pts, skip_uncovered=True)
+        big_l = oracle_lebesgue(pack, helper, all_pts)
         m_prime = next((n for n in range(m_top + 1) if l_value(n) < big_l), None)
         if m_prime is None:
             raise LadderExhausted("no rung shrinks gamma below the Lebesgue number")
@@ -383,13 +381,20 @@ def oracle_column_structure(pack):
     return bidx, levels, by_slot
 
 
+def oracle_cylinder_grid(cyl):
+    """(base index, level) -> point of an induced cylinder, read off the lists
+    in its meta rather than its boundary reduction."""
+    return {(b, t): p for p, (b, t) in enumerate(zip(cyl.meta["base_of"], cyl.meta["level_of"]))}
+
+
 def oracle_fxf_pairs(pack, e):
     interior = sorted(pack.interior)
     fmap = {p: oracle_f_map(pack, p) for p in interior}
     levels = sorted({t for _, t in fmap.values()}, reverse=True)
     cyl = cc.cylinder.cylinder_over_boundary(pack, levels)
     b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
-    point_of = {p: cyl.point_at(b_index[z], t) for p, (z, t) in fmap.items()}
+    point_at = oracle_cylinder_grid(cyl)
+    point_of = {p: point_at[b_index[z], t] for p, (z, t) in fmap.items()}
     return {(point_of[p], point_of[q]) for p, q in e.pairs if p in point_of and q in point_of}
 
 
@@ -398,10 +403,11 @@ def oracle_image_density_gap(pack):
     cyl = cc.cylinder.cylinder_over_boundary(pack, [t for _, t in fmap])
     h = cc.h_profile(pack, cc.default_ladder(pack))
     b_index = {b: i for i, b in enumerate(cyl.meta["source_boundary"])}
-    img = np.array(sorted({cyl.point_at(b_index[z], t) for z, t in fmap}))
+    point_at = oracle_cylinder_grid(cyl)
+    img = np.array(sorted({point_at[b_index[z], t] for z, t in fmap}))
     worst = 0.0
     for slot in cyl.points:
-        t = cyl.level_of[slot]
+        t = cyl.meta["level_of"][slot]
         if t == 0.0:
             continue
         gap = float(cyl.dist[slot, img].min())
@@ -1105,9 +1111,7 @@ def test_diameter_paths_read_both_orientations(monkeypatch):
     assert diam[-2] == 8e-10 and diam[0] == pack.dist[3, 0]  # {0, 1, 2, 3}: d[3, 0] > d[0, 3]
     for fam in (members, [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3, 4, 5})], members[-2:]):
         for target in (pack.points, [1, 2, 3, 4]):
-            for skip in (False, True):
-                got = outcome(cc.lebesgue_number, pack, fam, target, skip_uncovered=skip)
-                assert got == outcome(oracle_lebesgue, pack, fam, target, skip_uncovered=skip)
+            assert outcome(cc.lebesgue_number, pack, fam, target) == outcome(oracle_lebesgue, pack, fam, target)
 
 
 def test_cover_measures_its_members_once(monkeypatch):
@@ -1335,15 +1339,14 @@ def test_minimal_canonical_measures_gamma_once_and_builds_no_frozenset(monkeypat
 
 
 @settings(max_examples=150, deadline=None)
-@given(packs(), st.booleans(), st.booleans())
-def test_lebesgue_number_matches_loop(drawn, skip_uncovered, subset):
+@given(packs(), st.booleans())
+def test_lebesgue_number_matches_loop(drawn, subset):
     pack, rng = drawn
     target = sorted(pack.points)
     if subset:
         target = sorted(rng.choice(target, size=int(rng.integers(1, len(target) + 1)), replace=False).tolist())
     fam = families(rng, pack)
-    got = outcome(cc.lebesgue_number, pack, fam, target, skip_uncovered=skip_uncovered)
-    assert got == outcome(oracle_lebesgue, pack, fam, target, skip_uncovered=skip_uncovered)
+    assert outcome(cc.lebesgue_number, pack, fam, target) == outcome(oracle_lebesgue, pack, fam, target)
 
 
 def test_lebesgue_names_the_first_uncovered_point(rng):
@@ -1351,9 +1354,8 @@ def test_lebesgue_names_the_first_uncovered_point(rng):
     fam = [frozenset({0, 1}), frozenset({5}), frozenset({1, 2, 6})]
     with pytest.raises(NotACover, match="point 3 lies"):
         cc.lebesgue_number(pack, fam, pack.points)
-    assert cc.lebesgue_number(pack, fam, pack.points, skip_uncovered=True) == oracle_lebesgue(
-        pack, fam, pack.points, skip_uncovered=True
-    )
+    with pytest.raises(NotACover, match="point 3 lies"):
+        oracle_lebesgue(pack, fam, pack.points)
 
 
 def test_lebesgue_one_point_members(rng):
@@ -1730,13 +1732,12 @@ def test_pack_file_round_trip_keeps_the_reduction(kind, monkeypatch):
     monkeypatch.setattr(cc.packs, "_finish_pack", lambda *a: finished.append(a) or _finish_pack(*a))
     back = pack_from_json(pack_to_json(pack))
     assert len(finished) == 1  # one boundary reduction per loaded pack
-    assert type(back) is type(pack)
+    assert type(back) is type(pack) is cc.DiscretePack
     for name in ("boundary_dist", "nearest_boundary", "nearest_ties"):
         assert getattr(back, name).tobytes() == getattr(pack, name).tobytes()
         assert getattr(back, name).shape == getattr(pack, name).shape
-    if isinstance(pack, cc.CylinderPack):
-        for p, (b, t) in enumerate(zip(pack.base_of, pack.level_of)):
-            assert back.point_at(b, t) == pack.point_at(b, t) == p
+    for name in ("base_of", "level_of"):  # the product generators' lists, kept in meta
+        assert back.meta.get(name) == pack.meta.get(name)
     if kind != "circle_in_disk":  # derived from its ring distances, the circle's levels move in the last bits
         assert (back.k_sup, back.delta_res) == (pack.k_sup, pack.delta_res)
 

@@ -7,7 +7,10 @@ A name counts as used when it occurs as a name anywhere in its module
 importing, so it is left out, and so is ``from __future__ import ...``.
 A parameter counts as read when its body, nested functions included, loads
 the name.  Dunder methods keep the signature their protocol fixes, so they
-are left out.  Every function the benchmark's tracer wraps exists.
+are left out.  Every module-level name a library module assigns is read by
+library code.  Outside ``packs.py`` only the listed functions compare a
+``.kind`` against a generator tag.  Every function the benchmark's tracer
+wraps exists.
 """
 
 import ast
@@ -108,6 +111,90 @@ def test_private_definitions_are_referenced_by_library_code():
     referenced = set().union(*map(referenced_names, sources))
     defined = [name for source in sources for name in private_definitions(source)]
     assert sorted(name for name in defined if name not in referenced) == []
+
+
+def assigned_names(source: str) -> list[str]:
+    """Names a module binds by a plain or annotated assignment at its top level, dunders aside."""
+    out = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        for t in targets:
+            out += [n.id for n in ast.walk(t) if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    return out
+
+
+def read_names(source: str) -> set[str]:
+    """Names loaded anywhere, and attributes read off any object; an import or a store reads nothing."""
+    tree = ast.parse(source)
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_module_names(sources: list[str]) -> list[str]:
+    read = set().union(*map(read_names, sources))
+    return sorted(name for source in sources for name in assigned_names(source) if name not in read)
+
+
+def test_the_guard_sees_an_unread_module_name():
+    library = (
+        "LIMIT = 3\nTABLE: dict = {}\n_USED, _SPARE = 1, 2\nGONE = {'a'}\n__version__ = '1'\n"
+        "def f(x):\n    GONE = 0  # a local store reads nothing\n    return x < LIMIT + _USED\n"
+    )
+    other = "from .mod import TABLE  # an import reads nothing\nTABLE = None\nprint(mod.TABLE)\n"
+    assert unread_module_names([library, other]) == ["GONE", "_SPARE"]
+
+
+def test_every_module_level_name_is_read_by_library_code():
+    """A constant no library code reads is a dead knob, whoever else imports it."""
+    assert unread_module_names([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def kind_comparisons(source: str, module: str, tags) -> list[str]:
+    """The functions, as ``module.function``, holding a comparison of a ``.kind``
+    attribute with a string of ``tags`` or a literal collection of them."""
+
+    def is_tag(node) -> bool:
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(i, ast.Constant) and i.value in tags for i in items)
+
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides) and any(map(is_tag, sides)):
+                out.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return sorted(set(out))
+
+
+def test_the_guard_sees_a_kind_comparison():
+    source = (
+        "def f(pack):\n    return pack.kind == 'circle'\n"
+        "def g(cfg):\n    if cfg.kind in ('disk', 'other'):\n        return 1\n"
+        "def h(pack):\n    return pack.kind == 'other' or pack.tag == 'circle'  # not a tag, not a kind\n"
+        "class C:\n    def m(self, kind):\n        return kind == 'circle'  # a name, not an attribute\n"
+    )
+    assert kind_comparisons(source, "mod", {"circle", "disk"}) == ["mod.f", "mod.g"]
+
+
+def test_only_the_listed_functions_branch_on_a_generator_tag():
+    """Structure is read from the metric, not from a generator's name; these
+    two still branch on it and are the ones left to retire."""
+    tags = importlib.import_module("c0cover.packs").KNOWN_DIMS.keys()
+    found = [
+        where
+        for path in MODULES
+        if path.name != "packs.py"
+        for where in kind_comparisons(path.read_text(), path.stem, tags)
+    ]
+    assert found == ["canonical._build_dim1", "cylinder.random_uniform_candidates"]
 
 
 def raised_names(source: str) -> set[str]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c0cover as cc
-from c0cover.cylinder import induced_pack
+from c0cover.cylinder import cylinder_over_boundary, induced_pack
 from c0cover.errors import (
     BadLadder,
     BadParams,
@@ -192,7 +192,7 @@ def test_generate_interval_cylinder():
     pack = cc.generate_pack("interval_cylinder", n_base=65, n_levels=4)
     assert pack.known_dim == 1
     assert len(pack.boundary) == 65
-    assert isinstance(pack, cc.CylinderPack)
+    assert type(pack) is cc.DiscretePack and pack.cylindrical
 
 
 def test_generate_countable_triangular():
@@ -220,15 +220,15 @@ def test_cylinder_metric_is_exact_sum():
     pack = cc.generate_pack("interval_cylinder", n_base=5, n_levels=3)
     for p in list(pack.points)[:8]:
         for q in list(pack.points)[:8]:
-            bx = pack.base_of[p]
-            by = pack.base_of[q]
-            expect = abs(bx - by) / 4 + abs(pack.level_of[p] - pack.level_of[q])
+            bx = pack.meta["base_of"][p]
+            by = pack.meta["base_of"][q]
+            expect = abs(bx - by) / 4 + abs(pack.meta["level_of"][p] - pack.meta["level_of"][q])
             assert pack.d(p, q) == pytest.approx(expect, abs=1e-12)
 
 
 def test_boundary_distance_equals_level(interval_pack):
     for p in sorted(interval_pack.interior)[:50]:
-        assert interval_pack.boundary_dist[p] == pytest.approx(interval_pack.level_of[p], abs=1e-12)
+        assert interval_pack.boundary_dist[p] == interval_pack.meta["level_of"][p]
 
 
 def test_ladder_invariants(finite_pack):
@@ -294,7 +294,9 @@ def test_modulus_curve_step_interpolation():
 def test_pack_json_roundtrip(finite_pack):
     text = pack_to_json(finite_pack)
     back = pack_from_json(text)
-    assert isinstance(back, cc.CylinderPack)
+    assert type(back) is cc.DiscretePack
+    assert back.meta["base_of"] == finite_pack.meta["base_of"]
+    assert back.meta["level_of"] == finite_pack.meta["level_of"]
     assert back.n_points == finite_pack.n_points
     assert back.boundary == finite_pack.boundary
     assert np.array_equal(back.dist, finite_pack.dist)
@@ -448,15 +450,55 @@ def test_pack_from_json_malformed_is_typed(text):
 
 
 def test_cylinder_levels_come_from_level_of():
-    obj = _small_cylinder().to_json_dict()
-    del obj["meta"]["levels"]
-    pack = pack_from_json(json.dumps(obj))
-    assert isinstance(pack, cc.CylinderPack)
-    assert pack.levels == _small_cylinder().levels
-    for kind in sorted(cc.packs.KNOWN_DIMS):  # the generators' meta agrees
+    for kind in sorted(cc.packs.KNOWN_DIMS):  # the generators' meta agrees with their sample levels
         pack = cc.generate_pack(kind)
-        if isinstance(pack, cc.CylinderPack):
-            assert pack.levels == tuple(pack.meta["levels"])
+        assert cc.merged_levels(pack)[::-1].tolist() == pytest.approx(pack.meta["levels"], rel=1e-12)
+        if "level_of" in pack.meta:  # a product pack: exactly its positive levels, listed and attained
+            listed = sorted({t for t in pack.meta["level_of"] if t > 0}, reverse=True)
+            assert listed == pack.meta["levels"] == cc.sample_levels(pack)[::-1].tolist()
+
+
+# every generator at its defaults, then the packs the benchmark builds: the
+# experiment configs and the cover-scale interval cylinders (845, 1935, 3855 points)
+REDUCTION_PACKS = [(kind, {}) for kind in sorted(cc.packs.KNOWN_DIMS)] + [
+    ("interval_cylinder", {"n_base": 33, "n_levels": 10}),
+    ("circle_in_disk", {"n_angles": 32, "n_levels": 10}),
+    ("finite_cylinder", {"n_base": 3, "n_levels": 10}),
+    ("interval_cylinder", {"n_base": 65, "n_levels": 12}),
+    ("interval_cylinder", {"n_base": 129, "n_levels": 14}),
+    ("interval_cylinder", {"n_base": 257, "n_levels": 14}),
+]
+
+
+def _assert_lists_are_the_reduction(pack):
+    """The pack is a DiscretePack whose meta lists base_of and level_of are exactly its boundary reduction."""
+    assert type(pack) is cc.DiscretePack
+    assert pack.meta["base_of"] == pack.nearest_boundary.tolist()
+    assert pack.meta["level_of"] == pack.boundary_dist.tolist()
+
+
+@pytest.mark.parametrize(
+    "kind, params", REDUCTION_PACKS, ids=[f"{k}-{'x'.join(map(str, p.values())) or 'default'}" for k, p in REDUCTION_PACKS]
+)
+def test_cylinder_lists_are_the_boundary_reduction(kind, params):
+    pack = cc.generate_pack(kind, **params)
+    assert type(pack) is cc.DiscretePack
+    assert ("base_of" in pack.meta) == (kind in ("finite_cylinder", "interval_cylinder", "cube_face"))
+    if "base_of" in pack.meta:
+        _assert_lists_are_the_reduction(pack)
+    if pack.cylindrical:  # the induced cylinder at the listed levels and at the attained depths, as f reads it
+        for levels in {tuple(sorted(pack.meta["levels"])), tuple(cc.sample_levels(pack).tolist())}:
+            cyl = cylinder_over_boundary(pack, levels)
+            _assert_lists_are_the_reduction(cyl)
+
+
+@pytest.mark.parametrize("kind", ["finite_cylinder", "interval_cylinder", "cube_face"])
+def test_dense_cylinder_file_loads_a_discrete_pack(kind):
+    text = json.dumps(cc.generate_pack(kind).to_json_dict(), sort_keys=True)
+    obj = json.loads(text)
+    pack = cc.validate_pack(obj["points"], obj["dist"], obj["boundary"], meta=obj["meta"])
+    _assert_lists_are_the_reduction(pack)
+    assert json.dumps(pack.to_json_dict(), sort_keys=True) == text
 
 
 POINT_COUNTS = [
@@ -658,8 +700,10 @@ def test_validate_pack_fuzz_returns_a_pack_or_fails_typed(args):
     assert isinstance(pack, cc.DiscretePack) and 0 < len(pack.boundary) < pack.n_points
     if pack.coords is not None:  # what the renderer and boundary_line read
         assert pack.coords.ndim == 2 and len(pack.coords) == pack.n_points and np.isfinite(pack.coords).all()
-    if isinstance(pack, cc.CylinderPack):
-        assert len(pack.base_of) == len(pack.level_of) == pack.n_points
+    assert type(pack) is cc.DiscretePack
+    if "base_of" in pack.meta and "level_of" in pack.meta:  # checked, and kept as given
+        assert pack.meta["base_of"] is meta["base_of"] and pack.meta["level_of"] is meta["level_of"]
+        assert len(pack.meta["base_of"]) == len(pack.meta["level_of"]) == pack.n_points
 
 
 # -- the other loaders on arbitrary JSON -------------------------------------------------------
