@@ -14,7 +14,7 @@ print(f"finite_cylinder: {pack.n_points} points, |X| = {len(pack.boundary)}, "
 
 # Boundary distances are exact levels on product packs.
 deepest = min(pack.interior, key=lambda p: pack.boundary_dist[p])
-print(f"deepest interior point sits at distance {cc.boundary_distance(pack, deepest):g} from X")
+print(f"deepest interior point sits at distance {pack.boundary_dist[deepest]:g} from X")
 
 # A scale ladder realizes the nested neighborhoods W_n = B(X, r_n).
 ladder = cc.default_ladder(pack)

@@ -30,7 +30,7 @@ print(f"all-pairs verdict:    accept = {bad.accept}, floor value = {bad.floor_va
 diag = cc.diagonal(pack)
 assert cc.compose(diag, e) == e
 x = sorted(pack.interior)[5]
-assert cc.ball(cc.compose(e, e), x) == cc.image(e, cc.ball(e, x))
+assert cc.compose(e, e).ball(x) == e.image(e.ball(x))
 print("compose/ball/image identities check out")
 
 # Balls of an accepted relation cover the interior; the cover is uniform.

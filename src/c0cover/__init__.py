@@ -55,7 +55,6 @@ from .packs import (
     PackKind,
     ScaleLadder,
     annulus,
-    boundary_distance,
     default_ladder,
     generate_pack,
     h_profile,
@@ -67,7 +66,6 @@ from .relations import (
     CurveVerdict,
     LambdaSpec,
     Relation,
-    ball,
     ball_cover,
     c0_modulus,
     compose,
@@ -75,8 +73,6 @@ from .relations import (
     diag_nbhd_from_lambda,
     diagonal,
     full_relation,
-    image,
-    inverse,
     shrink_cover,
 )
 from .svg import emit_svg

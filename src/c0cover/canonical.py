@@ -19,10 +19,10 @@ import numpy as np
 from .covers import (
     Cover,
     RefinementWitness,
-    _distinct_rows,
     _incidence,
     _index_arrays,
     _interior_cover,
+    _uniform_at_floor,
     common_multiplicity,
     lebesgue_number,
     mesh,
@@ -44,7 +44,7 @@ from .errors import (
     UniformityRejected,
 )
 from .packs import DiscretePack, ScaleLadder, boundary_line, default_ladder, merged_levels
-from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus, image
+from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus
 
 
 # -- the Ext map -----------------------------------------------------------------
@@ -80,7 +80,8 @@ def ext_family(pack: DiscretePack, in_u: np.ndarray) -> np.ndarray:
 
 
 def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray]) -> np.ndarray:
-    """The nonempty rows U & annulus n for U in betas[n], deduplicated in order."""
+    """The rows U & annulus n for U in betas[n], family after family; empty
+    and repeated rows are left for ``_interior_cover`` to drop."""
     n_ann = len(ladder) - 2
     if len(betas) < n_ann:
         raise LadderExhausted(f"need {n_ann} beta families, have {len(betas)}")
@@ -91,10 +92,7 @@ def _slice(pack: DiscretePack, ladder: ScaleLadder, betas: Sequence[np.ndarray])
         if not betas[n][:, bd == 0].any(axis=0).all():
             raise BetaDoesNotCoverBoundary(n)
     # the radii are positive, so annulus n (r_{n+2}, r_n) misses the boundary
-    sliced = [betas[n] & ((bd > radii[n + 2]) & (bd < radii[n])) for n in range(n_ann)]
-    rows = np.concatenate(sliced)
-    keep = np.flatnonzero(rows.any(axis=1))
-    return rows[np.sort(keep[_distinct_rows(np.packbits(rows[keep], axis=1))[0]])]
+    return np.concatenate([betas[n] & ((bd > radii[n + 2]) & (bd < radii[n])) for n in range(n_ann)])
 
 
 def build_alpha(
@@ -222,7 +220,7 @@ def refine_subsequence(
     beta_j & annulus j holds p.  ``require_cover`` turns a broken invariant
     into a typed NotACover.
     """
-    if not uniformity_verdict(pack, ladder, gamma, unif_tol).accept:
+    if not _uniform_at_floor(pack, ladder, gamma, unif_tol):
         raise UniformityRejected("gamma fails the uniformity verdict")
     indices = subsequence_indices(pack, ladder, betas, gamma)
     sub = ScaleLadder(tuple(ladder[i] for i in indices))
@@ -294,7 +292,7 @@ def canonical_refining(pack: DiscretePack, gamma: Cover) -> Cover:
 def star_expand_members(e: Relation, beta, gamma) -> list[frozenset]:
     """The raw members {E(star(beta, U)) : U in gamma}."""
     g_members = gamma.members if isinstance(gamma, Cover) else gamma
-    return [image(e, star(beta, u)) for u in g_members]
+    return [e.image(star(beta, u)) for u in g_members]
 
 
 def star_expand(

@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .canonical import minimal_canonical, provider_for
+from .canonical import minimal_canonical
 from .covers import cover_from_json, cover_to_json
 from .errors import C0CoverError
 from .experiment import ExperimentConfig, report_to_json, run_experiment
@@ -84,7 +84,7 @@ def _dispatch(args) -> int:
             ladder_from_json(Path(args.ladder).read_text()) if args.ladder else default_ladder(pack)
         )
         gamma = ball_cover(controlled_E(pack, ladder, LambdaSpec.identity(ladder)))
-        alpha, report = minimal_canonical(pack, gamma, provider_for(pack), ladder)
+        alpha, report = minimal_canonical(pack, gamma, ladder=ladder)
         Path(args.out).write_text(cover_to_json(alpha))
         if args.report:
             Path(args.report).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2))
@@ -100,7 +100,7 @@ def _dispatch(args) -> int:
 
     if args.command == "experiment":
         config = ExperimentConfig.from_dict(read_json(Path(args.config).read_text(), args.config))
-        report, alpha = run_experiment(config, with_alpha=True)
+        report, alpha = run_experiment(config)
         Path(args.out).write_text(report_to_json(report))
         if args.svg:
             Path(args.svg).write_text(emit_svg(alpha.pack, alpha))

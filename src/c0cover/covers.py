@@ -19,7 +19,7 @@ from .errors import (
     NotARefinement,
     PackMismatch,
 )
-from .packs import DiscretePack, ScaleLadder, read_json
+from .packs import DiscretePack, ScaleLadder, _is_int, read_json
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _floor, _point_index, _scale_curve_verdict
 
 # distances gathered at once by the per-size diameter gather, and bytes of bit rows
@@ -227,10 +227,15 @@ def _flatten_in(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _index_arrays(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """A family's ids and offsets: a cover's own, or a plain family's deduplicated and flattened."""
+    """A family's ids and offsets: a cover's own, or a plain family's
+    deduplicated and flattened; BadParams for a plain family holding an id
+    that is no nonnegative integer (numpy would wrap -1 and truncate 1.5)."""
     if isinstance(alpha, Cover):
         return alpha.ids, alpha.offsets
-    return _flatten(_members_of(alpha))
+    members = _members_of(alpha)
+    if not all(_is_int(p) and p >= 0 for p in chain.from_iterable(members)):
+        raise BadParams("point ids of a plain family must be nonnegative integers")
+    return _flatten(members)
 
 
 def _incidence(ids: np.ndarray, offsets: np.ndarray, n: int, dtype=bool) -> np.ndarray:

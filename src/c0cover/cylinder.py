@@ -71,7 +71,7 @@ def cylinder_over_boundary(pack: DiscretePack, levels: Sequence[float]) -> Discr
     if not levels:
         raise BadParams("need at least one positive level")
     bidx = sorted(pack.boundary)
-    meta = {"kind": "induced_cylinder", "source_boundary": bidx}
+    meta = {"kind": "induced_cylinder", "source_boundary": bidx, "known_dim": pack.known_dim, "cylindrical": True}
     return _product_pack(None, pack.dist[np.ix_(bidx, bidx)], levels, meta)
 
 
@@ -185,7 +185,7 @@ def induced_pack(embedding: Embedding) -> DiscretePack:
     """Source points with the host metric pulled back through the embedding."""
     mp = np.array(embedding.mapping)
     src = embedding.source
-    meta = {"kind": "induced", "cylindrical": src.cylindrical}
+    meta = {"kind": "induced", "cylindrical": src.cylindrical, "known_dim": src.known_dim}
     return _derived_pack(embedding.host.dist[np.ix_(mp, mp)], src.boundary, meta)
 
 

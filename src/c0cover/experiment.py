@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .canonical import minimal_canonical, provider_for
+from .canonical import minimal_canonical
 from .covers import (
     Cover,
     multiplicity,
@@ -22,7 +22,7 @@ from .covers import (
     whole_space_cover,
 )
 from .cylinder import lower_bound_check, random_uniform_candidates
-from .errors import BadParams, NonCylindricalPack
+from .errors import BadParams
 from .packs import DiscretePack, PackKind, ScaleLadder, default_ladder, generate_pack
 from .relations import (
     DEFAULT_LIMIT_TOL,
@@ -100,17 +100,10 @@ def _lambda_for(config: ExperimentConfig, ladder: ScaleLadder) -> LambdaSpec:
     raise BadParams(f"unknown lambda kind {config.lambda_kind!r}")
 
 
-def run_experiment(config: ExperimentConfig, with_alpha: bool = False):
-    """Execute the full pipeline for a config; returns the report dict.
-
-    With ``with_alpha`` it returns (report, alpha) instead, alpha being the
-    cover the report describes (the singleton cover for the countable pack).
-    """
-    report, alpha = _experiment(config)
-    return (report, alpha) if with_alpha else report
-
-
-def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
+def run_experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
+    """Execute the full pipeline for a config; returns (report, alpha), alpha
+    being the cover the report describes (the singleton cover for the
+    countable pack)."""
     stages = []
     ok = True
 
@@ -145,19 +138,13 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
     if not pack.cylindrical:
         # a pack with no cylinder structure (countable_example) tells the
         # counterexample: the singleton cover is canonical with multiplicity 1
-        # and no lower bound applies
+        # and no lower bound applies (lower_bound_check refuses the pack)
         singles = singleton_cover(pack)
         sv = uniformity_verdict(pack, ladder, singles, config.unif_tol)
         smult = multiplicity(singles)
-        canonical_flag = singles.covers_flag and sv.accept and smult == 1
-        try:
-            lower_bound_check(pack, singles, ladder, config.unif_tol)
-            refused = False
-        except NonCylindricalPack:
-            refused = True
         stage(
             "countable_counterexample",
-            canonical_flag and refused,
+            singles.covers_flag and sv.accept and smult == 1,
             {
                 "multiplicity": smult,
                 "uniformity": sv.to_dict(),
@@ -170,7 +157,7 @@ def _experiment(config: ExperimentConfig) -> tuple[dict, Cover]:
     gv = uniformity_verdict(pack, ladder, gamma, config.unif_tol)
     stage("ball_cover", gv.accept, {"members": len(gamma), "uniformity": gv.to_dict()})
 
-    alpha, pipeline = minimal_canonical(pack, gamma, provider_for(pack), ladder, config.unif_tol)
+    alpha, pipeline = minimal_canonical(pack, gamma, ladder=ladder, unif_tol=config.unif_tol)
     bound_ok = pipeline.multiplicity <= pipeline.bound_dim_plus_2
     stage("minimal_canonical", pipeline.witness_ok and bound_ok, pipeline.to_dict())
 

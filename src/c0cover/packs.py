@@ -541,11 +541,6 @@ def validate_pack(
     return _derived_pack(dist, boundary, meta)
 
 
-def boundary_distance(pack: DiscretePack, p: int) -> float:
-    """d(p, X); zero exactly on boundary points."""
-    return float(pack.boundary_dist[p])
-
-
 # relative to k_sup, the distance within which two depths count as one level:
 # default_ladder nudges a rung this close to a depth, merged_levels merges them
 _COLLISION_TOL = 1e-12

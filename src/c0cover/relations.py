@@ -163,10 +163,6 @@ def compose(e: Relation, f: Relation) -> Relation:
     return Relation._of(e.pack, e.mask.astype(np.float32) @ f.mask.astype(np.float32) > 0)
 
 
-def inverse(e: Relation) -> Relation:
-    return e.inverse()
-
-
 def _point_index(pack: DiscretePack, points: Iterable[int]) -> np.ndarray:
     """Point ids as an index array; PackMismatch for an id outside the pack."""
     idx = [int(p) for p in points]
@@ -189,14 +185,6 @@ def full_relation(pack: DiscretePack, points: Iterable[int] | None = None) -> Re
     mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
     mask[np.ix_(idx, idx)] = True
     return Relation._of(pack, mask)
-
-
-def ball(e: Relation, x: int) -> frozenset[int]:
-    return e.ball(x)
-
-
-def image(e: Relation, targets: Iterable[int]) -> frozenset[int]:
-    return e.image(targets)
 
 
 def map_relation(e: Relation, f: dict[int, int] | list[int], target: DiscretePack) -> Relation:

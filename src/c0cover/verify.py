@@ -21,8 +21,8 @@ from .covers import (
     preimage_family,
     star,
 )
-from .packs import DiscretePack, validate_pack
-from .relations import Relation, compose, inverse, map_relation
+from .packs import DiscretePack, generate_pack, validate_pack
+from .relations import Relation, compose, map_relation
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def check_identities(seed: int = 0, n_random: int = 10_000) -> list[CheckResult]
             fails[1] += 1
         # (3) E(A) meets B iff A meets E^{-1}(B)  [random subsets]
         runs[2] += 1
-        if bool(e.image(a_set) & b_set) != bool(a_set & inverse(e).image(b_set)):
+        if bool(e.image(a_set) & b_set) != bool(a_set & e.inverse().image(b_set)):
             fails[2] += 1
         # (4) E(B) inside A iff E avoids (Z \ A) x B  [random subsets]
         runs[3] += 1
@@ -162,7 +162,7 @@ def check_identities(seed: int = 0, n_random: int = 10_000) -> list[CheckResult]
     for rep in range(20):
         e = random_relation(rng, frame5, 0.3)
         pairs = e.pairs
-        inv_img = inverse(e)
+        inv_img = e.inverse()
         for a_set in all5:
             za = frozenset(frame5.points) - a_set
             for b_set in all5:
@@ -270,13 +270,13 @@ def check_transfer_lemmas(seed: int = 0, n_each: int = 500) -> list[CheckResult]
         f = random_relation(rng, pack)
         ealpha = image_family(e, alpha)
         lhs = mult_along(ealpha, f)
-        rhs = mult_along(alpha, compose(inverse(e), f))
+        rhs = mult_along(alpha, compose(e.inverse(), f))
         runs += 1
         if lhs > rhs:
             fails += 1
         # second form: mult E(alpha) <= mult along E^{-1}
         runs += 1
-        if multiplicity(ealpha) > mult_along(alpha, inverse(e)):
+        if multiplicity(ealpha) > mult_along(alpha, e.inverse()):
             fails += 1
     res["image-family multiplicity chain"] = (runs, fails)
 
@@ -385,18 +385,15 @@ def check_shrink(seed: int = 0, n_each: int = 200) -> list[CheckResult]:
 # -- suite ---------------------------------------------------------------------------------------
 
 
-def verify_suite(seed: int = 0, sizes: dict | None = None, packs=None) -> SuiteSummary:
+def verify_suite(seed: int = 0, sizes: dict | None = None) -> SuiteSummary:
     sizes = sizes or {}
     results: list[CheckResult] = []
     results += check_identities(seed, sizes.get("identities", 2000))
-    if packs is None:
-        from .packs import generate_pack
-
-        line3 = validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2])
-        small_cyl = generate_pack("finite_cylinder", n_base=2, n_levels=4)
-        rng = np.random.default_rng(seed + 1)
-        rnd = random_pack(rng, 12, 5)
-        packs = [line3, small_cyl, rnd]
+    packs = [
+        validate_pack(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2]),
+        generate_pack("finite_cylinder", n_base=2, n_levels=4),
+        random_pack(np.random.default_rng(seed + 1), 12, 5),
+    ]
     results += check_ext_properties(packs, seed, sizes.get("ext_random", 200))
     results += check_transfer_lemmas(seed, sizes.get("transfer", 500))
     results += check_star_expansion(seed, sizes.get("star", 200))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import c0cover as cc
+from c0cover import covers, relations
 from c0cover.canonical import (
     ExtBetas,
     _build_dim0,
@@ -87,6 +88,17 @@ def test_refine_subsequence_singletons(finite_pack):
     assert indices[0] == 0 and all(b > a for a, b in zip(indices, indices[1:]))
     assert witness.verify()
     assert alpha.covers_flag
+
+
+def test_refine_subsequence_builds_no_curve(finite_pack, monkeypatch):
+    """gamma's uniformity check needs ACCEPT alone: it reads the floor value and builds no curve."""
+    calls = []
+    for module in (covers, relations):
+        real = module._scale_curve_verdict
+        monkeypatch.setattr(module, "_scale_curve_verdict", lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    ladder = cc.default_ladder(finite_pack)
+    cc.refine_subsequence(finite_pack, ladder, ball_betas(finite_pack, 40), cc.singleton_cover(finite_pack))
+    assert calls == []
 
 
 def test_refine_subsequence_ball_cover(finite_pipeline):

@@ -4,7 +4,7 @@ import pytest
 
 import c0cover as cc
 from c0cover.covers import cover_from_json, cover_to_json, image_family
-from c0cover.errors import EmptyMember, MemberOutsideTarget, NotACover, NotARefinement, PackMismatch
+from c0cover.errors import BadParams, EmptyMember, MemberOutsideTarget, NotACover, NotARefinement, PackMismatch
 
 
 def make_pack(n):
@@ -80,7 +80,7 @@ def test_star_equals_delta_image_exhaustive(rng):
         rel = cc.delta_of(alpha)
         for bits in range(256):
             s = frozenset(p for p in pts if (bits >> p) & 1)
-            assert cc.star(alpha, s) == cc.image(rel, s)
+            assert cc.star(alpha, s) == rel.image(s)
 
 
 def test_star_monotone(rng):
@@ -109,6 +109,17 @@ def test_refines_failure():
     fam_b = [frozenset({1, 2})]  # straddles both members
     with pytest.raises(NotARefinement):
         cc.refines(fam_b, fam_a)
+
+
+@pytest.mark.parametrize(
+    "finer, coarser",
+    [([{-1}], [{3}]), ([{1.5}], [{0, 1, 2}]), ([{"a"}], [{3}]), ([{0}], [{0, -1}])],
+    ids=["negative", "fraction", "string", "negative_coarser"],
+)
+def test_refines_refuses_ids_that_are_no_point(finer, coarser):
+    # read as an index, -1 would wrap onto the last point and 1.5 truncate to 1
+    with pytest.raises(BadParams):
+        cc.refines(finer, coarser)
 
 
 def test_lebesgue_whole_target():

@@ -18,6 +18,7 @@ from c0cover.errors import (
     EmptyOuterSet,
     NonCylindricalPack,
     PackMismatch,
+    ProviderMismatch,
     UniformityRejected,
 )
 
@@ -243,6 +244,36 @@ def test_fxf_image_pinned(kind, params, pairs_sha256, dist_sha256, gap):
 def test_image_density_gap_pinned_circle():
     pack = cc.generate_pack("circle_in_disk", n_angles=32, n_levels=10)
     assert image_density_gap(pack) == 4.3730281716954246e-14
+
+
+def test_induced_cylinder_draws_the_generators_candidates():
+    pack = cc.generate_pack("finite_cylinder", n_base=3, n_levels=10)
+    cyl = cylinder_over_boundary(pack, pack.meta["levels"])
+    assert (cyl.cylindrical, cyl.known_dim) == (True, 0)
+    want = cc.random_uniform_candidates(pack, np.random.default_rng(0), 20)
+    got = cc.random_uniform_candidates(cyl, np.random.default_rng(0), 20)
+    assert [(c.ids.tolist(), c.offsets.tolist()) for c in got] == [(c.ids.tolist(), c.offsets.tolist()) for c in want]
+    ladder = cc.default_ladder(cyl)
+    assert all(cc.lower_bound_check(cyl, c, ladder).holds for c in got)
+
+
+def test_induced_interval_cylinder_runs_the_lower_bound():
+    pack = cc.generate_pack("interval_cylinder", n_base=9, n_levels=4)
+    cyl = cylinder_over_boundary(pack, pack.meta["levels"])
+    assert (cyl.cylindrical, cyl.known_dim) == (True, 1)
+    # the singletons are uniform, and their multiplicity 1 refutes the bound on both packs alike
+    got = cc.lower_bound_check(cyl, cc.singleton_cover(cyl))
+    assert got.to_dict() == cc.lower_bound_check(pack, cc.singleton_cover(pack)).to_dict()
+    assert not got.holds
+    # no coordinates give the induced cylinder a base line yet
+    with pytest.raises(ProviderMismatch):
+        cc.random_uniform_candidates(cyl, np.random.default_rng(0), 5)
+
+
+def test_collar_induced_pack_keeps_the_dimension():
+    host = cc.generate_pack("circle_in_disk", n_angles=8, n_levels=3)
+    ind = induced_pack(cc.collar_embedding(host))
+    assert (ind.cylindrical, ind.known_dim) == (True, 1)
 
 
 def test_cylinder_over_boundary_is_a_product_pack(finite_pack):

@@ -21,7 +21,7 @@ SMALL_FINITE = {"kind": "finite_cylinder", "params": {"n_base": 2, "n_levels": 1
 
 
 def test_experiment_finite_passes():
-    rep = run_experiment(ExperimentConfig(**SMALL_FINITE))
+    rep, _ = run_experiment(ExperimentConfig(**SMALL_FINITE))
     assert rep["summary"]["all_pass"]
     assert rep["summary"]["achieved_multiplicity"] == 2
     names = [s["name"] for s in rep["stages"]]
@@ -45,7 +45,7 @@ def test_experiment_computes_the_ball_cover_verdict_once(monkeypatch):
     monkeypatch.setattr(
         covers, "index_stats", lambda pack, ids, offsets: measured.append(ids) or index_stats(pack, ids, offsets)
     )
-    rep = run_experiment(ExperimentConfig(**SMALL_FINITE))
+    rep, _ = run_experiment(ExperimentConfig(**SMALL_FINITE))
     assert rep["summary"]["all_pass"]
     [gamma] = gammas
     # the ball_cover stage, refine_subsequence and the lower-bound sweep all read gamma's verdict
@@ -54,13 +54,13 @@ def test_experiment_computes_the_ball_cover_verdict_once(monkeypatch):
 
 def test_experiment_deterministic():
     cfg = ExperimentConfig(**SMALL_FINITE)
-    a = report_to_json(run_experiment(cfg))
-    b = report_to_json(run_experiment(cfg))
+    a = report_to_json(run_experiment(cfg)[0])
+    b = report_to_json(run_experiment(cfg)[0])
     assert a == b
 
 
 def test_experiment_countable():
-    rep = run_experiment(ExperimentConfig(kind="countable_example", params={"n_y": 6}))
+    rep, _ = run_experiment(ExperimentConfig(kind="countable_example", params={"n_y": 6}))
     assert rep["summary"]["all_pass"]
     assert rep["summary"]["achieved_multiplicity"] == 1
     stage = next(s for s in rep["stages"] if s["name"] == "countable_counterexample")

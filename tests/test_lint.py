@@ -8,8 +8,9 @@ importing, so it is left out, and so is ``from __future__ import ...``.
 A parameter counts as read when its body, nested functions included, loads
 the name.  Dunder methods keep the signature their protocol fixes, so they
 are left out.  Every module-level name a library module assigns is read by
-library code.  Outside ``packs.py`` only the listed functions compare a
-``.kind`` against a generator tag.  Every function the benchmark's tracer
+library code.  No module-level library function only returns a method
+call, attribute or item of its first parameter.  Outside ``packs.py``
+only the listed functions compare a ``.kind`` against a generator tag.  Every function the benchmark's tracer
 wraps exists.
 """
 
@@ -195,6 +196,59 @@ def test_only_the_listed_functions_branch_on_a_generator_tag():
         for where in kind_comparisons(path.read_text(), path.stem, tags)
     ]
     assert found == ["canonical._build_dim1", "cylinder.random_uniform_candidates"]
+
+
+def rewrapped_parameters(source: str, module: str) -> list[str]:
+    """The module-level functions, as ``module.function``, whose body (a
+    docstring aside) is one ``return`` of a method call on the first
+    parameter, or of an attribute or item of it, optionally through
+    ``float``, ``int`` or ``bool``: a second spelling of what the caller
+    can read off the argument itself."""
+
+    def on(node, name) -> bool:
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == name
+
+    out = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+            continue
+        body = fn.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+            continue
+        value = body[0].value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("float", "int", "bool") and len(value.args) == 1:
+            value = value.args[0]
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+            value = value.func  # a method called on the parameter
+        if isinstance(value, (ast.Attribute, ast.Subscript)) and on(value, fn.args.args[0].arg):
+            out.append(f"{module}.{fn.name}")
+    return out
+
+
+def test_the_guard_sees_a_rewrapped_parameter():
+    source = (
+        "def size(pack):\n    return pack.n\n"
+        "def dist(pack, p):\n    \"\"\"A docstring.\"\"\"\n    return float(pack.bd[p])\n"
+        "def ball(e, x):\n    return e.ball(x)\n"
+        "def first(xs):\n    return xs[0]\n"
+        "def other(e, f):\n    return f.ball(e)  # not the first parameter\n"
+        "def compose(e, f):\n    return e.mask @ f.mask  # more than a read of e\n"
+        "def kept(e):\n    e.check()\n    return e.mask\n"
+        "def plain(e):\n    return len(e)\n"
+        "class C:\n    def ball(self, x):\n        return self.balls[x]  # a method, not a module-level function\n"
+    )
+    assert rewrapped_parameters(source, "mod") == ["mod.size", "mod.dist", "mod.ball", "mod.first"]
+
+
+def test_no_function_rewraps_its_first_parameter():
+    """Balls, images, inverses and boundary distances are read off the
+    relation or the pack; a function that only re-spells such a read is a
+    second name for one fact."""
+    assert [where for path in MODULES for where in rewrapped_parameters(path.read_text(), path.stem)] == []
 
 
 def raised_names(source: str) -> set[str]:

@@ -118,10 +118,10 @@ def test_validate_empty_side():
 
 
 def test_boundary_distance(line3, cyl_fixture):
-    assert cc.boundary_distance(line3, 1) == 1.0
-    assert cc.boundary_distance(line3, 0) == 0.0
+    assert line3.boundary_dist[1] == 1.0
+    assert line3.boundary_dist[0] == 0.0
     quarter = next(p for p in cyl_fixture.interior if cyl_fixture.boundary_dist[p] == 0.25)
-    assert cc.boundary_distance(cyl_fixture, quarter) == 0.25
+    assert cyl_fixture.boundary_dist[quarter] == 0.25
 
 
 def test_h_profile_values(cyl_fixture, cyl_ladder):

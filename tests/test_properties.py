@@ -42,8 +42,8 @@ def test_compose_associative_and_inverse_antihomomorphism(pack, seed):
         rels.append(cc.Relation(pack, ((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))))
     e, f, g = rels
     assert cc.compose(cc.compose(e, f), g) == cc.compose(e, cc.compose(f, g))
-    assert cc.inverse(cc.compose(e, f)) == cc.compose(cc.inverse(f), cc.inverse(e))
-    assert cc.inverse(cc.inverse(e)) == e
+    assert cc.compose(e, f).inverse() == cc.compose(f.inverse(), e.inverse())
+    assert e.inverse().inverse() == e
 
 
 @settings(max_examples=60, deadline=None)

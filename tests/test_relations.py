@@ -10,7 +10,7 @@ def test_compose_ball_examples(line3):
     diag = cc.diagonal(line3, line3.points)
     assert cc.compose(diag, diag) == diag
     for p in line3.points:
-        assert cc.ball(diag, p) == {p}
+        assert diag.ball(p) == {p}
     e = cc.Relation(line3, [(0, 1)])
     f = cc.Relation(line3, [(1, 2)])
     assert cc.compose(e, f).pairs == {(0, 2)}
@@ -18,9 +18,9 @@ def test_compose_ball_examples(line3):
 
 def test_inverse_and_image(line3):
     e = cc.Relation(line3, [(0, 1), (1, 2)])
-    assert cc.inverse(e).pairs == {(1, 0), (2, 1)}
-    assert cc.image(e, {1, 2}) == {0, 1}
-    assert cc.ball(e, 1) == {0}
+    assert e.inverse().pairs == {(1, 0), (2, 1)}
+    assert e.image({1, 2}) == {0, 1}
+    assert e.ball(1) == {0}
 
 
 def test_pack_mismatch(line3, cyl_fixture):
@@ -38,12 +38,12 @@ def test_image_meet_identity_exhaustive(rng):
     pts = list(pack.points)
     for _ in range(20):
         e = random_relation(rng, pack, 0.3)
-        inv = cc.inverse(e)
+        inv = e.inverse()
         for bits_a in range(64):
             a = frozenset(p for p in pts if (bits_a >> p) & 1)
             for bits_b in range(64):
                 b = frozenset(p for p in pts if (bits_b >> p) & 1)
-                assert bool(cc.image(e, a) & b) == bool(a & cc.image(inv, b))
+                assert bool(e.image(a) & b) == bool(a & inv.image(b))
 
 
 def test_c0_diagonal_accepts(cyl_fixture, cyl_ladder):
@@ -126,10 +126,10 @@ def test_ball_cover_examples(cyl_fixture, countable_pack):
     cover = cc.ball_cover(e)
     phi = cc.relations.controlled_phi(deep, ladder, lam)
     deepest = min(deep.interior, key=lambda p: deep.boundary_dist[p])
-    deep_ball = cc.ball(e, deepest)
+    deep_ball = e.ball(deepest)
     assert deep.diam(deep_ball) <= 2 * phi.value_at(float(deep.boundary_dist[deepest]))
     shallow = max(deep.interior, key=lambda p: deep.boundary_dist[p])
-    assert deep.diam(deep_ball) < deep.diam(cc.ball(e, shallow))
+    assert deep.diam(deep_ball) < deep.diam(e.ball(shallow))
     assert cover.covers_flag
 
     no_diag = cc.Relation(cyl_fixture, [])
