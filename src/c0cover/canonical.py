@@ -43,7 +43,7 @@ from .errors import (
     ProviderMismatch,
     UniformityRejected,
 )
-from .packs import DiscretePack, ScaleLadder, boundary_line, default_ladder, merged_levels
+from .packs import DiscretePack, ScaleLadder, _point_ids, boundary_line, default_ladder, merged_levels
 from .relations import DEFAULT_LIMIT_TOL, Relation, c0_modulus
 
 
@@ -58,11 +58,11 @@ def ext(pack: DiscretePack, u: frozenset | set) -> frozenset[int]:
     intersections into intersections.  A point with nearest boundary points
     both in U and outside it is in neither v(U) nor v(X \\ U).
     """
-    u = frozenset(u)
-    if not u <= pack.boundary:
+    ids = _point_ids(u, pack.n_points)
+    if not (pack.nearest_boundary[ids] == ids).all():  # only a boundary point is its own nearest one
         raise NotBoundarySubset("ext wants a subset of the boundary")
     in_u = np.zeros((1, pack.n_points), dtype=bool)
-    in_u[0, np.fromiter(u, dtype=np.intp, count=len(u))] = True
+    in_u[0, ids] = True
     return frozenset(np.flatnonzero(ext_family(pack, in_u)[0]).tolist())
 
 

@@ -47,8 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the exhaustive and randomized property sweeps")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--identities", type=int, default=2000)
-    ver.add_argument("--transfer", type=int, default=500)
+    # sizes the user leaves out come from verify_suite's own table
+    ver.add_argument("--identities", type=int, default=argparse.SUPPRESS)
+    ver.add_argument("--transfer", type=int, default=argparse.SUPPRESS)
 
     exp = sub.add_parser("experiment", help="run a configured experiment")
     exp.add_argument("--config", required=True)
@@ -92,7 +93,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        summary = verify_suite(args.seed, {"identities": args.identities, "transfer": args.transfer})
+        summary = verify_suite(args.seed, {k: v for k, v in vars(args).items() if k in ("identities", "transfer")})
         for line in summary.lines():
             print(line)
         print("all pass" if summary.ok else "FAILURES detected")

@@ -4,9 +4,8 @@ Lebesgue numbers, uniformity verdicts, and the scale-dimension oracle."""
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,8 +18,8 @@ from .errors import (
     NotARefinement,
     PackMismatch,
 )
-from .packs import DiscretePack, ScaleLadder, _is_int, read_json
-from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _floor, _point_index, _scale_curve_verdict
+from .packs import DiscretePack, ScaleLadder, _point_ids, read_json
+from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, _check_tol, _floor, _scale_curve_verdict
 
 # distances gathered at once by the per-size diameter gather, and bytes of bit rows
 # gathered at once by refines and by the co-member pair enumeration
@@ -35,17 +34,16 @@ class Cover:
     index arrays: ``ids`` lists every member's point ids in ascending order,
     one member after another, and member i is ``ids[offsets[i]:offsets[i + 1]]``
     (``offsets`` has one entry more than there are members).  ``members`` is
-    the same family as a tuple of frozensets, built on first read unless
-    ``make`` already built it.  ``covers_flag`` records whether the union
-    equals the target; families that deliberately miss the target are legal
-    (refinement machinery needs them).  A cover is not changed after it is
+    the same family as a tuple of frozensets, built on first read.
+    ``covers_flag`` records whether the union equals the target; families
+    that deliberately miss the target are legal (refinement machinery needs them).  A cover is not changed after it is
     made, so it measures its members once (``stats``) for every verdict and
     recursion that reads them.
     """
 
     __slots__ = ("pack", "ids", "offsets", "target", "target_tag", "_members", "_stats")
 
-    def __init__(self, pack, ids, offsets, target, target_tag, members=None, stats=None):
+    def __init__(self, pack, ids, offsets, target, target_tag, stats=None):
         for a in (ids, offsets, *(stats or ())):
             a.setflags(write=False)
         self.pack = pack
@@ -53,7 +51,7 @@ class Cover:
         self.offsets = offsets
         self.target = target
         self.target_tag = target_tag
-        self._members = members
+        self._members = None
         self._stats = stats
 
     @property
@@ -86,40 +84,43 @@ class Cover:
     ) -> "Cover":
         """The cover of the given members, deduplicated in order.
 
-        A frozenset member is taken as it is; any other member is read
-        through ``int``.  EmptyMember for an empty member (unless
-        ``drop_empty``) and MemberOutsideTarget for one that leaves the
-        target, whichever comes first; PackMismatch for a custom target that
-        leaves the pack.
+        Every id, of the members and of a custom target, is read by
+        ``_point_ids`` first: BadParams for one that is no integer.  Then
+        EmptyMember for an empty member (unless ``drop_empty``) and
+        MemberOutsideTarget for one that leaves the target, whichever comes
+        first; PackMismatch for a custom target that leaves the pack.
         """
         if target == "interior":
             tset, tag = pack.interior, "interior"
         elif target == "boundary":
             tset, tag = pack.boundary, "boundary"
         else:
-            tset, tag = frozenset(int(p) for p in target), "custom"
-            outside = tset - frozenset(pack.points)
-            if outside:
-                raise PackMismatch(f"target point {min(outside)} outside the pack")
+            try:
+                tset, tag = frozenset(_point_ids(target, pack.n_points).tolist()), "custom"
+            except PackMismatch as exc:
+                raise PackMismatch(f"target {exc}") from None
+        try:
+            members = [m if type(m) is frozenset else frozenset(m) for m in members]
+        except TypeError:  # a member that is no collection, or holds an unhashable id
+            raise BadParams("cover members must be collections of point ids") from None
+        _point_ids(chain.from_iterable(members))  # every member, repeats included
         seen: set[frozenset] = set()
         out: list[frozenset] = []
-        for m in members:
-            fm = m if type(m) is frozenset else frozenset(map(int, m))
+        for fm in members:
             if not fm:
                 if drop_empty:
                     continue
                 raise EmptyMember("cover members must be nonempty")
             if fm not in seen:
                 if not fm <= tset:
-                    raise MemberOutsideTarget(f"member {sorted(map(int, fm))[:6]}... leaves the target")
+                    raise MemberOutsideTarget(f"member {np.sort(_point_ids(fm))[:6].tolist()}... leaves the target")
                 seen.add(fm)
                 out.append(fm)
         flat, offsets = _flatten(out)
-        n = pack.n_points
         # one sort orders every member: the key puts member i's ids in [i * n, (i + 1) * n)
-        shift = np.repeat(np.arange(len(out), dtype=np.intp) * n, np.diff(offsets))
+        shift = np.repeat(np.arange(len(out), dtype=np.intp) * pack.n_points, np.diff(offsets))
         ids = np.sort(flat + shift) - shift
-        return cls(pack, ids, offsets, tset, tag, tuple(out))
+        return cls(pack, ids, offsets, tset, tag)
 
     def __eq__(self, other):
         return (
@@ -207,35 +208,23 @@ def _distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _flatten(members) -> tuple[np.ndarray, np.ndarray]:
-    """Plain members as a cover's index arrays: every member's ids in its
-    own order, one member after another, and the offsets (plus the end)."""
-    offsets = np.zeros(len(members) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=len(members)), out=offsets[1:])
-    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=int(offsets[-1]))
-    return flat, offsets
-
-
-def _flatten_in(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray]:
-    """``_flatten`` of members over ``pack``; PackMismatch for the first id
-    outside it (numpy indexing would wrap a negative one)."""
-    ids, offsets = _flatten(members)
-    outside = (ids < 0) | (ids >= pack.n_points)
-    if outside.any():
-        raise PackMismatch(f"point {int(ids[outside.argmax()])} outside the pack")
-    return ids, offsets
+def _flatten(members, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Plain members as a cover's index arrays: every member's ids in its own order, one member
+    after another, read by ``_point_ids`` over n points, and the offsets (plus the end)."""
+    offsets = np.array([0, *accumulate(map(len, members))], dtype=np.intp)
+    return _point_ids(chain.from_iterable(members), n), offsets
 
 
 def _index_arrays(alpha) -> tuple[np.ndarray, np.ndarray]:
     """A family's ids and offsets: a cover's own, or a plain family's
     deduplicated and flattened; BadParams for a plain family holding an id
-    that is no nonnegative integer (numpy would wrap -1 and truncate 1.5)."""
+    that is no nonnegative integer (numpy would wrap -1)."""
     if isinstance(alpha, Cover):
         return alpha.ids, alpha.offsets
-    members = _members_of(alpha)
-    if not all(_is_int(p) and p >= 0 for p in chain.from_iterable(members)):
+    ids, offsets = _flatten(_members_of(alpha))
+    if ids.min(initial=0) < 0:
         raise BadParams("point ids of a plain family must be nonnegative integers")
-    return _flatten(members)
+    return ids, offsets
 
 
 def _incidence(ids: np.ndarray, offsets: np.ndarray, n: int, dtype=bool) -> np.ndarray:
@@ -267,20 +256,13 @@ def mult_on(alpha, s: Iterable[int]) -> int:
 def _deepest_point(*families, witness: bool = False) -> tuple[int, object]:
     """The largest number of members through one point, summed over the
     families (each deduplicated), and with ``witness`` the lowest point
-    attaining it (else, or when no member holds a point, None).  Covers
-    count their ids in one bincount; plain families count theirs one by
-    one."""
-    if families and all(isinstance(f, Cover) for f in families):
-        counts = np.bincount(np.concatenate([f.ids for f in families]))
-        if not len(counts):
-            return 0, None
-        p = int(counts.argmax())  # the first maximum: the lowest id
-        return int(counts[p]), (p if witness else None)
-    counts = Counter(p for fam in families for m in _members_of(fam) for p in m)
-    best = max(counts.values(), default=0)
-    if not (witness and counts):
-        return best, None
-    return best, min(p for p, c in counts.items() if c == best)
+    attaining it (else, or when no member holds a point, None): one
+    bincount over the families' ``_index_arrays``."""
+    counts = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp), *(_index_arrays(f)[0] for f in families)]))
+    if not len(counts):
+        return 0, None
+    p = int(counts.argmax())  # the first maximum: the lowest id
+    return int(counts[p]), (p if witness else None)
 
 
 def multiplicity(alpha) -> int:
@@ -441,8 +423,8 @@ def _sweep_pairs(
 
 def member_stats(pack: DiscretePack, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``index_stats`` of a sequence of nonempty point sets, taken as given;
-    PackMismatch for a point outside the pack."""
-    return index_stats(pack, *_flatten_in(pack, members))
+    BadParams for an id that is no integer, PackMismatch for a point outside the pack."""
+    return index_stats(pack, *_flatten(members, pack.n_points))
 
 
 def _stats_of(pack: DiscretePack, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -574,15 +556,15 @@ def lebesgue_number(
 
     d(., empty) caps at the target diameter.  Every subset of the target with
     diameter < L embeds in some member.  NotACover for a target point in no
-    member, PackMismatch for a member or target point outside the pack.
+    member; ids are read by ``_point_ids`` over the pack.
     """
-    tgt = np.unique(_point_index(pack, target))
+    tgt = np.unique(_point_ids(target, pack.n_points))
     in_tgt = np.zeros(pack.n_points, dtype=bool)
     in_tgt[tgt] = True
     if isinstance(beta, Cover) and beta.pack is pack:
         ids, offsets = beta.ids, beta.offsets
     else:
-        ids, offsets = _flatten_in(pack, _members_of(beta))
+        ids, offsets = _flatten(_members_of(beta), pack.n_points)
     bounds = offsets.tolist()
     here = np.full(pack.n_points, -np.inf)  # max over members U holding p of d(p, target \ U)
     for s, e in zip(bounds, bounds[1:]):
@@ -669,6 +651,6 @@ def cover_from_json(pack: DiscretePack, text: str) -> Cover:
         raise BadParams("cover file must be an object with a list of members")
     members, target = obj["members"], obj.get("target", "interior")
     id_lists = members if target in ("interior", "boundary") else [*members, target]
-    if not all(isinstance(m, list) and all(type(p) is int for p in m) for m in id_lists):
-        raise BadParams("cover members and a custom target must be lists of integer point ids")
+    if not all(isinstance(m, list) for m in id_lists):
+        raise BadParams("cover members and a custom target must be lists of point ids")
     return Cover.make(pack, members, target=target)

@@ -30,6 +30,7 @@ from .packs import (
     merged_levels,
     sample_levels,
     _derived_pack,
+    _point_ids,
     _product_pack,
 )
 from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, c0_modulus
@@ -40,6 +41,7 @@ from .relations import DEFAULT_LIMIT_TOL, CurveVerdict, Relation, c0_modulus
 
 def f_map(pack: DiscretePack, p: int) -> tuple[int, float]:
     """(nearest boundary point, boundary distance); lowest id breaks ties."""
+    [p] = _point_ids([p], pack.n_points).tolist()
     if p in pack.boundary:
         raise BoundaryInput(f"{p} lies on the boundary")
     return int(pack.nearest_boundary[p]), float(pack.boundary_dist[p])
@@ -47,6 +49,7 @@ def f_map(pack: DiscretePack, p: int) -> tuple[int, float]:
 
 def g_map(pack: DiscretePack, z: int, t: float) -> int:
     """Point of {d(., X) >= t} nearest to the boundary point z; lowest id ties."""
+    [z] = _point_ids([z], pack.n_points).tolist()
     if z not in pack.boundary:
         raise BadParams(f"{z} is not a boundary point")
     if t <= 0:
@@ -144,13 +147,13 @@ class Embedding:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mapping) != self.source.n_points:
+        mp = _point_ids(self.mapping, self.host.n_points)
+        if len(mp) != self.source.n_points:
             raise BadParams("mapping must cover every source point")
-        if len(set(self.mapping)) != len(self.mapping):
+        if len(np.unique(mp)) != len(mp):
             raise BadParams("embedding must be injective")
-        for b in self.source.boundary:
-            if self.mapping[b] not in self.host.boundary:
-                raise BadParams("boundary must land on the host boundary")
+        if not frozenset(mp[sorted(self.source.boundary)].tolist()) <= self.host.boundary:
+            raise BadParams("boundary must land on the host boundary")
 
     @property
     def distortion(self) -> float:
@@ -287,11 +290,16 @@ def random_uniform_candidates(
     Overlapping level slabs (at least one shared level) carry overlapping
     base runs (at least one shared sample) wherever the run width allows,
     with sizes proportional to the slab's top level, so every candidate
-    passes the uniformity verdict and witnesses its overlaps on sample
-    points.  Deep slabs fall back to single columns (their base runs would
-    be fatter than the verdict allows); the multiplicity witness lives in
-    the shallow slabs.  Block partitions, which accept the verdict but
-    discretize no open cover, are deliberately not produced.
+    witnesses its overlaps on sample points.  Deep slabs fall back to single
+    columns (their base runs would be fatter than the verdict allows); the
+    multiplicity witness lives in the shallow slabs.  Block partitions,
+    which accept the verdict but discretize no open cover, are deliberately
+    not produced.
+
+    A candidate passes the uniformity verdict only when its members through
+    the deepest level, two to four levels tall, are within unif_tol * k_sup:
+    at seed 0 and unif_tol 0.05 none of 10 does on interval_cylinder 9x4,
+    17x4 or 33x6, and all 10 do on 9x8, 33x10 and 65x12.
 
     Each member is the block of the slot array of ``_column_structure`` under
     one base run and one slab; all candidates are drawn first, then built in

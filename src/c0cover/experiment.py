@@ -54,9 +54,7 @@ class ExperimentConfig:
             raise BadParams("kind must be a string")
         if not isinstance(self.params, dict):
             raise BadParams("params must be an object")
-        if self.ladder is not None and not (
-            isinstance(self.ladder, (list, tuple)) and all(_is_number(r) for r in self.ladder)
-        ):
+        if self.ladder is not None and not isinstance(self.ladder, (list, tuple)):
             raise BadParams("ladder must be a list of numbers")
         if not isinstance(self.lambda_kind, str):
             raise BadParams("lambda_kind must be a string")
@@ -82,10 +80,6 @@ class ExperimentConfig:
         if "kind" not in obj:
             raise BadParams("config needs a kind")
         return cls(**obj)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _lambda_for(config: ExperimentConfig, ladder: ScaleLadder) -> LambdaSpec:

@@ -30,6 +30,7 @@ from .errors import (
     EmptyComplement,
     EmptySide,
     IndexOutOfLadder,
+    PackMismatch,
     ProviderMismatch,
     TriangleViolation,
 )
@@ -205,11 +206,10 @@ class DiscretePack:
         return np.take(self.dist[pts], targets, axis=1).min(axis=1, initial=np.inf)
 
     def diam(self, pts: Iterable[int]) -> float:
-        idx = sorted(pts)
+        idx = _point_ids(pts, self.n_points)
         if len(idx) < 2:
             return 0.0
-        sub = self.dist[np.ix_(idx, idx)]
-        return float(sub.max())
+        return float(self.dist[np.ix_(idx, idx)].max())
 
     def to_json_dict(self) -> dict:
         meta = dict(self.meta)
@@ -417,6 +417,28 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
 
 
+def _point_ids(xs, n: int | None = None) -> np.ndarray:
+    """Point ids as an index array, for every entry point that indexes by ids a caller gave.
+
+    As ``_finite_numbers`` does, it checks the distinct types once per call:
+    BadParams unless each id is an integer, numpy's included, and no bool.
+    Given the pack size n, PackMismatch for the lowest id outside 0..n-1, an
+    int past int64 included; with no n, BadParams for an int past int64.
+    """
+    try:
+        xs = list(_listed(xs))
+    except TypeError:  # a scalar, not a collection of ids
+        raise BadParams("point ids must be a collection of integers") from None
+    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, xs))):
+        raise BadParams("point ids must be integers")
+    if n is not None and xs and (min(xs) < 0 or max(xs) >= n):
+        raise PackMismatch(f"point {min(p for p in xs if not 0 <= p < n)} outside the pack")
+    try:
+        return np.array(xs, dtype=np.intp)
+    except OverflowError:  # with no n: an int past int64
+        raise BadParams("point ids must fit in int64") from None
+
+
 def _finite_numbers(xs: list) -> bool:
     """Every item of ``xs`` is a finite int or float, numpy's included, and none a bool."""
     number = (int, float, np.integer, np.floating)
@@ -524,16 +546,14 @@ def validate_pack(
         raise BadParams("points must be a count or a sequence of ids") from None
     if n_pts != n:
         raise BadParams("points and distance matrix disagree in size")
-    try:
-        mask = list(boundary_mask)
-    except TypeError:
-        mask = [None]  # not a sequence: neither form below accepts it
-    if len(mask) == n and all(isinstance(b, (bool, np.bool_)) for b in mask):
+    mask = _listed(boundary_mask)
+    if isinstance(mask, (list, tuple)) and len(mask) == n and set(map(type, mask)) <= {bool, np.bool_}:
         boundary = frozenset(np.flatnonzero(mask).tolist())
-    elif all(map(_is_int, mask)):
-        boundary = frozenset(int(i) for i in mask)
     else:
-        raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points")
+        try:
+            boundary = frozenset(_point_ids(mask).tolist())  # _check_fields refuses an id outside the pack
+        except BadParams:
+            raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points") from None
     if meta is not None and not isinstance(meta, dict):
         raise BadParams("pack meta must be an object")
     meta = dict(meta or {})
@@ -576,14 +596,14 @@ class ScaleLadder:
     radii: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            r = np.array(self.radii, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # an int beyond the float range overflows
-            raise BadLadder("radii must be finite numbers") from None
-        if r.ndim != 1 or len(r) < 3:
+        radii = _listed(self.radii)
+        if not (isinstance(radii, (list, tuple)) and _finite_numbers(list(radii))):
+            raise BadLadder("radii must be finite numbers")
+        r = np.array(radii, dtype=float)
+        if len(r) < 3:
             raise BadLadder("ladder needs at least three rungs")
-        if not (np.isfinite(r[0]) and np.all(r > 0) and np.all(r[1:] < r[:-1])):
-            raise BadLadder("radii must be finite, positive and strictly decreasing")
+        if not (np.all(r > 0) and np.all(r[1:] < r[:-1])):
+            raise BadLadder("radii must be positive and strictly decreasing")
         r.setflags(write=False)
         object.__setattr__(self, "array", r)
 
@@ -1013,6 +1033,5 @@ def ladder_from_json(text: str) -> ScaleLadder:
     radii = read_json(text, "ladder file")
     if not isinstance(radii, list):
         raise BadLadder("ladder file must be a JSON array of radii")
-    if not _finite_numbers(radii):
-        raise BadLadder("radii must be finite numbers")
-    return ScaleLadder(tuple(map(float, radii)))
+    # checked as written, so no string or boolean turns into a radius, then held as floats
+    return ScaleLadder(tuple(ScaleLadder(tuple(radii)).to_json()))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     NotSymmetric,
     PackMismatch,
 )
-from .packs import DiscretePack, ModulusCurve, ScaleLadder, _by_row_blocks, h_profile, read_json
+from .packs import DiscretePack, ModulusCurve, ScaleLadder, _by_row_blocks, _is_int, _point_ids, h_profile, read_json
 
 DEFAULT_LIMIT_TOL = 0.05  # one knob for every decay-to-resolution surrogate
 
@@ -47,29 +48,29 @@ class Relation:
     __slots__ = ("pack", "mask", "_pairs", "_balls")
 
     def __init__(self, pack: DiscretePack, pairs: Iterable[tuple[int, int]]):
-        pairs = frozenset((int(p), int(q)) for p, q in pairs)
+        """The relation of the given (p, q) pairs, their ids read by ``_point_ids``."""
+        pairs = list(pairs)
         n = pack.n_points
-        flat = []
-        for p, q in pairs:
-            if not (0 <= p < n and 0 <= q < n):
-                raise PackMismatch(f"pair ({p},{q}) outside the pack")
-            flat.append(p * n + q)
-        mask = np.zeros(n * n, dtype=bool)
-        mask[flat] = True
-        self._set(pack, mask.reshape(n, n), pairs)
+        ids = _point_ids(chain.from_iterable(pairs), n)
+        if set(map(len, pairs)) - {2}:
+            raise BadParams("relation pairs must be (p, q) pairs of point ids")
+        p, q = ids.reshape(-1, 2).T
+        mask = np.zeros((n, n), dtype=bool)
+        mask[p, q] = True
+        self._set(pack, mask)
 
-    def _set(self, pack: DiscretePack, mask: np.ndarray, pairs: frozenset | None) -> None:
+    def _set(self, pack: DiscretePack, mask: np.ndarray) -> None:
         mask.setflags(write=False)
         self.pack = pack
         self.mask = mask
-        self._pairs = pairs
+        self._pairs = None
         self._balls = None
 
     @classmethod
     def _of(cls, pack: DiscretePack, mask: np.ndarray) -> "Relation":
         """Wrap a fresh n x n bool mask that nothing else writes to."""
         e = cls.__new__(cls)
-        e._set(pack, mask, None)
+        e._set(pack, mask)
         return e
 
     @classmethod
@@ -111,7 +112,10 @@ class Relation:
         return int(np.count_nonzero(self.mask))
 
     def __contains__(self, pair):
-        return pair in self.pairs
+        """One mask entry for a pair of integer ids in the pack; False for anything else."""
+        p, q = pair if isinstance(pair, tuple) and len(pair) == 2 else (None, None)
+        n = len(self.mask)
+        return _is_int(p) and _is_int(q) and 0 <= p < n and 0 <= q < n and bool(self.mask[p, q])
 
     def _ball_index(self) -> dict[int, frozenset[int]]:
         if self._balls is None:
@@ -135,9 +139,8 @@ class Relation:
         return bool(np.array_equal(self.mask, self.mask.T))
 
     def contains_diagonal(self, points: Iterable[int] | None = None) -> bool:
-        pts = np.fromiter(self.pack.interior if points is None else points, dtype=np.intp)
-        inside = ((pts >= 0) & (pts < len(self.mask))).all()
-        return bool(inside and self.mask[pts, pts].all())
+        """(p, p) in E for every given point, the interior by default; False for an id that is no point."""
+        return all((p, p) in self for p in (self.pack.interior if points is None else points))
 
     def union(self, other: "Relation") -> "Relation":
         _same_pack(self, other)
@@ -163,17 +166,8 @@ def compose(e: Relation, f: Relation) -> Relation:
     return Relation._of(e.pack, e.mask.astype(np.float32) @ f.mask.astype(np.float32) > 0)
 
 
-def _point_index(pack: DiscretePack, points: Iterable[int]) -> np.ndarray:
-    """Point ids as an index array; PackMismatch for an id outside the pack."""
-    idx = [int(p) for p in points]
-    for p in idx:
-        if not 0 <= p < pack.n_points:
-            raise PackMismatch(f"point {p} outside the pack")
-    return np.array(idx, dtype=np.intp)
-
-
 def diagonal(pack: DiscretePack, points: Iterable[int] | None = None) -> Relation:
-    idx = _point_index(pack, pack.interior if points is None else points)
+    idx = _point_ids(pack.interior if points is None else points, pack.n_points)
     mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
     mask[idx, idx] = True
     return Relation._of(pack, mask)
@@ -181,7 +175,7 @@ def diagonal(pack: DiscretePack, points: Iterable[int] | None = None) -> Relatio
 
 def full_relation(pack: DiscretePack, points: Iterable[int] | None = None) -> Relation:
     """All ordered pairs; over the whole pack by default (boundary included)."""
-    idx = _point_index(pack, pack.points if points is None else points)
+    idx = _point_ids(pack.points if points is None else points, pack.n_points)
     mask = np.zeros((pack.n_points, pack.n_points), dtype=bool)
     mask[np.ix_(idx, idx)] = True
     return Relation._of(pack, mask)
@@ -193,7 +187,7 @@ def map_relation(e: Relation, f: dict[int, int] | list[int], target: DiscretePac
     ps, qs = np.nonzero(e.mask)
     used = list(set(ps.tolist()).union(qs.tolist()))
     to = np.zeros(e.pack.n_points, dtype=np.intp)
-    to[used] = _point_index(target, map(fm, used))
+    to[used] = _point_ids(map(fm, used), target.n_points)
     mask = np.zeros((target.n_points, target.n_points), dtype=bool)
     mask[to[ps], to[qs]] = True
     return Relation._of(target, mask)
@@ -429,6 +423,6 @@ def relation_from_json(pack: DiscretePack, text: str) -> Relation:
     if not isinstance(pairs, list):
         raise BadParams("relation file must be a JSON list of pairs")
     for pq in pairs:
-        if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
-            raise BadParams(f"relation pair {pq!r} is not two integers")
+        if not (isinstance(pq, list) and len(pq) == 2):
+            raise BadParams(f"relation pair {pq!r} is not two point ids")
     return Relation(pack, pairs)

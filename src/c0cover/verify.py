@@ -92,7 +92,7 @@ def random_subset(rng, pts) -> frozenset:
 # -- the six identities ----------------------------------------------------------------
 
 
-def check_identities(seed: int = 0, n_random: int = 10_000) -> list[CheckResult]:
+def check_identities(seed: int, n_random: int) -> list[CheckResult]:
     """Identities of the relation algebra, brute-forced from the definitions.
 
     Pointwise identities run on a fixed 8-point frame; the two identities
@@ -191,7 +191,7 @@ def _ext_masks(pack: DiscretePack) -> tuple[list[int], int]:
     return out, nb
 
 
-def check_ext_properties(packs, seed: int = 0, n_random: int = 500) -> list[CheckResult]:
+def check_ext_properties(packs, seed: int, n_random: int) -> list[CheckResult]:
     """Exhaustive a)-f) on small packs plus random larger pairs."""
     rng = np.random.default_rng(seed)
     names = [
@@ -258,7 +258,7 @@ def check_ext_properties(packs, seed: int = 0, n_random: int = 500) -> list[Chec
 # -- multiplicity transfer lemmas ------------------------------------------------------------
 
 
-def check_transfer_lemmas(seed: int = 0, n_each: int = 500) -> list[CheckResult]:
+def check_transfer_lemmas(seed: int, n_each: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     res = {}
 
@@ -313,7 +313,7 @@ def check_transfer_lemmas(seed: int = 0, n_each: int = 500) -> list[CheckResult]
 # -- star expansion chain ----------------------------------------------------------------------
 
 
-def check_star_expansion(seed: int = 0, n_each: int = 200) -> list[CheckResult]:
+def check_star_expansion(seed: int, n_each: int) -> list[CheckResult]:
     """mult_E of {E(star(beta, U))} against the composed-relation bound, plus
     the refinement half of the statement."""
     rng = np.random.default_rng(seed)
@@ -355,7 +355,7 @@ def delta_of_family(pack: DiscretePack, fam) -> Relation:
 # -- shrink along a diagonal neighborhood -------------------------------------------------------
 
 
-def check_shrink(seed: int = 0, n_each: int = 200) -> list[CheckResult]:
+def check_shrink(seed: int, n_each: int) -> list[CheckResult]:
     from .covers import Cover
     from .relations import shrink_cover
 

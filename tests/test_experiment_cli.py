@@ -228,6 +228,28 @@ def test_cli_experiment_bad_config_exits_2(tmp_path, config):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_verify_passes_only_the_sizes_given(monkeypatch):
+    # the sizes left out come from verify_suite's own table
+    from c0cover import cli
+    from c0cover.verify import SuiteSummary
+
+    seen = []
+    monkeypatch.setattr(cli, "verify_suite", lambda seed, sizes: seen.append((seed, sizes)) or SuiteSummary(()))
+    assert main(["verify"]) == 0
+    assert main(["verify", "--seed", "3", "--transfer", "7"]) == 0
+    assert seen == [(0, {}), (3, {"transfer": 7})]
+
+
+def test_cli_experiment_bool_ladder_radius_exits_2(tmp_path):
+    # True is no radius, though Python reads it as 1
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text(json.dumps(SMALL_FINITE | {"ladder": [True, 0.5, 0.25]}))
+    assert main(["experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+    with pytest.raises(BadLadder, match="radii must be finite numbers"):
+        run_experiment(ExperimentConfig(**(SMALL_FINITE | {"ladder": [True, 0.5, 0.25]})))
+
+
 @pytest.mark.parametrize("ladder", [[], [2.0], [2.0, 1.0]])
 def test_experiment_short_config_ladder_is_refused(ladder):
     # an empty list is a ladder too short, not a request for the default ladder

@@ -896,6 +896,23 @@ def test_relation_matches_sets(drawn, data):
     assert cc.relations.map_relation(e, fmap, target).pairs == oracle_map_relation(oracle, fmap, target).pairs
 
 
+@settings(max_examples=100, deadline=None)
+@given(packs(), st.data())
+def test_relation_contains_reads_one_mask_entry(drawn, data):
+    """``(p, q) in e`` is ``pairs`` membership for integer ids, numpy's
+    included, and False for anything that is no pair of points: no wrap of
+    -1, no truncation of a fraction, no bool read as an id."""
+    pack, rng = drawn
+    e = cc.Relation.from_mask(pack, data.draw(relation_masks(pack, rng)))
+    n = pack.n_points
+    probes = [(p, q) for p in range(-1, n + 1) for q in range(-1, n + 1)]
+    assert [pq in e for pq in probes] == [pq in e.pairs for pq in probes]
+    assert all((np.int64(p), np.uint8(q)) in e for p, q in e.pairs)
+    p, q = (int(v) for v in rng.integers(0, n, 2))
+    for bad in [(p - n, q), (p + 0.5, q), (float(p), q), (True, q), (p, np.True_), (str(p), q), (p, 2**70), (p,), (p, q, q), p, None]:
+        assert bad not in e
+
+
 @settings(max_examples=80, deadline=None)
 @given(packs(), st.data())
 def test_relation_constructions_match_sets(drawn, data):

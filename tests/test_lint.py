@@ -10,8 +10,9 @@ the name.  Dunder methods keep the signature their protocol fixes, so they
 are left out.  Every module-level name a library module assigns is read by
 library code.  No module-level library function only returns a method
 call, attribute or item of its first parameter.  Outside ``packs.py``
-only the listed functions compare a ``.kind`` against a generator tag.  Every function the benchmark's tracer
-wraps exists.
+only the listed functions compare a ``.kind`` against a generator tag.  No
+library function outside the verify sweeps coerces ids one at a time with
+``int``.  Every function the benchmark's tracer wraps exists.
 """
 
 import ast
@@ -249,6 +250,49 @@ def test_no_function_rewraps_its_first_parameter():
     relation or the pack; a function that only re-spells such a read is a
     second name for one fact."""
     assert [where for path in MODULES for where in rewrapped_parameters(path.read_text(), path.stem)] == []
+
+
+def id_coercions(source: str, module: str) -> list[str]:
+    """The functions, as ``module.function`` (a method as ``module.Class.method``),
+    that coerce ids one at a time: by ``map(int, ...)``, or by an ``int(x)``
+    whose argument is a target of an enclosing comprehension."""
+    out = []
+
+    def visit(node, where, targets):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            targets = targets | {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Name) and (
+                node.func.id == "map" and first.id == "int" or node.func.id == "int" and first.id in targets
+            ):
+                out.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, targets)
+
+    visit(ast.parse(source), module, frozenset())
+    return sorted(set(out))
+
+
+def test_the_guard_sees_an_id_coercion():
+    source = (
+        "def f(xs):\n    return frozenset(map(int, xs))\n"
+        "def g(pairs):\n    return {(int(p), int(q)) for p, q in pairs}\n"
+        "class C:\n    def m(self, xs):\n        return [int(x) for x in xs]\n"
+        "def h(xs, y):\n    return [float(x) for x in xs] + [int(y)]  # no comprehension target\n"
+        "def k(xs):\n    return [int(x[0]) for x in xs]  # an item of the target, not the target\n"
+        "def l(xs):\n    return list(map(float, xs))\n"
+    )
+    assert id_coercions(source, "mod") == ["mod.C.m", "mod.f", "mod.g"]
+
+
+def test_only_the_reader_coerces_ids():
+    """Point ids are read by ``packs._point_ids``, which checks their types
+    once per call; the two verify sweeps convert only the RNG's own draws."""
+    found = [where for path in MODULES for where in id_coercions(path.read_text(), path.stem)]
+    assert found == ["verify.check_identities", "verify.check_transfer_lemmas"]
 
 
 def raised_names(source: str) -> set[str]:

@@ -760,3 +760,19 @@ def test_experiment_config_fuzz_returns_a_config_or_fails_typed(obj):
     except C0CoverError:
         return
     assert isinstance(config.kind, str) and isinstance(config.params, dict)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [(True, 0.5, 0.25), (2.0, np.True_, 0.25), (2.0, "1.0", 0.5), (math.inf, 0.5, 0.25), (2.0, math.nan, 0.5), (10**400, 0.5, 0.25), 5],
+    ids=["bool_top", "numpy_bool", "string", "infinite", "nan", "overflow", "scalar"],
+)
+def test_scale_ladder_refuses_radii_that_are_no_finite_number(radii):
+    with pytest.raises(BadLadder, match="radii must be finite numbers"):
+        cc.ScaleLadder(radii)
+
+
+def test_scale_ladder_keeps_the_radii_as_given():
+    ladder = cc.ScaleLadder((4, np.float64(2.0), 0.5))
+    assert ladder.radii == (4, 2.0, 0.5) and type(ladder[0]) is int
+    assert ladder.array.tolist() == [4.0, 2.0, 0.5]
