@@ -267,9 +267,9 @@ def boundary_ball_cover(pack: DiscretePack, rho: float) -> Cover:
     bidx = sorted(pack.boundary)
     centers = []
     for x in bidx:
-        if all(pack.d(x, c) >= rho for c in centers):
+        if all(pack.dist[x, c] >= rho for c in centers):
             centers.append(x)
-    members = [frozenset(y for y in bidx if pack.d(y, c) < rho) for c in centers]
+    members = [frozenset(y for y in bidx if pack.dist[y, c] < rho) for c in centers]
     return Cover.make(pack, members, target="boundary").require_cover()
 
 
@@ -338,7 +338,7 @@ def _greedy_blocks(pack: DiscretePack, eps: float) -> list[frozenset]:
     blocks: list[list[int]] = []
     for x in sorted(pack.boundary):
         for b in blocks:
-            if all(pack.d(x, y) <= eps for y in b):
+            if all(pack.dist[x, y] <= eps for y in b):
                 b.append(x)
                 break
         else:

@@ -90,9 +90,9 @@ class Cover:
         MemberOutsideTarget for one that leaves the target, whichever comes
         first; PackMismatch for a custom target that leaves the pack.
         """
-        if target == "interior":
+        if isinstance(target, str) and target == "interior":  # an array target is compared by no ==
             tset, tag = pack.interior, "interior"
-        elif target == "boundary":
+        elif isinstance(target, str) and target == "boundary":
             tset, tag = pack.boundary, "boundary"
         else:
             try:
@@ -571,7 +571,9 @@ def lebesgue_number(
         pts = ids[s:e]
         outside = in_tgt.copy()
         outside[pts] = False
-        here[pts] = np.maximum(here[pts], pack.set_dist(pts, np.flatnonzero(outside)))
+        # whole rows first: a contiguous read, then a gather within each row
+        gap = np.take(pack.dist[pts], np.flatnonzero(outside), axis=1).min(axis=1, initial=np.inf)
+        here[pts] = np.maximum(here[pts], gap)
     here = here[tgt]
     covered = here > -np.inf
     if not covered.all():

@@ -29,7 +29,7 @@ from .packs import (
     h_profile,
     merged_levels,
     sample_levels,
-    _derived_pack,
+    _derived_packs,
     _point_ids,
     _product_pack,
 )
@@ -65,7 +65,7 @@ def fg_displacement(pack: DiscretePack, z: int, t: float) -> float:
     """Cylinder distance between (z, t) and f(g(z, t))."""
     y = g_map(pack, z, t)
     z2, t2 = f_map(pack, y)
-    return float(pack.d(z, z2) + abs(t - t2))
+    return float(pack.dist[z, z2] + abs(t - t2))  # g_map has read z
 
 
 def cylinder_over_boundary(pack: DiscretePack, levels: Sequence[float]) -> DiscretePack:
@@ -189,7 +189,7 @@ def induced_pack(embedding: Embedding) -> DiscretePack:
     mp = np.array(embedding.mapping)
     src = embedding.source
     meta = {"kind": "induced", "cylindrical": src.cylindrical, "known_dim": src.known_dim}
-    return _derived_pack(embedding.host.dist[np.ix_(mp, mp)], src.boundary, meta)
+    return _derived_packs(embedding.host.dist[np.ix_(mp, mp)][None], [src.boundary], [meta])[0]
 
 
 def pullback_cover(embedding: Embedding, alpha: Cover) -> Cover:

@@ -26,6 +26,7 @@ from .errors import (
     AsymmetricDistance,
     BadLadder,
     BadParams,
+    C0CoverError,
     DegeneratePack,
     EmptyComplement,
     EmptySide,
@@ -197,11 +198,14 @@ class DiscretePack:
         return None if c is None else np.asarray(c, dtype=float)
 
     def d(self, p: int, q: int) -> float:
+        """d(p, q); both ids are read by ``_point_ids`` over the pack."""
+        p, q = _point_ids([p, q], self.n_points)
         return float(self.dist[p, q])
 
-    def set_dist(self, pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """For each point of the index array ``pts``, its least distance to
-        the index array ``targets``, in one reduction; +inf for no targets."""
+    def set_dist(self, pts: Iterable[int], targets: Iterable[int]) -> np.ndarray:
+        """For each point of ``pts``, its least distance to ``targets``, in one
+        reduction; +inf for no targets.  Both are read by ``_point_ids`` over the pack."""
+        pts, targets = _point_ids(pts, self.n_points), _point_ids(targets, self.n_points)
         # whole rows first: a contiguous read, then a gather within each row
         return np.take(self.dist[pts], targets, axis=1).min(axis=1, initial=np.inf)
 
@@ -224,28 +228,41 @@ class DiscretePack:
         }
 
 
-def _nearest_boundary(dist: np.ndarray, boundary: frozenset[int]) -> tuple[np.ndarray, ...]:
-    """The one reduction over the boundary columns: d(p, X), the lowest
-    nearest boundary id and the tie pairs, as ``DiscretePack`` stores them."""
-    bidx = np.array(sorted(boundary), dtype=np.intp)
-    block = dist[:, bidx]
-    j = block.argmin(axis=1)  # the first minimum: the lowest boundary id
-    bdist = block[np.arange(len(j)), j]
+def _nearest_boundary(dist: np.ndarray, boundaries: Sequence[frozenset[int]]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The one reduction over the boundary columns, for a stack ``dist`` of
+    (s, n, n) matrices with one boundary each: d(p, X), the lowest nearest
+    boundary id and the tie pairs of every pack, as ``DiscretePack`` stores them.
+
+    One gather reads the columns of every boundary id of the stack; a column
+    that is not in a pack's own boundary reads +inf for that pack.  Returns
+    the (s, n) distances and ids and a list of s tie arrays.
+    """
+    s, n = dist.shape[0], dist.shape[1]
+    own = np.zeros((s, n), dtype=bool)
+    own.flat[[i * n + x for i, boundary in enumerate(boundaries) for x in boundary]] = True
+    cols = np.flatnonzero(own.any(axis=0))
+    block = dist[:, :, cols]
+    if any(len(boundary) < len(cols) for boundary in boundaries):
+        block = np.where(own[:, None, cols], block, np.inf)
+    bdist = block.min(axis=2)
     # the minimum is one of the row's entries, so a tie is an exact ==
-    nearest = block == bdist[:, None]
-    tied = np.count_nonzero(nearest, axis=1) > 1
-    tied[bidx] = False  # a boundary point is its own nearest point
-    p, k = np.nonzero(nearest[tied])
-    ties = np.column_stack([np.flatnonzero(tied)[p], bidx[k]])
-    near = bidx[j]
-    bdist[bidx] = 0.0
-    near[bidx] = bidx
+    nearest = block == bdist[:, :, None]
+    near = cols[nearest.argmax(axis=2)]  # the first minimum: the lowest boundary id
+    tied = nearest.sum(axis=2) > 1
+    tied[own] = False  # a boundary point is its own nearest point
+    k, p, x = np.nonzero(nearest & tied[:, :, None])  # sorted by pack, then p, then x
+    ties = np.split(np.column_stack([p, cols[x]]), np.searchsorted(k, np.arange(1, s)))
+    bdist[own] = 0.0
+    near[own] = np.nonzero(own)[1]
     return bdist, near, ties
 
 
 def _finish_pack(pack: DiscretePack, reduction=None) -> DiscretePack:
     """Store the boundary reduction, unless given one already, and freeze the pack's arrays."""
-    bdist, near, ties = reduction or _nearest_boundary(pack.dist, pack.boundary)
+    if reduction is None:
+        bdist, near, ties = _nearest_boundary(pack.dist[None], [pack.boundary])
+        reduction = bdist[0], near[0], ties[0]
+    bdist, near, ties = reduction
     for a in (bdist, near, ties, pack.dist):
         a.setflags(write=False)
     object.__setattr__(pack, "_bdist", bdist)
@@ -254,20 +271,31 @@ def _finish_pack(pack: DiscretePack, reduction=None) -> DiscretePack:
     return pack
 
 
-def _depth_range(bdist: np.ndarray, boundary: frozenset[int]) -> tuple[float, float]:
-    """(k_sup, delta_res): the largest and smallest boundary distance of an
-    interior point, which must be positive."""
-    depth = np.delete(bdist, sorted(boundary))
-    if depth.min() <= 0:
+def _depth_range(bdist: np.ndarray, near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k_sup, delta_res) of every pack of a stack of (s, n) boundary reductions:
+    the largest and smallest boundary distance of an interior point, which
+    must be positive.  A boundary point is the point that is its own nearest
+    boundary point, and its distance reads 0."""
+    lo = np.where(near == np.arange(near.shape[1]), np.inf, bdist).min(axis=1)
+    if (lo <= 0).any():
         raise DegeneratePack("interior point at distance 0 from the boundary")
-    return float(depth.max()), float(depth.min())
+    return bdist.max(axis=1), lo
 
 
-def _derived_pack(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> DiscretePack:
-    """A finished pack whose ``k_sup`` and ``delta_res`` are read off its boundary reduction."""
-    reduction = _nearest_boundary(dist, boundary)
-    k_sup, delta_res = _depth_range(reduction[0], boundary)
-    return _finish_pack(DiscretePack(dist, boundary, k_sup, delta_res, meta), reduction)
+def _derived_packs(
+    dist: np.ndarray, boundaries: Sequence[frozenset[int]], metas: Sequence[dict]
+) -> list[DiscretePack]:
+    """The finished packs of a stack ``dist`` (s, n, n) with one boundary and one
+    ``meta`` each, their ``k_sup`` and ``delta_res`` read off their boundary
+    reduction; every pack's arrays are read-only views of the stack's."""
+    bdist, near, ties = _nearest_boundary(dist, boundaries)
+    k_sup, delta_res = _depth_range(bdist, near)
+    return [
+        _finish_pack(DiscretePack(d, boundary, hi, lo, meta), reduction)
+        for d, boundary, hi, lo, meta, reduction in zip(
+            dist, boundaries, k_sup.tolist(), delta_res.tolist(), metas, zip(bdist, near, ties)
+        )
+    ]
 
 
 def _cpu_count() -> int:
@@ -375,42 +403,98 @@ def _split_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.nda
         raise failed[0]
 
 
+def _first(fails: np.ndarray) -> int | None:
+    """The index of the first True of ``fails``, None for none."""
+    return int(fails.argmax()) if fails.any() else None
+
+
 def _check_metric(dist: np.ndarray, tol: float) -> None:
-    n = dist.shape[0]
-    if dist.shape != (n, n):
+    """Raise for the first matrix of ``dist``, one (n, n) matrix or a stack of
+    them (s, n, n), that is no metric within ``tol``, what it alone raises.
+
+    The checks run in this order: square shape, finite entries, zero
+    self-distance, symmetry, positive distances between distinct points,
+    then the full triangle check (``_check_triangles``).  Each check reads
+    the whole stack; a matrix that fails one raises once the matrices before
+    it have passed every check.
+    """
+    stack = dist[None] if dist.ndim == 2 else dist
+    s, n = stack.shape[0], stack.shape[1]
+    if s == 0:  # no matrix; an empty slice of a stack need not be square
+        return
+    if stack.shape[2] != n:
         raise BadParams("distance matrix must be square")
-    if not np.isfinite(dist).all():
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        _check_metric(stack[: finite.argmin()], tol)
         raise BadParams("distance matrix has non-finite entries")
-    if np.any(np.abs(np.diag(dist)) > tol):
+    i = _first(np.abs(np.diagonal(stack, axis1=1, axis2=2)).max(axis=1, initial=0.0) > tol)
+    if i is not None:
+        _check_metric(stack[:i], tol)
         raise DegeneratePack("nonzero self-distance")
-    asym = np.abs(dist - dist.T)
-    asym_max = asym.max(initial=0.0)
-    if asym_max > tol:
-        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-        raise AsymmetricDistance(f"d({i},{j}) != d({j},{i})")
-    off = dist.copy()
-    np.fill_diagonal(off, np.inf)
-    if off.min() <= 0:
+    asym = np.abs(stack - stack.transpose(0, 2, 1))
+    asym_max = asym.max(axis=(1, 2), initial=0.0)
+    i = _first(asym_max > tol)
+    if i is not None:
+        _check_metric(stack[:i], tol)
+        p, q = np.unravel_index(int(asym[i].argmax()), (n, n))
+        raise AsymmetricDistance(f"d({p},{q}) != d({q},{p})")
+    off = stack.copy()
+    diagonal = np.arange(n)
+    off[:, diagonal, diagonal] = np.inf
+    i = _first(off.min(axis=(1, 2), initial=np.inf) <= 0)
+    if i is not None:
+        _check_metric(stack[:i], tol)
         raise DegeneratePack("distinct points at distance <= 0")
-    # worst triangle defect d(i,j) - min_k (d(i,k)+d(k,j)); rounding is monotone, so
-    # it equals the largest fl(d(i,j) - fl(d(i,k)+d(k,j))) bit for bit.  The pairs
-    # below the diagonal are those above it in the transpose, which an exactly
-    # symmetric matrix need not check again.  asym is no longer needed: reuse it.
-    buf = asym.ravel()
-    off_t = off if asym_max == 0 else np.ascontiguousarray(off.T)
-    defect = _min_plus_defects(dist, off, off_t, buf)
-    if off_t is not off:
-        np.maximum(defect, _min_plus_defects(dist.T, off_t, off, buf).T, out=defect)
-    worst = defect.max(initial=-np.inf)
-    if worst > tol:
-        # report what a scan over k reports: the first k reaching the worst
-        # defect, then the first such pair (i, j) in row-major order
-        i, j = np.nonzero(defect == worst)
-        gap = dist[i, j]
-        for k in range(n):
-            hit = np.flatnonzero(gap - (off[i, k] + off[k, j]) == worst)
-            if hit.size:
-                raise TriangleViolation(int(i[hit[0]]), k, int(j[hit[0]]), worst)
+    _check_triangles(stack, off, asym, asym_max, tol)
+
+
+def _check_triangles(dist: np.ndarray, off: np.ndarray, asym: np.ndarray, asym_max: np.ndarray, tol: float) -> None:
+    """Raise TriangleViolation for the first matrix of the stack ``dist`` whose
+    worst defect d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) exceeds ``tol``.
+
+    ``off`` is the stack with +inf on its diagonals, ``asym`` holds |d - d^T|
+    with its largest entries ``asym_max``.  Rounding is monotone, so the worst
+    defect equals the largest fl(d(i,j) - fl(d(i,k)+d(k,j))) bit for bit.
+    While a chunk of matrices holds at most ``_BLOCK`` triples (i, k, j), one
+    broadcast sums them all and takes the minimum over k, for every pair.  A
+    larger matrix goes through ``_min_plus_defects`` by itself, by rows, in
+    threads once the work pays for them: the pairs above the diagonal, and
+    those below it only if the matrix is not exactly symmetric, since they
+    are the pairs above it in the transpose.  Every path gives the same bits.
+    """
+    s, n = dist.shape[0], dist.shape[1]
+    if n**3 <= _BLOCK:
+        step = _BLOCK // max(n**3, 1)
+        for lo in range(0, s, step):
+            o = off[lo : lo + step]
+            defect = dist[lo : lo + step] - (o[:, :, :, None] + o[:, None, :, :]).min(axis=2, initial=np.inf)
+            defect[:, np.arange(n), np.arange(n)] = -np.inf
+            worst = defect.max(axis=(1, 2), initial=-np.inf)
+            i = _first(worst > tol)
+            if i is not None:
+                _raise_violation(dist[lo + i], off[lo + i], defect[i], worst[i])
+        return
+    for d, o, a, a_max in zip(dist, off, asym, asym_max):
+        o_t = o if a_max == 0 else np.ascontiguousarray(o.T)
+        buf = a.ravel()  # asym is no longer needed: reuse it
+        defect = _min_plus_defects(d, o, o_t, buf)
+        if o_t is not o:
+            np.maximum(defect, _min_plus_defects(d.T, o_t, o, buf).T, out=defect)
+        worst = defect.max(initial=-np.inf)
+        if worst > tol:
+            _raise_violation(d, o, defect, worst)
+
+
+def _raise_violation(dist: np.ndarray, off: np.ndarray, defect: np.ndarray, worst) -> None:
+    """Raise what a scan over k reports for one matrix: the first k reaching
+    the worst defect, then the first such pair (i, j) in row-major order."""
+    i, j = np.nonzero(defect == worst)
+    gap = dist[i, j]
+    for k in range(dist.shape[0]):
+        hit = np.flatnonzero(gap - (off[i, k] + off[k, j]) == worst)
+        if hit.size:
+            raise TriangleViolation(int(i[hit[0]]), k, int(j[hit[0]]), worst)
 
 
 def _is_int(x) -> bool:
@@ -476,26 +560,20 @@ def _check_coords(coords, n: int) -> None:
         raise BadParams("pack meta coords must be finite numbers")
 
 
-def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> None:
-    """The invariants of a pack's fields, for ``validate_pack`` and for
-    generator-form pack files alike.
-
-    ``dist`` is a 2-D float array and ``boundary`` a set of integers.  Checks
-    the boundary ids and sides, the metric (``_check_metric``, the full
-    triangle check included), and ``meta["levels"]`` and ``meta["coords"]``
-    if present.  A ``meta`` holding both cylinder lists ``base_of`` and
-    ``level_of`` must give one integer base id and one finite level per
-    point; the lists stay in ``meta`` as given.  With ``_depth_range`` on the
-    boundary reduction this is every check ``validate_pack`` makes.
-    """
-    n = dist.shape[0]
+def _check_sides(boundary: frozenset[int], n: int) -> None:
+    """The boundary ids lie in the pack, and neither side is empty."""
     if boundary and not (min(boundary) >= 0 and max(boundary) < n):
         raise BadParams(f"boundary ids must lie in 0..{n - 1}")
     if not boundary:
         raise EmptySide("boundary X is empty")
     if len(boundary) == n:
         raise EmptySide("interior X-hat is empty")
-    _check_metric(dist, DEFAULT_TRIANGLE_TOL)
+
+
+def _check_meta(meta: dict, n: int) -> None:
+    """``meta["levels"]`` and ``meta["coords"]`` if present; a ``meta`` holding
+    both cylinder lists ``base_of`` and ``level_of`` must give one integer base
+    id and one finite level per point, and the lists stay in ``meta`` as given."""
     if not _is_list_of(meta.get("levels", []), lambda t: _is_finite_number(t) and t > 0):
         raise BadParams("pack meta levels must be a list of finite positive levels")
     if meta.get("coords") is not None:  # null coords read as none, as DiscretePack.coords reads them
@@ -505,6 +583,50 @@ def _check_fields(dist: np.ndarray, boundary: frozenset[int], meta: dict) -> Non
             raise BadParams(f"pack meta base_of must be a list of {n} integer base ids")
         if not _is_list_of(meta["level_of"], _is_finite_number, n):
             raise BadParams(f"pack meta level_of must be a list of {n} finite levels")
+
+
+def _check_fields(dist: np.ndarray, boundaries: Sequence[frozenset[int]], metas: Sequence[dict]) -> None:
+    """The invariants of the fields of a stack of packs, for ``_validated_stack``
+    and for generator-form pack files alike.
+
+    ``dist`` is a 3-D float array (s, n, n), one matrix per pack, with a set
+    of integer ids and a ``meta`` dict per pack.  Each pack is checked in
+    this order: its boundary ids and sides (``_check_sides``), its metric
+    (``_check_metric``, the full triangle check included) and its ``meta``
+    (``_check_meta``).  What is raised is what the first failing pack of the
+    stack raises alone.  With ``_depth_range`` on the boundary reduction this
+    is every check ``validate_pack`` makes.
+    """
+    n = dist.shape[1]
+    stop, error = len(dist), None  # the metrics of the packs before stop are read
+    for i, (boundary, meta) in enumerate(zip(boundaries, metas)):
+        try:
+            _check_sides(boundary, n)
+        except C0CoverError as exc:
+            stop, error = i, exc
+            break
+        try:
+            _check_meta(meta, n)
+        except C0CoverError as exc:  # the pack's metric is checked first
+            stop, error = i + 1, exc
+            break
+    _check_metric(dist[:stop], DEFAULT_TRIANGLE_TOL)
+    if error is not None:
+        raise error
+
+
+def _validated_stack(
+    dist: np.ndarray, boundaries: Sequence[frozenset[int]], metas: Sequence[dict]
+) -> list[DiscretePack]:
+    """``_derived_packs`` of a stack ``dist`` (s, n, n) of same-size distance
+    matrices, with one boundary and one ``meta`` each, after every check that
+    ``validate_pack`` makes.
+
+    A failing stack raises, for its first failing pack in stack order, what
+    ``validate_pack`` raises for that pack alone.
+    """
+    _check_fields(dist, boundaries, metas)
+    return _derived_packs(dist, boundaries, metas)
 
 
 def validate_pack(
@@ -531,7 +653,9 @@ def validate_pack(
     EmptySide for an empty boundary or interior; DegeneratePack for a
     nonzero self-distance, distinct points at distance <= 0 or an interior
     point at distance 0 from the boundary; AsymmetricDistance and
-    TriangleViolation beyond ``DEFAULT_TRIANGLE_TOL``.
+    TriangleViolation beyond ``DEFAULT_TRIANGLE_TOL``.  Once the inputs are
+    read, the checks and the pack are those of ``_validated_stack`` on a
+    stack of one.
     """
     try:
         dist = np.array(raw_dist, dtype=float)
@@ -556,9 +680,7 @@ def validate_pack(
             raise BadParams("boundary ids must be integers, or the boundary a boolean mask over the points") from None
     if meta is not None and not isinstance(meta, dict):
         raise BadParams("pack meta must be an object")
-    meta = dict(meta or {})
-    _check_fields(dist, boundary, meta)
-    return _derived_pack(dist, boundary, meta)
+    return _validated_stack(dist[None], [boundary], [dict(meta or {})])[0]
 
 
 # relative to k_sup, the distance within which two depths count as one level:
@@ -1020,8 +1142,8 @@ def _generated_pack(obj: dict) -> DiscretePack:
     if not isinstance(spec, dict) or spec.keys() != {"kind", "params"}:
         raise BadParams("the generator must be an object with a kind and params")
     pack = generate_pack(PackKind(spec["kind"], spec["params"]))
-    _check_fields(pack.dist, pack.boundary, pack.meta)
-    _depth_range(pack.boundary_dist, pack.boundary)
+    _check_fields(pack.dist[None], [pack.boundary], [pack.meta])
+    _depth_range(pack.boundary_dist[None], pack.nearest_boundary[None])
     return pack
 
 

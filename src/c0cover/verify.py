@@ -9,6 +9,7 @@ drive these functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .covers import (
     preimage_family,
     star,
 )
-from .packs import DiscretePack, generate_pack, validate_pack
+from .packs import _BLOCK, DiscretePack, _validated_stack, generate_pack, validate_pack
 from .relations import Relation, compose, map_relation
 
 
@@ -55,21 +56,100 @@ class SuiteSummary:
 # -- random instances ----------------------------------------------------------------
 
 
-def random_pack(rng: np.random.Generator, n_points: int, n_boundary: int) -> DiscretePack:
-    """Random planar pack; generic positions keep the metric nondegenerate."""
+class _Draw(NamedTuple):
+    """One random planar pack as drawn, before it is validated: its points in
+    the plane and its boundary ids.  The family, relation, subset and map
+    draws of an instance read only its size and its boundary, so a sweep
+    draws a batch of instances first and then validates their packs
+    together (``_Batch``)."""
+
+    coords: np.ndarray
+    boundary: frozenset[int]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.coords)
+
+    @property
+    def points(self) -> range:
+        return range(len(self.coords))
+
+    @property
+    def interior(self) -> frozenset[int]:
+        return frozenset(self.points) - self.boundary
+
+
+def _planar_dist(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distances of points (..., n, 2), for one pack or a stack of them."""
+    return np.sqrt(((pts[..., :, None, :] - pts[..., None, :, :]) ** 2).sum(axis=-1))
+
+
+def _draw_pack(rng: np.random.Generator, n_points: int, n_boundary: int) -> _Draw:
+    """The draws of one random planar pack; generic positions keep the metric nondegenerate."""
     while True:
         pts = rng.uniform(0.0, 1.0, (n_points, 2))
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        off = d + np.eye(n_points)
-        if off.min() > 1e-4:
+        if (_planar_dist(pts) + np.eye(n_points)).min() > 1e-4:
             break
-    boundary = sorted(rng.permutation(n_points)[:n_boundary].tolist())
-    return validate_pack(n_points, d, boundary, meta={"coords": pts.tolist()})
+    return _Draw(pts, frozenset(rng.permutation(n_points)[:n_boundary].tolist()))
+
+
+def _random_packs(draws: list[_Draw]) -> list[DiscretePack]:
+    """The validated packs of ``draws``, in draw order: one stack per size.
+    Each pack holds its points as ``meta["coords"]``, a list of rows."""
+    by_size: dict[int, list[int]] = {}
+    for i, draw in enumerate(draws):
+        by_size.setdefault(draw.n_points, []).append(i)
+    packs = [None] * len(draws)
+    for idx in by_size.values():
+        stack = _validated_stack(
+            _planar_dist(np.stack([draws[i].coords for i in idx])),
+            [draws[i].boundary for i in idx],
+            [{"coords": draws[i].coords.tolist()} for i in idx],
+        )
+        for i, pack in zip(idx, stack):
+            packs[i] = pack
+    return packs
+
+
+class _Batch:
+    """A sweep's instances drawn but not yet checked: (draws, data) pairs in
+    draw order, with a tuple of ``_Draw`` per instance.
+
+    ``add`` returns nothing while the batch fills.  Once its packs hold
+    ``_BLOCK`` triples (i, k, j), one chunk of the stacked triangle check, or
+    at the sweep's last instance, it validates the batch's packs in one stack
+    per size, returns each instance as (packs, data) and empties the batch.
+    A sweep checks those instances before it draws the next, which reads no
+    draw, so the draws keep their order and memory stays flat however many
+    instances the sweep has.
+    """
+
+    def __init__(self):
+        self.items, self.triples = [], 0
+
+    def add(self, draws: tuple[_Draw, ...], data, last: bool) -> list:
+        self.items.append((draws, data))
+        self.triples += sum(d.n_points**3 for d in draws)
+        if self.triples < _BLOCK and not last:
+            return []
+        packs = iter(_random_packs([d for draws, _ in self.items for d in draws]))
+        out = [(tuple(next(packs) for _ in draws), data) for draws, data in self.items]
+        self.items, self.triples = [], 0
+        return out
+
+
+def random_pack(rng: np.random.Generator, n_points: int, n_boundary: int) -> DiscretePack:
+    """Random planar pack: one draw, validated as a stack of one."""
+    return _random_packs([_draw_pack(rng, n_points, n_boundary)])[0]
+
+
+def _relation_mask(rng, n: int, density: float = 0.25) -> np.ndarray:
+    """The draw of ``random_relation``: an n x n bool mask of about ``density`` pairs."""
+    return rng.uniform(size=(n, n)) < density
 
 
 def random_relation(rng, pack: DiscretePack, density: float = 0.25) -> Relation:
-    n = pack.n_points
-    return Relation.from_mask(pack, rng.uniform(size=(n, n)) < density)
+    return Relation.from_mask(pack, _relation_mask(rng, pack.n_points, density))
 
 
 def random_family(rng, pack: DiscretePack, n_members: int, pts=None) -> list[frozenset]:
@@ -245,13 +325,14 @@ def check_ext_properties(packs, seed: int, n_random: int) -> list[CheckResult]:
             if (inter_u != 0) != (iv != 0):
                 fails[3] += 1
     # random larger instances: property f on random pairs
-    for _ in range(n_random):
-        pack = random_pack(rng, int(rng.integers(10, 16)), int(rng.integers(3, 6)))
-        u1 = random_subset(rng, pack.boundary)
-        u2 = random_subset(rng, pack.boundary)
-        runs[5] += 1
-        if ext(pack, u1 & u2) != ext(pack, u1) & ext(pack, u2):
-            fails[5] += 1
+    batch = _Batch()
+    for i in range(n_random):
+        draw = _draw_pack(rng, int(rng.integers(10, 16)), int(rng.integers(3, 6)))
+        pair = random_subset(rng, draw.boundary), random_subset(rng, draw.boundary)
+        for (pack,), (u1, u2) in batch.add((draw,), pair, i == n_random - 1):
+            runs[5] += 1
+            if ext(pack, u1 & u2) != ext(pack, u1) & ext(pack, u2):
+                fails[5] += 1
     return [CheckResult(n, r, f) for n, r, f in zip(names, runs, fails)]
 
 
@@ -263,48 +344,60 @@ def check_transfer_lemmas(seed: int, n_each: int) -> list[CheckResult]:
     res = {}
 
     runs = fails = 0
-    for _ in range(n_each):
-        pack = random_pack(rng, int(rng.integers(6, 10)), 2)
-        alpha = random_family(rng, pack, int(rng.integers(1, 5)))
-        e = random_relation(rng, pack)
-        f = random_relation(rng, pack)
-        ealpha = image_family(e, alpha)
-        lhs = mult_along(ealpha, f)
-        rhs = mult_along(alpha, compose(e.inverse(), f))
-        runs += 1
-        if lhs > rhs:
-            fails += 1
-        # second form: mult E(alpha) <= mult along E^{-1}
-        runs += 1
-        if multiplicity(ealpha) > mult_along(alpha, e.inverse()):
-            fails += 1
+    batch = _Batch()
+    for i in range(n_each):
+        draw = _draw_pack(rng, int(rng.integers(6, 10)), 2)
+        data = (
+            random_family(rng, draw, int(rng.integers(1, 5))),
+            _relation_mask(rng, draw.n_points),
+            _relation_mask(rng, draw.n_points),
+        )
+        for (pack,), (alpha, e_mask, f_mask) in batch.add((draw,), data, i == n_each - 1):
+            e = Relation.from_mask(pack, e_mask)
+            f = Relation.from_mask(pack, f_mask)
+            ealpha = image_family(e, alpha)
+            lhs = mult_along(ealpha, f)
+            rhs = mult_along(alpha, compose(e.inverse(), f))
+            runs += 1
+            if lhs > rhs:
+                fails += 1
+            # second form: mult E(alpha) <= mult along E^{-1}
+            runs += 1
+            if multiplicity(ealpha) > mult_along(alpha, e.inverse()):
+                fails += 1
     res["image-family multiplicity chain"] = (runs, fails)
 
     runs = fails = 0
-    for _ in range(n_each):
-        src = random_pack(rng, int(rng.integers(6, 10)), 2)
-        dst = random_pack(rng, int(rng.integers(5, 9)), 2)
-        fmap = [int(v) for v in rng.integers(0, dst.n_points, src.n_points)]
-        alpha = random_family(rng, dst, int(rng.integers(1, 5)))
-        e = random_relation(rng, src)
-        lhs = mult_along(preimage_family(fmap, alpha, src.n_points), e)
-        rhs = mult_along(alpha, map_relation(e, fmap, dst))
-        runs += 1
-        if lhs > rhs:
-            fails += 1
+    for i in range(n_each):
+        draws = _draw_pack(rng, int(rng.integers(6, 10)), 2), _draw_pack(rng, int(rng.integers(5, 9)), 2)
+        n_src, n_dst = draws[0].n_points, draws[1].n_points
+        data = (
+            [int(v) for v in rng.integers(0, n_dst, n_src)],
+            random_family(rng, draws[1], int(rng.integers(1, 5))),
+            _relation_mask(rng, n_src),
+        )
+        for (src, dst), (fmap, alpha, e_mask) in batch.add(draws, data, i == n_each - 1):
+            e = Relation.from_mask(src, e_mask)
+            lhs = mult_along(preimage_family(fmap, alpha, src.n_points), e)
+            rhs = mult_along(alpha, map_relation(e, fmap, dst))
+            runs += 1
+            if lhs > rhs:
+                fails += 1
     res["preimage multiplicity bound"] = (runs, fails)
 
     runs = fails = 0
-    for _ in range(n_each):
-        pack = random_pack(rng, int(rng.integers(6, 10)), 2)
-        alpha = _members_of(random_family(rng, pack, int(rng.integers(2, 6))))
-        beta = []
-        for m in alpha:  # one shrink per distinct member: a map on the family
+    for i in range(n_each):
+        draw = _draw_pack(rng, int(rng.integers(6, 10)), 2)
+        family = _members_of(random_family(rng, draw, int(rng.integers(2, 6))))
+        shrunk = []
+        for m in family:  # one shrink per distinct member: a map on the family
             keep = [p for p in sorted(m) if rng.uniform() < 0.7]
-            beta.append(frozenset(keep or [sorted(m)[0]]))
-        runs += 1
-        if multiplicity(beta) > multiplicity(alpha):
-            fails += 1
+            shrunk.append(frozenset(keep or [sorted(m)[0]]))
+        # the packs are validated as every drawn pack is; the bound reads no metric
+        for _, (alpha, beta) in batch.add((draw,), (family, shrunk), i == n_each - 1):
+            runs += 1
+            if multiplicity(beta) > multiplicity(alpha):
+                fails += 1
     res["shrinking surjection bound"] = (runs, fails)
 
     return [CheckResult(k, r, f) for k, (r, f) in res.items()]
@@ -319,29 +412,34 @@ def check_star_expansion(seed: int, n_each: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     runs = fails = 0
     wruns = wfails = 0
-    for _ in range(n_each):
-        pack = random_pack(rng, 8, 2)
-        pts = frozenset(pack.points)
-        beta = random_family(rng, pack, int(rng.integers(2, 5)))
-        gamma = random_family(rng, pack, int(rng.integers(2, 5)))
-        # force covers
-        beta.append(pts - frozenset().union(*beta) or frozenset([0]))
-        gamma.append(pts - frozenset().union(*gamma) or frozenset([0]))
-        beta = [m for m in beta if m]
-        gamma = [m for m in gamma if m]
-        base = random_relation(rng, pack, 0.2)
-        e = Relation(pack, base.pairs | {(q, p) for p, q in base.pairs} | {(p, p) for p in pts})
-        members = [e.image(star(beta, u)) for u in gamma]
-        lhs = mult_along(members, e)
-        chain = compose(delta_of_family(pack, beta), compose(e, e))
-        rhs = mult_along(gamma, chain)
-        runs += 1
-        if lhs > rhs:
-            fails += 1
-        wruns += 1
-        ok = all(any(w <= m for m in members) for w in beta)
-        if not ok:
-            wfails += 1
+    batch = _Batch()
+    for i in range(n_each):
+        draw = _draw_pack(rng, 8, 2)
+        data = (
+            random_family(rng, draw, int(rng.integers(2, 5))),
+            random_family(rng, draw, int(rng.integers(2, 5))),
+            _relation_mask(rng, draw.n_points, 0.2),
+        )
+        for (pack,), (beta, gamma, base_mask) in batch.add((draw,), data, i == n_each - 1):
+            pts = frozenset(pack.points)
+            # force covers
+            beta.append(pts - frozenset().union(*beta) or frozenset([0]))
+            gamma.append(pts - frozenset().union(*gamma) or frozenset([0]))
+            beta = [m for m in beta if m]
+            gamma = [m for m in gamma if m]
+            base = Relation.from_mask(pack, base_mask)
+            e = Relation(pack, base.pairs | {(q, p) for p, q in base.pairs} | {(p, p) for p in pts})
+            members = [e.image(star(beta, u)) for u in gamma]
+            lhs = mult_along(members, e)
+            chain = compose(delta_of_family(pack, beta), compose(e, e))
+            rhs = mult_along(gamma, chain)
+            runs += 1
+            if lhs > rhs:
+                fails += 1
+            wruns += 1
+            ok = all(any(w <= m for m in members) for w in beta)
+            if not ok:
+                wfails += 1
     return [
         CheckResult("star-expansion multiplicity chain", runs, fails),
         CheckResult("star-expansion refined by beta", wruns, wfails),
@@ -361,24 +459,26 @@ def check_shrink(seed: int, n_each: int) -> list[CheckResult]:
 
     rng = np.random.default_rng(seed)
     runs = fails = 0
-    for _ in range(n_each):
-        pack = random_pack(rng, 8, 2)
-        interior = sorted(pack.interior)
+    batch = _Batch()
+    for i in range(n_each):
+        draw = _draw_pack(rng, 8, 2)
+        interior = sorted(draw.interior)
         # partition blocks give a symmetric diagonal neighborhood whose balls
         # are the blocks themselves
         blocks = []
-        perm = [interior[i] for i in rng.permutation(len(interior))]
+        perm = [interior[j] for j in rng.permutation(len(interior))]
         while perm:
             size = int(rng.integers(1, 3))
             blocks.append(frozenset(perm[:size]))
             perm = perm[size:]
-        e = Relation(pack, {(p, q) for b in blocks for p in b for q in b})
-        members = [b | random_subset(rng, interior) for b in blocks]
-        alpha = Cover.make(pack, members, target="interior")
-        gamma = shrink_cover(e, alpha)
-        runs += 1
-        if not gamma.covers_flag or mult_along(gamma, e) > multiplicity(alpha):
-            fails += 1
+        data = blocks, [b | random_subset(rng, interior) for b in blocks]
+        for (pack,), (blocks, members) in batch.add((draw,), data, i == n_each - 1):
+            e = Relation(pack, {(p, q) for b in blocks for p in b for q in b})
+            alpha = Cover.make(pack, members, target="interior")
+            gamma = shrink_cover(e, alpha)
+            runs += 1
+            if not gamma.covers_flag or mult_along(gamma, e) > multiplicity(alpha):
+                fails += 1
     return [CheckResult("ball-shrink multiplicity bound", runs, fails)]
 
 

@@ -32,6 +32,8 @@ BAD = {"fraction": 2.5, "bool": True, "numpy_bool": np.True_, "string": "2", "ne
 ROWS = {
     "Cover.make member": (lambda x: cc.Cover.make(PACK, [[x], [2, 3, 4, 5, 6, 7]]), 3, False),
     "Cover.make target": (lambda x: cc.Cover.make(PACK, [[2]], target=[2, x]), 3, False),
+    # an object array keeps each id as given, where numpy would turn True into 1 and 2.5 into a float array
+    "Cover.make ndarray target": (lambda x: cc.Cover.make(PACK, [[2]], target=np.array([2, x], dtype=object)), 3, False),
     "validate_pack boundary": (lambda x: cc.validate_pack(N, PACK.dist, [0, 1, x]).boundary, 1, False),
     "Relation pairs": (lambda x: cc.Relation(PACK, [(2, x), (x, 2)]), 3, False),
     "diagonal": (lambda x: cc.diagonal(PACK, [2, x]), 3, False),
@@ -53,6 +55,9 @@ ROWS = {
     "fg_displacement": (lambda x: cylinder.fg_displacement(PACK, x, 0.1), 1, False),
     "Embedding.mapping": (lambda x: cylinder.Embedding(PACK, PACK, (*range(N - 1), x)).distortion, N - 1, False),
     "DiscretePack.diam": (lambda x: PACK.diam([2, x]), 3, False),
+    "DiscretePack.d": (lambda x: PACK.d(2, x), 3, False),
+    "DiscretePack.set_dist points": (lambda x: PACK.set_dist([2, x], [0, 1]), 3, False),
+    "DiscretePack.set_dist targets": (lambda x: PACK.set_dist([2, 3], [0, x]), 1, False),
 }
 # set queries: an id that is no point is in no pair
 SET_QUERIES = {
@@ -99,6 +104,20 @@ def test_numpy_integer_ids_read_as_python_ints(row):
     call, good = ROWS[row][:2] if row in ROWS else SET_QUERIES[row]
     for kind in (np.int64, np.int32, np.uint8):
         assert _same(call(kind(good)), call(good))
+
+
+def test_an_integer_array_target_reads_like_the_list():
+    want = cc.Cover.make(PACK, [[2], [3]], target=[2, 3])
+    for dtype in (np.int64, np.int32, np.uint8):
+        got = cc.Cover.make(PACK, [[2], [3]], target=np.array([2, 3], dtype=dtype))
+        assert got == want and got.target_tag == "custom" and {type(p) for p in got.target} == {int}
+
+
+def test_distances_read_through_the_reader_match_the_matrix():
+    assert PACK.d(np.int64(7), 0) == PACK.d(7, 0) == float(PACK.dist[7, 0])
+    got = PACK.set_dist(np.array([7, 2]), np.array([0, 1]))
+    assert got.tobytes() == PACK.dist[[7, 2]][:, [0, 1]].min(axis=1).tobytes()
+    assert PACK.set_dist([2], []).tolist() == [np.inf]
 
 
 def test_a_cover_made_from_numpy_ids_holds_python_ints():
