@@ -301,6 +301,15 @@ def random_uniform_candidates(
     at seed 0 and unif_tol 0.05 none of 10 does on interval_cylinder 9x4,
     17x4 or 33x6, and all 10 do on 9x8, 33x10 and 65x12.
 
+    A slab's base runs are about round(2 * level / gap) samples wide, its
+    top level's.  The gap is span / (nb - 1), with span 2 pi on the circle,
+    so there it is 2 pi / (nb - 1), though circle_in_disk's nb angles lie
+    2 pi / nb apart (the metric's gap is the chord 2 sin(pi / nb)).  The rule
+    stays because the candidate pins, and the reports that draw candidates,
+    hold its draws: with the chord some slab's width changes at 740 of the
+    2,985 circle sizes with 3-599 angles and 6-14 (even) levels, 48x12
+    among them (the top slab's, 8 against 7), so changing it changes outputs.
+
     Each member is the block of the slot array of ``_column_structure`` under
     one base run and one slab; all candidates are drawn first, then built in
     one batch that gathers and measures each distinct member once.

@@ -315,14 +315,15 @@ def _row_cuts(n: int, parts: int) -> list[int]:
 
 
 def _defect_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.ndarray, lo: int, hi: int) -> None:
-    """Rows lo..hi-1 of ``via``: min over k of d(i,k) + d(k,j) for each pair i < j;
-    ``buf`` is scratch space for (hi - lo) * n floats."""
-    n = off.shape[0]
+    """Rows lo..hi-1 of every matrix of the stack ``via`` (s, n, n): min over k
+    of d(i,k) + d(k,j) for each pair i < j; ``buf`` is scratch space for
+    s * (hi - lo) * n floats."""
+    s, n = off.shape[0], off.shape[1]
     for j in range(lo + 1, n):
         top = j if j < hi else hi
-        s = buf[: (top - lo) * n].reshape(top - lo, n)
-        np.add(off[lo:top], off_t[j], out=s)  # s[i, k] = d(i,k) + d(k,j)
-        s.min(axis=1, out=via[lo:top, j])
+        sums = buf[: s * (top - lo) * n].reshape(s, top - lo, n)
+        np.add(off[:, lo:top], off_t[:, j, None], out=sums)  # sums[m, i, k] = d(i,k) + d(k,j)
+        sums.min(axis=2, out=via[:, lo:top, j])
 
 
 #: the fewest triples (i, k, j) that pay for a thread of their own in
@@ -338,22 +339,23 @@ _PART_TRIPLES = 4_000_000
 
 
 def _min_plus_defects(dist: np.ndarray, off: np.ndarray, off_t: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) for the pairs i < j; -inf elsewhere.
+    """d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) for the pairs i < j of
+    every matrix of the stack ``dist`` (s, n, n); -inf elsewhere.
 
-    ``off`` is ``dist`` with +inf on its diagonal, which drops k = i and k = j,
-    and ``off_t`` its transpose as a C-contiguous array; ``buf`` is scratch
-    space for at least n * n floats.
+    ``off`` is ``dist`` with +inf on its diagonals, which drops k = i and
+    k = j, and ``off_t`` the stack of its transposes as a C-contiguous array;
+    ``buf`` is scratch space for at least s * n * n floats.
 
-    A matrix with the triples for two parts of ``_PART_TRIPLES`` is cut by
+    A stack with the triples for two parts of ``_PART_TRIPLES`` is cut by
     rows into parts, one per CPU of the process's affinity set while the work
     pays for them; ``_split_rows`` runs them in threads, each part on its own
     slice of ``buf``, and re-raises an error of any part once all have
-    joined.  A smaller matrix is one part in the caller's thread.  Every
+    joined.  A smaller stack is one part in the caller's thread.  Every
     split gives the same bits.
     """
-    n = dist.shape[0]
-    via = np.full((n, n), np.inf)
-    most = n**3 // 2 // _PART_TRIPLES  # the parts this much work pays for
+    s, n = dist.shape[0], dist.shape[1]
+    via = np.full((s, n, n), np.inf)
+    most = s * n**3 // 2 // _PART_TRIPLES  # the parts this much work pays for
     if most > 1:
         _split_rows(off, off_t, via, buf, min(_cpu_count(), most))
     else:
@@ -362,26 +364,26 @@ def _min_plus_defects(dist: np.ndarray, off: np.ndarray, off_t: np.ndarray, buf:
 
 
 def _split_rows(off: np.ndarray, off_t: np.ndarray, via: np.ndarray, buf: np.ndarray, parts: int) -> None:
-    """All rows of ``via``, as ``_defect_rows`` fills them, in ``parts`` parts of
-    about the same number of pairs.
+    """All rows of the stack ``via``, as ``_defect_rows`` fills them, in
+    ``parts`` parts of about the same number of pairs.
 
-    Part w takes rows [c_w, c_{w+1}) of ``_row_cuts`` and the slice of ``buf``
-    at those rows, n * n floats in all; it reads ``off`` and ``off_t`` and
-    writes only its own rows of ``via``, with the arithmetic of one part, so
-    the result is the same bits for every split.  The caller's thread runs
-    part 0 and the other parts run in threads; a part whose thread cannot
-    start runs in the caller's thread.  An exception in any part, the
-    caller's included, re-raises here once every started thread has joined,
-    since a part that stopped early leaves +inf minima, which read as no
-    defect.
+    Part w takes rows [c_w, c_{w+1}) of ``_row_cuts`` in every matrix and the
+    slice of ``buf`` at those rows, s * n * n floats in all; it reads ``off``
+    and ``off_t`` and writes only its own rows of ``via``, with the arithmetic
+    of one part, so the result is the same bits for every split.  The
+    caller's thread runs part 0 and the other parts run in threads; a part
+    whose thread cannot start runs in the caller's thread.  An exception in
+    any part, the caller's included, re-raises here once every started
+    thread has joined, since a part that stopped early leaves +inf minima,
+    which read as no defect.
     """
-    n = off.shape[0]
+    s, n = off.shape[0], off.shape[1]
     cuts = _row_cuts(n, parts)
     failed, threads = [], []
 
     def part(lo, hi):
         try:
-            _defect_rows(off, off_t, via, buf[lo * n : hi * n], lo, hi)
+            _defect_rows(off, off_t, via, buf[s * lo * n : s * hi * n], lo, hi)
         except BaseException as exc:  # re-raised once every part has joined
             failed.append(exc)
 
@@ -414,9 +416,18 @@ def _check_metric(dist: np.ndarray, tol: float) -> None:
 
     The checks run in this order: square shape, finite entries, zero
     self-distance, symmetry, positive distances between distinct points,
-    then the full triangle check (``_check_triangles``).  Each check reads
-    the whole stack; a matrix that fails one raises once the matrices before
-    it have passed every check.
+    then the full triangle check.  Each check reads the whole stack; a matrix
+    that fails one raises once the matrices before it have passed every check.
+
+    The triangle check is one path for every stack, a single matrix
+    included: ``_min_plus_defects`` takes each matrix's defects d(i,j) - min
+    over k != i, j of (d(i,k) + d(k,j)) by rows, in threads once the stack's
+    work pays for them.  Rounding is monotone, so the worst defect equals the
+    largest fl(d(i,j) - fl(d(i,k)+d(k,j))) bit for bit.  It takes the pairs
+    above the diagonals, and those below them (the pairs above the diagonals
+    of the transposes) only when some matrix is not exactly symmetric: an
+    exactly symmetric matrix's lower pairs mirror its upper ones, so
+    ``_raise_violation`` reports the same triple either way.
     """
     stack = dist[None] if dist.ndim == 2 else dist
     s, n = stack.shape[0], stack.shape[1]
@@ -446,44 +457,16 @@ def _check_metric(dist: np.ndarray, tol: float) -> None:
     if i is not None:
         _check_metric(stack[:i], tol)
         raise DegeneratePack("distinct points at distance <= 0")
-    _check_triangles(stack, off, asym, asym_max, tol)
-
-
-def _check_triangles(dist: np.ndarray, off: np.ndarray, asym: np.ndarray, asym_max: np.ndarray, tol: float) -> None:
-    """Raise TriangleViolation for the first matrix of the stack ``dist`` whose
-    worst defect d(i,j) - min over k != i, j of (d(i,k) + d(k,j)) exceeds ``tol``.
-
-    ``off`` is the stack with +inf on its diagonals, ``asym`` holds |d - d^T|
-    with its largest entries ``asym_max``.  Rounding is monotone, so the worst
-    defect equals the largest fl(d(i,j) - fl(d(i,k)+d(k,j))) bit for bit.
-    While a chunk of matrices holds at most ``_BLOCK`` triples (i, k, j), one
-    broadcast sums them all and takes the minimum over k, for every pair.  A
-    larger matrix goes through ``_min_plus_defects`` by itself, by rows, in
-    threads once the work pays for them: the pairs above the diagonal, and
-    those below it only if the matrix is not exactly symmetric, since they
-    are the pairs above it in the transpose.  Every path gives the same bits.
-    """
-    s, n = dist.shape[0], dist.shape[1]
-    if n**3 <= _BLOCK:
-        step = _BLOCK // max(n**3, 1)
-        for lo in range(0, s, step):
-            o = off[lo : lo + step]
-            defect = dist[lo : lo + step] - (o[:, :, :, None] + o[:, None, :, :]).min(axis=2, initial=np.inf)
-            defect[:, np.arange(n), np.arange(n)] = -np.inf
-            worst = defect.max(axis=(1, 2), initial=-np.inf)
-            i = _first(worst > tol)
-            if i is not None:
-                _raise_violation(dist[lo + i], off[lo + i], defect[i], worst[i])
-        return
-    for d, o, a, a_max in zip(dist, off, asym, asym_max):
-        o_t = o if a_max == 0 else np.ascontiguousarray(o.T)
-        buf = a.ravel()  # asym is no longer needed: reuse it
-        defect = _min_plus_defects(d, o, o_t, buf)
-        if o_t is not o:
-            np.maximum(defect, _min_plus_defects(d.T, o_t, o, buf).T, out=defect)
-        worst = defect.max(initial=-np.inf)
-        if worst > tol:
-            _raise_violation(d, o, defect, worst)
+    buf = asym.ravel()  # asym is no longer needed: reuse it
+    off_t = np.ascontiguousarray(off.transpose(0, 2, 1)) if asym_max.any() else off
+    defect = _min_plus_defects(stack, off, off_t, buf)
+    if off_t is not off:
+        lower = _min_plus_defects(stack.transpose(0, 2, 1), off_t, off, buf)
+        np.maximum(defect, lower.transpose(0, 2, 1), out=defect)
+    worst = defect.max(axis=(1, 2), initial=-np.inf)
+    i = _first(worst > tol)
+    if i is not None:
+        _raise_violation(stack[i], off[i], defect[i], worst[i])
 
 
 def _raise_violation(dist: np.ndarray, off: np.ndarray, defect: np.ndarray, worst) -> None:

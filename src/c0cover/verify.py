@@ -116,12 +116,13 @@ class _Batch:
     draw order, with a tuple of ``_Draw`` per instance.
 
     ``add`` returns nothing while the batch fills.  Once its packs hold
-    ``_BLOCK`` triples (i, k, j), one chunk of the stacked triangle check, or
-    at the sweep's last instance, it validates the batch's packs in one stack
-    per size, returns each instance as (packs, data) and empties the batch.
-    A sweep checks those instances before it draws the next, which reads no
-    draw, so the draws keep their order and memory stays flat however many
-    instances the sweep has.
+    ``_BLOCK`` triples (i, k, j), or at the sweep's last instance, it
+    validates the batch's packs in one stack per size, returns each instance
+    as (packs, data) and empties the batch.  The cap bounds memory only: a
+    batch's stacked checks hold a few n x n floats per pack, and a sweep
+    checks those instances before it draws the next, which reads no draw, so
+    the draws keep their order and memory stays flat however many instances
+    the sweep has.
     """
 
     def __init__(self):

@@ -210,6 +210,25 @@ def test_random_candidates_pinned(kind, params, sha256):
     assert _sha([sorted(sorted(m) for m in c.members) for c in covers]) == sha256
 
 
+def test_circle_runs_take_the_named_gap():
+    # The circle's run widths round(2 * level / gap) take gap = 2 pi / (n - 1), not the
+    # metric's chord 2 sin(pi / n): at 48x12 the top slab's width is 7, where the chord
+    # would make it 8.  The 32x10 pin above draws the same under both rules, so this one
+    # pins the rule.  A slab of width w draws runs of w - 1, w or w + 1 base samples.
+    pack = cc.generate_pack("circle_in_disk", n_angles=48, n_levels=12)
+    _, levels, slots = _column_structure(pack)
+    slot_of = {int(p): rc for rc, p in np.ndenumerate(slots)}
+    drawn = {}  # a member's top level index -> the base run widths drawn there
+    for cover in cc.random_uniform_candidates(pack, np.random.default_rng(0), 20):
+        for member in cover.members:
+            rows, cols = zip(*(slot_of[p] for p in member))
+            drawn.setdefault(min(cols), set()).add(len(set(rows)))
+    widths = [sorted(drawn[a])[len(drawn[a]) // 2] for a in sorted(drawn)]
+    assert widths == [7, 3] + [1] * 9 and drawn[0] == {6, 7, 8}
+    chord = 2 * np.sin(np.pi / 48)
+    assert [max(1, round(2 * t / chord)) for t in levels[:3]] == [8, 3, 1]
+
+
 @pytest.mark.parametrize(
     "kind, params, pairs_sha256, dist_sha256, gap",
     [

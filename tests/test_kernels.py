@@ -1607,8 +1607,37 @@ def test_split_defects_match_the_row_oracle(case, cpus, monkeypatch):
         dist = metric_matrix(np.random.default_rng(n), n, case, 1e-9)
         off = dist.copy()
         np.fill_diagonal(off, np.inf)
-        got = cc.packs._min_plus_defects(dist, off, np.ascontiguousarray(off.T), np.empty(n * n))
+        got = cc.packs._min_plus_defects(dist[None], off[None], np.ascontiguousarray(off.T)[None], np.empty(n * n))[0]
         assert got.tobytes() == oracle_min_plus_defects(dist).tobytes()
+
+
+@st.composite
+def defect_stacks(draw):
+    """1-30 matrices of one size, 2-45 points: exactly symmetric or asymmetric within tol."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, s = draw(st.integers(2, 45)), draw(st.integers(1, 30))
+    cases = draw(st.lists(st.sampled_from(["planar", "integer", "asymmetric"]), min_size=s, max_size=s))
+    return np.stack([metric_matrix(rng, n, case, 1e-9) for case in cases])
+
+
+@settings(max_examples=200, deadline=None)
+@given(defect_stacks(), st.integers(1, 3))
+def test_stacked_defects_match_the_row_oracle(dist, cpus):
+    # one triple a part: every stack splits into one part per CPU
+    with pytest.MonkeyPatch.context() as patch:
+        _recorded_parts(patch, cpus, part_triples=1)
+        off = dist.copy()
+        off[:, np.arange(dist.shape[1]), np.arange(dist.shape[1])] = np.inf
+        got = cc.packs._min_plus_defects(dist, off, np.ascontiguousarray(off.transpose(0, 2, 1)), np.empty(dist.size))
+    assert [m.tobytes() for m in got] == [oracle_min_plus_defects(d).tobytes() for d in dist]
+
+
+def test_a_stack_of_small_matrices_is_one_part(monkeypatch):
+    ranges = _recorded_parts(monkeypatch, 2)
+    rng = np.random.default_rng(8)
+    dist = np.stack([metric_matrix(rng, 8, "planar", 1e-9) for _ in range(50)])
+    _check_metric(dist, 1e-9)
+    assert ranges == [(0, 8)]
 
 
 def test_split_under_fast_thread_switching(monkeypatch):
@@ -1621,7 +1650,7 @@ def test_split_under_fast_thread_switching(monkeypatch):
             dist = metric_matrix(np.random.default_rng(seed), 90, "integer", 1e-9)
             off = dist.copy()
             np.fill_diagonal(off, np.inf)
-            got = cc.packs._min_plus_defects(dist, off, off, np.empty(90 * 90))
+            got = cc.packs._min_plus_defects(dist[None], off[None], off[None], np.empty(90 * 90))[0]
             assert got.tobytes() == oracle_min_plus_defects(dist).tobytes()
     finally:
         sys.setswitchinterval(interval)

@@ -12,11 +12,17 @@ library code.  No module-level library function only returns a method
 call, attribute or item of its first parameter.  Outside ``packs.py``
 only the listed functions compare a ``.kind`` against a generator tag.  No
 library function outside the verify sweeps coerces ids one at a time with
-``int``.  Every function the benchmark's tracer wraps exists.
+``int``.  Every function the benchmark's tracer wraps exists.  Importing
+the library, its CLI, its sweeps and its SVG writer in a fresh interpreter
+loads no package outside the standard library but numpy.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -360,3 +366,30 @@ def test_every_name_the_tracer_wraps_exists():
             owner = getattr(importlib.import_module(f"c0cover.{mod}"), cls)
             for m in methods:
                 assert callable(vars(owner).get(m)), f"{mod}.{cls}.{m}"
+
+
+def added_packages(modules: list[str]) -> set[str]:
+    """The top-level packages outside the standard library that importing ``modules``
+    adds to a fresh interpreter, beyond what the interpreter loaded at startup."""
+    probe = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout))
+
+
+def test_the_guard_sees_a_third_party_import():
+    assert "pytest" in added_packages(["c0cover", "pytest"])
+
+
+def test_the_library_imports_numpy_and_the_standard_library_only():
+    # numpy is the one runtime dependency, and import time is part of every CLI call
+    assert added_packages(["c0cover", "c0cover.cli", "c0cover.verify", "c0cover.svg"]) <= {"c0cover", "numpy"}
