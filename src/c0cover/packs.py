@@ -410,16 +410,25 @@ def _first(fails: np.ndarray) -> int | None:
     return int(fails.argmax()) if fails.any() else None
 
 
-def _check_metric(dist: np.ndarray, tol: float) -> None:
+def _check_metric(dist: np.ndarray, tol: float, offered: Sequence[tuple[frozenset[int], dict]] = ()) -> None:
     """Raise for the first matrix of ``dist``, one (n, n) matrix or a stack of
     them (s, n, n), that is no metric within ``tol``, what it alone raises.
 
     The checks run in this order: square shape, finite entries, zero
     self-distance, symmetry, positive distances between distinct points,
-    then the full triangle check.  Each check reads the whole stack; a matrix
-    that fails one raises once the matrices before it have passed every check.
+    then the proof of the triangle inequality.  Each check reads the whole
+    stack; a matrix that fails one raises once the matrices before it have
+    passed every check.
 
-    The triangle check is one path for every stack, a single matrix
+    The triangle inequality is proved by one of two routes.  ``offered``
+    holds a (boundary, meta) pair for each of the first matrices of the stack
+    whose ``meta`` passed ``_check_meta``; such a matrix whose closed form
+    ``_proved_metric`` certifies in O(n^2) is proved, and every other matrix
+    is scanned.  A certificate holds only where the scan passes, so both
+    routes give the same outcome, and a matrix that fails raises the scan's
+    triple.
+
+    The scan is one path for every stack, a single matrix
     included: ``_min_plus_defects`` takes each matrix's defects d(i,j) - min
     over k != i, j of (d(i,k) + d(k,j)) by rows, in threads once the stack's
     work pays for them.  Rounding is monotone, so the worst defect equals the
@@ -437,17 +446,17 @@ def _check_metric(dist: np.ndarray, tol: float) -> None:
         raise BadParams("distance matrix must be square")
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        _check_metric(stack[: finite.argmin()], tol)
+        _check_metric(stack[: finite.argmin()], tol, offered)
         raise BadParams("distance matrix has non-finite entries")
     i = _first(np.abs(np.diagonal(stack, axis1=1, axis2=2)).max(axis=1, initial=0.0) > tol)
     if i is not None:
-        _check_metric(stack[:i], tol)
+        _check_metric(stack[:i], tol, offered)
         raise DegeneratePack("nonzero self-distance")
     asym = np.abs(stack - stack.transpose(0, 2, 1))
     asym_max = asym.max(axis=(1, 2), initial=0.0)
     i = _first(asym_max > tol)
     if i is not None:
-        _check_metric(stack[:i], tol)
+        _check_metric(stack[:i], tol, offered)
         p, q = np.unravel_index(int(asym[i].argmax()), (n, n))
         raise AsymmetricDistance(f"d({p},{q}) != d({q},{p})")
     off = stack.copy()
@@ -455,18 +464,33 @@ def _check_metric(dist: np.ndarray, tol: float) -> None:
     off[:, diagonal, diagonal] = np.inf
     i = _first(off.min(axis=(1, 2), initial=np.inf) <= 0)
     if i is not None:
-        _check_metric(stack[:i], tol)
+        _check_metric(stack[:i], tol, offered)
         raise DegeneratePack("distinct points at distance <= 0")
-    buf = asym.ravel()  # asym is no longer needed: reuse it
-    off_t = np.ascontiguousarray(off.transpose(0, 2, 1)) if asym_max.any() else off
-    defect = _min_plus_defects(stack, off, off_t, buf)
-    if off_t is not off:
-        lower = _min_plus_defects(stack.transpose(0, 2, 1), off_t, off, buf)
-        np.maximum(defect, lower.transpose(0, 2, 1), out=defect)
+    proved = {i for i, (boundary, meta) in enumerate(offered[:s]) if _proved_metric(stack[i], boundary, meta, tol)}
+    if proved:
+        scan = [i for i in range(s) if i not in proved]
+        if not scan:
+            return
+        stack, off, asym_max = stack[scan], off[scan], asym_max[scan]
+    defect = _triangle_defects(stack, off, not asym_max.any(), asym.ravel())  # asym is no longer needed: reuse it
     worst = defect.max(axis=(1, 2), initial=-np.inf)
     i = _first(worst > tol)
     if i is not None:
         _raise_violation(stack[i], off[i], defect[i], worst[i])
+
+
+def _triangle_defects(stack: np.ndarray, off: np.ndarray, symmetric: bool, buf: np.ndarray) -> np.ndarray:
+    """The defects of the triangle scan of a stack (s, n, n), which ``off``
+    holds with +inf on its diagonals: ``_min_plus_defects`` of the pairs above
+    the diagonals, and, unless every matrix is ``symmetric`` exactly, the larger
+    of each pair's defect and its mirror's below them.  ``buf`` is scratch
+    space for at least s * n * n floats."""
+    if symmetric:
+        return _min_plus_defects(stack, off, off, buf)
+    off_t = np.ascontiguousarray(off.transpose(0, 2, 1))
+    defect = _min_plus_defects(stack, off, off_t, buf)
+    lower = _min_plus_defects(stack.transpose(0, 2, 1), off_t, off, buf)
+    return np.maximum(defect, lower.transpose(0, 2, 1), out=defect)
 
 
 def _raise_violation(dist: np.ndarray, off: np.ndarray, defect: np.ndarray, worst) -> None:
@@ -478,6 +502,112 @@ def _raise_violation(dist: np.ndarray, off: np.ndarray, defect: np.ndarray, wors
         hit = np.flatnonzero(gap - (off[i, k] + off[k, j]) == worst)
         if hit.size:
             raise TriangleViolation(int(i[hit[0]]), k, int(j[hit[0]]), worst)
+
+
+#: the fewest points at which ``_check_fields`` offers the packs' closed forms
+#: to ``_proved_metric``.  Measured on a 2-vCPU x86_64 VM (numpy 2.4.6, best
+#: of 3 medians of 30 ``_check_metric`` calls on random planar packs, per
+#: pack): alone, a proof against the scan took 34 against 65 us at 12 points
+#: and 40 against 109 us at 20; in a stack of 50 it took 18 against 8 us at
+#: 12 points, 18 against 16 at 16 and 19 against 29 at 20.  A stack's scan
+#: is shared, so below 20 points a proof need not pay.
+_PROOF_POINTS = 20
+
+
+def _proved_metric(dist: np.ndarray, boundary: frozenset[int], meta: dict, tol: float) -> bool:
+    """Whether the closed form that ``meta`` records for ``dist`` proves that
+    its triangle scan in ``_check_metric`` passes within ``tol``.  ``dist``
+    has passed every check before the scan, and ``meta`` ``_check_meta``.
+
+    Two forms qualify, each checked in O(n^2) against ``dist`` entry for
+    entry, with the arithmetic of the generator that makes it:
+
+    - a product (``_product_form``): ``base_of`` b and ``level_of`` l give
+      d(p, q) = fl(B[b(p), b(q)] + |fl(l(p) - l(q))|), where B is ``dist`` on
+      the boundary, which sits at level 0 with base ids 0..nb-1.  B's own scan
+      gives its worst defect eps_B; let eps = max(eps_B, 0).
+    - a planar set (``_planar_form``): ``coords`` of width 2 give
+      d(p, q) = fl(sqrt(fl(fl(dx^2) + fl(dy^2)))) with dx = fl(x(p) - x(q)),
+      dy likewise; let eps = 0.
+
+    The certificate holds when tol >= 2^-400 and fl(eps + 2^-49 M) <= tol,
+    M the largest entry of ``dist``.  Anything else, or any mismatch, is no
+    proof, and the matrix is scanned.
+
+    Proof.  Let u = 2^-53.  Every float add, subtract, multiply and square
+    root returns x / (1 + delta) for the exact result x with |delta| <= u,
+    barring overflow and underflow (an add or subtract that underflows is
+    exact), so it is off by at most u times its own result.  Rounding is
+    monotone.  Let rho be the form in exact arithmetic on the same floats:
+    B[b(p), b(q)] + |l(p) - l(q)|, or the Euclidean distance of the rows.
+    Distances between distinct points are positive, so if M <= tol every
+    scanned value fl(d(i,j) - fl(d(i,k) + d(k,j))) is below d(i,j) <= tol.
+    So take M > tol >= 2^-400; then 2^-49 M is exact.  Let p, q be distinct.
+
+    1. |d(p,q) - rho(p,q)| <= 2uM (product) or 4uM + e (planar),
+       e = 2^-536.  Product: B is zero on its diagonal (checked) and positive
+       off it, so B >= 0, and the rounded level gap and the rounded sum are
+       each at most d(p,q) <= M; each rounds once.  Planar: the four
+       roundings give rho = d (1 + theta) with |theta| <= (1 + u)^3 - 1 < 4u;
+       a square that underflows moves the root's argument by at most
+       2^-1074, so the root by at most e.
+    2. rho(i,j) <= rho(i,k) + rho(k,j) + eps', with eps' = eps + 4uM (product)
+       or 0 (planar).  The level gaps and the Euclidean distance satisfy the
+       triangle inequality exactly.  For base ids a, c, e: if two coincide the
+       base part gives at most 0, as B >= 0 and B[a, a] = 0.  If they are
+       distinct, the scan of B met the triple (a, e, c), exactly or as its
+       mirror image when B is exactly symmetric: its value
+       fl(B[a,c] - s) <= eps_B, with s = fl(B[a,e] + B[e,c]), has two
+       roundings of results of size at most 2M, so
+       B[a,c] - B[a,e] - B[e,c] <= eps_B + 4uM.  (An overflowing s means
+       B[a,e] + B[e,c] > B[a,c].)
+    3. The scan's value for (i, k, j) is fl(d(i,j) - s), s = fl(d(i,k) + d(k,j))
+       >= d(i,k) + d(k,j) - 2uM (or s = inf and the value -inf).  By 1 and 2,
+       d(i,j) - s <= eps' + 3 * 2uM + 2uM <= eps + 12uM (product), or
+       <= 14uM + 3e (planar); both are at most eps + 14uM + 3e.
+    4. With c = fl(eps + 16uM) <= tol and c >= 0, eps + 16uM <= c (1 + u)
+       <= tol + u tol, so d(i,j) - s <= tol + u tol - 2uM + 3e < tol, as
+       uM > u tol and uM >= 2^-453 > 3e.  So d(i,j) - s <= tol, and by
+       monotone rounding the scanned value too: the scan passes.
+    """
+    eps = None
+    if "base_of" in meta and "level_of" in meta:
+        eps = _product_form(dist, boundary, meta["base_of"], meta["level_of"])
+    if eps is None and meta.get("coords") is not None:
+        eps = _planar_form(dist, meta["coords"])
+    return eps is not None and tol >= 2.0**-400 and eps + 2.0**-49 * float(dist.max()) <= tol
+
+
+def _product_form(dist: np.ndarray, boundary: frozenset[int], base_of, level_of) -> float | None:
+    """max(eps_B, 0) for the product that ``_proved_metric`` describes, None
+    when ``dist`` is not that product entry for entry.  ``base_of`` and
+    ``level_of`` have passed ``_check_meta``."""
+    base_of, level_of = _listed(base_of), _listed(level_of)
+    nb = len(boundary)
+    if min(base_of) < 0 or max(base_of) >= nb:
+        return None
+    bo, lv = np.array(base_of, dtype=np.intp), np.array(level_of, dtype=float)
+    bidx = np.array(sorted(boundary))
+    if lv[bidx].any() or not np.array_equal(np.sort(bo[bidx]), np.arange(nb)):
+        return None
+    rep = bidx[np.argsort(bo[bidx])]  # the boundary point of each base id
+    base = dist[np.ix_(rep, rep)]
+    if base.diagonal().any() or not _equals_by_row_blocks(dist, _product_rows(base, bo, lv)):
+        return None
+    off = base.copy()
+    np.fill_diagonal(off, np.inf)
+    defect = _triangle_defects(base[None], off[None], np.array_equal(base, base.T), np.empty(nb * nb))
+    return max(float(defect.max(initial=-np.inf)), 0.0)
+
+
+def _planar_form(dist: np.ndarray, coords) -> float | None:
+    """0.0 when ``dist`` holds the Euclidean distances of ``coords``, rows of
+    width 2 that have passed ``_check_meta``, as ``_planar_rows`` computes
+    them, entry for entry; None otherwise."""
+    pts = np.array(_listed(coords), dtype=float)
+    if pts.shape[1] != 2 or not _equals_by_row_blocks(dist, _planar_rows(pts)):
+        return None
+    return 0.0
 
 
 def _is_int(x) -> bool:
@@ -575,25 +705,36 @@ def _check_fields(dist: np.ndarray, boundaries: Sequence[frozenset[int]], metas:
     ``dist`` is a 3-D float array (s, n, n), one matrix per pack, with a set
     of integer ids and a ``meta`` dict per pack.  Each pack is checked in
     this order: its boundary ids and sides (``_check_sides``), its metric
-    (``_check_metric``, the full triangle check included) and its ``meta``
+    (``_check_metric``, which proves the triangle inequality) and its ``meta``
     (``_check_meta``).  What is raised is what the first failing pack of the
     stack raises alone.  With ``_depth_range`` on the boundary reduction this
     is every check ``validate_pack`` makes.
+
+    The triangle inequality is proved by one of two routes: a certificate
+    from the closed form in a pack's ``meta`` (``_proved_metric``), or the
+    scan.  Packs of at least ``_PROOF_POINTS`` points whose ``meta`` passed
+    are offered to the certificate; a pack whose ``meta`` fails is scanned,
+    so its lists are never read before ``_check_meta`` refuses them.
     """
     n = dist.shape[1]
-    stop, error = len(dist), None  # the metrics of the packs before stop are read
+    # the metrics of the packs before stop are read; the closed forms of those before formed may prove them
+    stop = formed = len(dist)
+    error = None
     for i, (boundary, meta) in enumerate(zip(boundaries, metas)):
         try:
             _check_sides(boundary, n)
         except C0CoverError as exc:
-            stop, error = i, exc
+            stop, formed, error = i, i, exc
             break
         try:
             _check_meta(meta, n)
-        except C0CoverError as exc:  # the pack's metric is checked first
-            stop, error = i + 1, exc
+        except C0CoverError as exc:  # the pack's metric is checked first, by the scan
+            stop, formed, error = i + 1, i, exc
             break
-    _check_metric(dist[:stop], DEFAULT_TRIANGLE_TOL)
+    if n < _PROOF_POINTS:  # the scan costs less than a proof: offer none
+        _check_metric(dist[:stop], DEFAULT_TRIANGLE_TOL)
+    else:
+        _check_metric(dist[:stop], DEFAULT_TRIANGLE_TOL, list(zip(boundaries[:formed], metas[:formed])))
     if error is not None:
         raise error
 
@@ -853,15 +994,38 @@ class PackKind:
         return KNOWN_DIMS[self.tag]
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """The row ranges of an n x n matrix in blocks of about ``_BLOCK`` entries."""
+    step = max(1, _BLOCK // n)
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
 def _by_row_blocks(n: int, rows_of: Callable[[slice], np.ndarray], dtype=float) -> np.ndarray:
     """The n x n matrix whose rows ``rows`` are ``rows_of(rows)``, filled a
     block of about ``_BLOCK`` entries at a time, so no temporary is n x n."""
     out = np.empty((n, n), dtype=dtype)
-    step = max(1, _BLOCK // n)
-    for r in range(0, n, step):
-        rows = slice(r, r + step)
+    for rows in _row_blocks(n):
         out[rows] = rows_of(rows)
     return out
+
+
+def _equals_by_row_blocks(dist: np.ndarray, rows_of: Callable[[slice], np.ndarray]) -> bool:
+    """Whether ``dist`` equals ``_by_row_blocks(len(dist), rows_of)`` entry for
+    entry, compared a block at a time up to the first block that differs."""
+    return all(np.array_equal(dist[rows], rows_of(rows)) for rows in _row_blocks(len(dist)))
+
+
+def _product_rows(base_dist: np.ndarray, bo: np.ndarray, lv: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """Rows of the sum metric base_dist[b(p), b(q)] + |l(p) - l(q)| of points
+    with base ids ``bo`` and levels ``lv``."""
+    return lambda rows: base_dist[np.ix_(bo[rows], bo)] + np.abs(lv[rows, None] - lv[None, :])
+
+
+def _planar_rows(pts: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """Rows of the Euclidean distances of points ``pts`` (n, 2)."""
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    # dx^2 + dy^2 in one add: the bits of a sum over the two coordinates, with no (rows, n, 2) temporary
+    return lambda rows: np.sqrt((x[rows, None] - x) ** 2 + (y[rows, None] - y) ** 2)
 
 
 def _geometric_levels(n_levels: int, ratio: float, top: float = 1.0) -> list[float]:
@@ -887,7 +1051,7 @@ def _product_pack(
     nb = base_dist.shape[0]
     bo = np.tile(np.arange(nb), len(levels) + 1)
     lv = np.repeat(np.array([0.0, *levels], dtype=float), nb)
-    dist = _by_row_blocks(len(lv), lambda rows: base_dist[np.ix_(bo[rows], bo)] + np.abs(lv[rows, None] - lv[None, :]))
+    dist = _by_row_blocks(len(lv), _product_rows(base_dist, bo, lv))
     meta = dict(meta, levels=[float(l) for l in levels], base_of=bo.tolist(), level_of=lv.tolist())
     if base_coords is not None:
         meta["coords"] = np.column_stack([base_coords[bo], lv]).tolist()
@@ -933,9 +1097,7 @@ def _gen_circle_in_disk(n_angles: int = 48, n_levels: int = 12, ratio: float = 0
     for t in levels:
         coords.append((1.0 - t) * coords[0])
     pts = np.vstack(coords)
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    # dx^2 + dy^2 in one add: the bits of a sum over the two coordinates, with no (rows, n, 2) temporary
-    dist = _by_row_blocks(len(pts), lambda rows: np.sqrt((x[rows, None] - x) ** 2 + (y[rows, None] - y) ** 2))
+    dist = _by_row_blocks(len(pts), _planar_rows(pts))
     meta = {
         "kind": "circle_in_disk",
         "known_dim": 1,
@@ -1096,11 +1258,15 @@ def pack_to_json(pack: DiscretePack) -> str:
 
 def pack_from_json(text: str) -> DiscretePack:
     """Load a pack file of either form; each load makes every check of
-    ``validate_pack``, the full triangle check included.
+    ``validate_pack`` and proves the triangle inequality.
 
     A generator-form file is rebuilt with ``generate_pack`` and then checked;
     a dense file goes through ``validate_pack`` once its points are a count
-    or a list of integer ids and its dist is rows of finite numbers.
+    or a list of integer ids and its dist is rows of finite numbers.  The
+    triangle inequality is proved in O(n^2) by a certificate when the pack's
+    ``meta`` records a product (``base_of`` and ``level_of``) or planar
+    (``coords``) form that its distances match, and by the O(n^3) scan
+    otherwise; both routes give the same outcome.
     """
     obj = read_json(text, "pack file")
     if isinstance(obj, dict) and "generator" in obj:
@@ -1118,7 +1284,9 @@ def pack_from_json(text: str) -> DiscretePack:
 
 
 def _generated_pack(obj: dict) -> DiscretePack:
-    """The pack a generator-form file names, after ``validate_pack``'s checks."""
+    """The pack a generator-form file names, after ``validate_pack``'s checks:
+    its triangle inequality is proved by the certificate of the closed form
+    it was built from, or by the scan when none holds."""
     if obj.keys() != {"generator"}:
         raise BadParams(f"a generator pack file holds the generator alone, not {sorted(obj)}")
     spec = obj["generator"]

@@ -6,6 +6,8 @@ kernels must agree with them exactly (``==``, no tolerance).
 """
 
 import hashlib
+import json
+import math
 import pickle
 import re
 import sys
@@ -13,6 +15,7 @@ import threading
 from collections import Counter
 from itertools import chain, combinations, product
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from c0cover.canonical import _slice, ball_betas, beta_length_for, ext_family, s
 from c0cover.cylinder import (
     LowerBoundResult,
     _column_structure,
+    cylinder_over_boundary,
     fxf_image,
     image_density_gap,
 )
@@ -1724,6 +1728,221 @@ def test_triangle_violation_below_the_diagonal():
     expected = metric_outcome(oracle_check_metric, dist, 0.1)
     assert expected[0] is TriangleViolation and expected[1][:3] == (2, 1, 0)
     assert metric_outcome(_check_metric, dist, 0.1) == expected
+
+
+# -- the metric certificate: a closed form against the scan ---------------------------------------
+
+
+def recorded_proofs(monkeypatch):
+    """Record the verdict of every ``_proved_metric`` call."""
+    real, verdicts = cc.packs._proved_metric, []
+
+    def recorded(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cc.packs, "_proved_metric", recorded)
+    return verdicts
+
+
+def load_outcome(text):
+    """The loaded pack's distances and boundary, or the error loading raises, with a violation's triple."""
+    try:
+        pack = pack_from_json(text)
+    except TriangleViolation as exc:
+        return TriangleViolation, (exc.p, exc.q, exc.r, exc.defect)
+    except cc.C0CoverError as exc:
+        return type(exc), str(exc)
+    return pack.dist.tobytes(), sorted(pack.boundary)
+
+
+def _generator_text(kind, **params):
+    return pack_to_json(cc.generate_pack(kind, **params))
+
+
+def _dense_text(kind, **params):
+    return json.dumps(cc.generate_pack(kind, **params).to_json_dict(), sort_keys=True)
+
+
+def _induced_text():
+    pack = cc.generate_pack("interval_cylinder", n_base=9, n_levels=4)
+    return pack_to_json(cylinder_over_boundary(pack, pack.meta["levels"]))  # no generator: the dense form
+
+
+# every generator at its defaults and at the benchmark's sizes, two dense round trips and an induced
+# cylinder; countable_example carries no base_of, and its distances are no planar ones: it is scanned
+PROOF_LOADS = {
+    "finite-default": (partial(_generator_text, "finite_cylinder"), True),
+    "finite-3x10": (partial(_generator_text, "finite_cylinder", n_base=3, n_levels=10), True),
+    "interval-default-65x12": (partial(_generator_text, "interval_cylinder"), True),
+    "interval-33x10": (partial(_generator_text, "interval_cylinder", n_base=33, n_levels=10), True),
+    "circle-default": (partial(_generator_text, "circle_in_disk"), True),
+    "circle-32x10": (partial(_generator_text, "circle_in_disk", n_angles=32, n_levels=10), True),
+    "cube_face-default-5x8": (partial(_generator_text, "cube_face"), True),
+    "countable-default": (partial(_generator_text, "countable_example"), False),
+    "interval-33x10-dense": (partial(_dense_text, "interval_cylinder", n_base=33, n_levels=10), True),
+    "circle-32x10-dense": (partial(_dense_text, "circle_in_disk", n_angles=32, n_levels=10), True),
+    "induced-interval-9x4": (_induced_text, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_LOADS))
+def test_a_proved_load_matches_the_scan(case, monkeypatch):
+    text_of, proved = PROOF_LOADS[case]
+    text = text_of()
+    verdicts = recorded_proofs(monkeypatch)
+    got = load_outcome(text)
+    assert verdicts == [proved]
+    assert isinstance(got[0], bytes)  # every one of them loads
+    monkeypatch.setattr(cc.packs, "_PROOF_POINTS", sys.maxsize)  # offer no closed form: the scan alone
+    assert load_outcome(text) == got
+    assert verdicts == [proved]
+
+
+@st.composite
+def formed_files(draw):
+    """A dense pack file with the product or planar form that ``_proved_metric``
+    reads, plus its distances, and whether it was changed off that form: one
+    symmetric pair nudged by about tol or by a few ulps, or (products only) a
+    base built to break the triangle inequality by about tol."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["product", "planar"]))
+    if form == "product":
+        nb, n_levels = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            upper = np.triu(rng.integers(2, 5, (nb, nb)).astype(float), 1)  # ties, and a metric
+            base = upper + upper.T
+        else:
+            xy = rng.uniform(0.0, 1.0, (nb, 2))
+            base = np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(axis=2))
+            assume((base + np.eye(nb)).min() > 1e-4)
+        broken = nb >= 3 and draw(st.booleans())
+        if broken:  # base(a, c) = base(a, e) + base(e, c) + about tol
+            a, e, c = rng.permutation(nb)[:3]
+            base[a, c] = base[c, a] = base[a, e] + base[e, c] + draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])) * 1e-9
+        levels = -np.sort(-rng.uniform(0.01, 1.0, n_levels))
+        bo = np.tile(np.arange(nb), n_levels + 1)
+        lv = np.repeat(np.concatenate(([0.0], levels)), nb)
+        order = rng.permutation(len(bo)) if draw(st.booleans()) else np.arange(len(bo))
+        bo, lv = bo[order], lv[order]
+        dist = base[np.ix_(bo, bo)] + np.abs(lv[:, None] - lv[None, :])
+        boundary = np.flatnonzero(lv == 0.0).tolist()
+        meta = {"base_of": bo.tolist(), "level_of": lv.tolist()}
+    else:
+        broken = False
+        n = draw(st.integers(3, 30))
+        xy = rng.uniform(0.0, 1.0, (n, 2))
+        x, y = xy[:, 0], xy[:, 1]
+        dist = np.sqrt((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2)
+        assume((dist + np.eye(n)).min() > 1e-4)
+        boundary = rng.permutation(n)[: draw(st.integers(1, n - 1))].tolist()
+        meta = {"coords": xy.tolist()}
+    nudge = draw(st.sampled_from(["none", "tol", "ulps"]))
+    if nudge != "none":
+        i, j = rng.permutation(len(dist))[:2]
+        if nudge == "tol":
+            value = dist[i, j] + draw(st.sampled_from([-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])) * 1e-9
+        else:
+            value, toward = dist[i, j], draw(st.sampled_from([-np.inf, np.inf]))
+            for _ in range(draw(st.integers(1, 3))):
+                value = np.nextafter(value, toward)
+        dist[i, j] = dist[j, i] = value
+    text = json.dumps({"points": len(dist), "dist": dist.tolist(), "boundary": boundary, "meta": meta})
+    return text, dist, broken, nudge != "none"
+
+
+@settings(max_examples=300, deadline=None)
+@given(formed_files())
+def test_a_form_off_by_about_tol_falls_back_to_the_scan(drawn):
+    text, dist, broken, nudged = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cc.packs, "_PROOF_POINTS", 1)  # offer every pack's form, small ones too
+        verdicts = recorded_proofs(patch)
+        got = metric_outcome(lambda d, tol: pack_from_json(text), dist, 1e-9)
+    want = metric_outcome(oracle_check_metric, dist, 1e-9)
+    assert got == want  # for a failing pack, the full matrix's triple: never the base's
+    if nudged or want is not None:
+        assert verdicts == [False]
+    elif not broken:
+        assert verdicts == [True]
+
+
+def test_a_proved_load_scans_only_its_base(monkeypatch):
+    real, shapes = cc.packs._min_plus_defects, []
+
+    def counted(dist, *rest):
+        shapes.append(dist.shape)
+        return real(dist, *rest)
+
+    monkeypatch.setattr(cc.packs, "_min_plus_defects", counted)
+    pack_from_json(_generator_text("interval_cylinder", n_base=65, n_levels=12))
+    assert shapes == [(1, 65, 65)]
+    shapes.clear()
+    xy = np.random.default_rng(3).uniform(0.0, 1.0, (40, 2))
+    dist = np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(axis=2))  # no closed form in the file: the full scan
+    pack_from_json(json.dumps({"points": 40, "dist": dist.tolist(), "boundary": [0, 1, 2]}))
+    assert shapes == [(1, 40, 40)]
+
+
+def _malformed(obj, field, how):
+    """``obj``'s meta with its ``field`` list cut short, or with a bool or a non-finite first entry."""
+    value = obj["meta"][field]
+    if how == "short":
+        value = value[:-1]
+    elif field == "coords":
+        value = [[True if how == "bool" else math.inf, *value[0][1:]], *value[1:]]
+    else:
+        value = [True if how == "bool" else math.nan, *value[1:]]
+    return {**obj, "meta": {**obj["meta"], field: value}}
+
+
+META_ERRORS = {
+    ("base_of", "short"): "pack meta base_of must be a list of 45 integer base ids",
+    ("base_of", "bool"): "pack meta base_of must be a list of 45 integer base ids",
+    ("level_of", "short"): "pack meta level_of must be a list of 45 finite levels",
+    ("level_of", "bool"): "pack meta level_of must be a list of 45 finite levels",
+    ("level_of", "nonfinite"): "pack meta level_of must be a list of 45 finite levels",
+    ("coords", "short"): "pack meta coords must be 45 rows of one width >= 1",
+    ("coords", "bool"): "pack meta coords must be finite numbers",
+    ("coords", "nonfinite"): "pack meta coords must be finite numbers",
+}
+
+
+@pytest.mark.parametrize("violated", [False, True], ids=["metric", "violation"])
+@pytest.mark.parametrize("field, how", sorted(META_ERRORS))
+def test_a_malformed_form_is_never_read(field, how, violated, monkeypatch):
+    # the metric is checked first, by the scan; then _check_meta refuses the list
+    obj = _malformed(cc.generate_pack("interval_cylinder", n_base=9, n_levels=4).to_json_dict(), field, how)
+    dist = np.array(obj["dist"])
+    if violated:
+        dist[3, 40] = dist[40, 3] = dist[3, 40] * 1.5
+        obj["dist"] = dist.tolist()
+    read = []
+    monkeypatch.setattr(cc.packs, "_product_form", lambda *a: read.append(a))
+    monkeypatch.setattr(cc.packs, "_planar_form", lambda *a: read.append(a))
+    got = metric_outcome(lambda d, tol: pack_from_json(json.dumps(obj)), dist, 1e-9)
+    assert got == (metric_outcome(oracle_check_metric, dist, 1e-9) if violated else (BadParams, META_ERRORS[field, how]))
+    assert got[0] is (TriangleViolation if violated else BadParams)
+    assert read == []
+
+
+def test_a_lone_base_of_is_never_read(monkeypatch):
+    # _check_meta reads base_of only beside level_of, so the product form may not read it either
+    obj = cc.generate_pack("interval_cylinder", n_base=9, n_levels=4).to_json_dict()
+    del obj["meta"]["level_of"]
+    obj["meta"]["base_of"] = [True, "x"]
+    monkeypatch.setattr(cc.packs, "_product_form", lambda *a: pytest.fail("base_of read"))
+    verdicts = recorded_proofs(monkeypatch)
+    assert pack_from_json(json.dumps(obj)).n_points == 45
+    assert verdicts == [False]  # the coords are (x, level): no planar form either
+
+
+def test_the_sweeps_offer_no_closed_form(monkeypatch):
+    # the sweeps' stacks of 5 to 15 points are scanned as a whole: no pack of them pays for a proof
+    verdicts = recorded_proofs(monkeypatch)
+    summary = cc.verify.verify_suite(0, {"identities": 40, "ext_random": 10, "transfer": 40, "star": 10, "shrink": 10})
+    assert all(r.ok for r in summary.results)
+    assert verdicts == []
 
 
 # -- the cylinder structure: f, the sample levels, the columns ------------------------------------
